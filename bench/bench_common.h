@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "apps/app.h"
+#include "obs/json.h"
 #include "util/table.h"
 
 namespace pmc::bench {
@@ -86,20 +87,19 @@ class JsonReport {
  public:
   explicit JsonReport(std::string name) : name_(std::move(name)) {}
 
+  /// Non-finite values are written as 0, which keeps the file valid JSON.
   void add(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    metrics_.emplace_back(key, buf);
+    metrics_.emplace_back(key, obs::json_number(value));
   }
   void add(const std::string& key, uint64_t value) {
-    metrics_.emplace_back(key, fmt_u64(value));
+    metrics_.emplace_back(key, obs::json_number(value));
   }
   void add(const std::string& key, int value) {
     add(key, static_cast<uint64_t>(value < 0 ? 0 : value));
   }
   /// String-valued metric; quoted and escaped on output.
   void add(const std::string& key, const std::string& value) {
-    metrics_.emplace_back(key, quoted(value));
+    metrics_.emplace_back(key, obs::json_quote(value));
   }
 
   /// The report's default file name ("BENCH_<name>.json").
@@ -115,9 +115,10 @@ class JsonReport {
       std::fprintf(stderr, "!! cannot open %s for writing\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\n  \"bench\": %s", quoted(name_).c_str());
+    std::fprintf(f, "{\n  \"bench\": %s", obs::json_quote(name_).c_str());
     for (const auto& [key, value] : metrics_) {
-      std::fprintf(f, ",\n  %s: %s", quoted(key).c_str(), value.c_str());
+      std::fprintf(f, ",\n  %s: %s", obs::json_quote(key).c_str(),
+                   value.c_str());
     }
     std::fprintf(f, "\n}\n");
     const bool ok = std::fclose(f) == 0;
@@ -142,33 +143,6 @@ class JsonReport {
   }
 
  private:
-  /// JSON string literal with the mandatory escapes (quote, backslash,
-  /// control characters). fprintf'ing keys raw emitted invalid JSON the
-  /// moment a key contained '"' or '\'.
-  static std::string quoted(const std::string& s) {
-    std::string out = "\"";
-    for (const char ch : s) {
-      switch (ch) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(ch) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(ch)));
-            out += buf;
-          } else {
-            out += ch;
-          }
-      }
-    }
-    out += '"';
-    return out;
-  }
-
   std::string name_;
   std::vector<std::pair<std::string, std::string>> metrics_;  // key -> literal
 };

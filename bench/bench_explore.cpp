@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
     measured_jobs = jobs;
     explore::SessionOptions popts = sopts;
     popts.jobs = jobs;
-    popts.engine = explore::Engine::kParallel;
     const explore::CheckSession scaled(popts);
     uint64_t explored = 0;
     std::vector<uint64_t> steals(static_cast<size_t>(jobs), 0);
@@ -389,13 +388,12 @@ int main(int argc, char** argv) {
 
   // hb-class discovery curve: distinct happens-before classes after
   // 1, 2, 4, ... explored schedules of the fig4_exclusive sweep on SWCC
-  // (sequential engine, dpor off: a deterministic saturation curve). A
+  // (jobs = 1, dpor off: a deterministic saturation curve). A
   // curve that flattens long before the space exhausts is the signal that
   // raising the bounds buys coverage, not behaviors.
   {
     explore::SessionOptions hopts = sopts;
     hopts.jobs = 1;
-    hopts.engine = explore::Engine::kSequential;
     hopts.explore.dpor = explore::DporMode::kOff;
     hopts.explore.sample_hb_curve = true;
     const explore::CheckSession hb_session(hopts);
@@ -425,7 +423,6 @@ int main(int argc, char** argv) {
   {
     explore::SessionOptions ropts = sopts;
     ropts.jobs = 1;
-    ropts.engine = explore::Engine::kSequential;
     ropts.engine_state = explore::EngineState::kReplay;
     const explore::CheckSession replay_session(ropts);
     const explore::LitmusTarget target(model::litmus::fig5_mp_annotated(),

@@ -74,14 +74,13 @@ std::vector<explore::AppKind> parse_apps(const char* arg) {
   return {*kind};
 }
 
-/// --dpor[=off|footprint|sleepset]; the bare flag means sleepset (the full
-/// reduction — DESIGN.md §8).
+/// --dpor[=off|sleepset]; the bare flag means sleepset (DESIGN.md §8).
 explore::DporMode parse_dpor(int argc, char** argv) {
   if (const char* d = flag_str(argc, argv, "dpor", nullptr)) {
     const auto mode = explore::dpor_mode_from_string(d);
     if (!mode) {
-      std::fprintf(stderr, "unknown --dpor mode '%s' "
-                   "(want off|footprint|sleepset)\n", d);
+      std::fprintf(stderr, "unknown --dpor mode '%s' (want off|sleepset)\n",
+                   d);
       std::exit(2);
     }
     return *mode;

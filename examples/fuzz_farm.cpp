@@ -82,8 +82,7 @@ int run_main(int argc, char** argv) {
   if (const char* d = flag_str(argc, argv, "dpor", nullptr)) {
     const auto mode = explore::dpor_mode_from_string(d);
     if (!mode) {
-      std::fprintf(stderr,
-                   "unknown --dpor mode '%s' (want off|footprint|sleepset)\n",
+      std::fprintf(stderr, "unknown --dpor mode '%s' (want off|sleepset)\n",
                    d);
       return 2;
     }

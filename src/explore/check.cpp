@@ -9,7 +9,6 @@
 #include "apps/mfifo.h"
 #include "apps/task_queue.h"
 #include "explore/litmus_driver.h"
-#include "explore/parallel_explorer.h"
 #include "explore/stateful.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -695,15 +694,6 @@ CheckSession::CheckSession(SessionOptions opts) : opts_(std::move(opts)) {
   if (opts_.jobs < 1) opts_.jobs = 1;
 }
 
-bool CheckSession::parallel_engine() const {
-  switch (opts_.engine) {
-    case Engine::kSequential: return false;
-    case Engine::kParallel: return true;
-    case Engine::kAuto: return opts_.jobs > 1;
-  }
-  return false;
-}
-
 bool CheckSession::stateful(const CheckTarget& target) const {
   return opts_.engine_state == EngineState::kSnapshot &&
          target.stateful_capable() && sim::Scheduler::fibers_supported();
@@ -711,80 +701,68 @@ bool CheckSession::stateful(const CheckTarget& target) const {
 
 namespace {
 
-StatefulOptions stateful_options(const SessionOptions& opts) {
-  StatefulOptions s;
-  s.checkpoint_stride = opts.snapshot_stride;
-  s.horizon = opts.explore.horizon;
-  s.pool_capacity = opts.snapshot_pool;
-  return s;
-}
+/// The executors one Explorer built through a snapshot-engine factory, kept
+/// so their pool counters can be merged into the report afterwards.
+struct Executors {
+  std::mutex mu;
+  std::vector<std::shared_ptr<StatefulExecutor>> all;
+};
 
-void merge_stats(ExploreReport& rep, const StatefulStats& stats) {
-  rep.snapshots_taken += stats.snapshots_taken;
-  rep.snapshot_hits += stats.pool_hits;
-  rep.snapshot_misses += stats.pool_misses;
+/// The Explorer for `target` under `opts`. On the snapshot path every
+/// worker gets a private StatefulExecutor (each owns a Program and a pool,
+/// so the runners share nothing mutable — the same contract as stateless
+/// runners); otherwise the workers share the target's thread-safe run().
+Explorer explorer_for(const SessionOptions& opts, bool stateful,
+                      const CheckTarget& target, Executors* execs = nullptr) {
+  if (!stateful) return Explorer(target.runner(), opts.jobs);
+  StatefulOptions sopts;
+  sopts.checkpoint_stride = opts.snapshot_stride;
+  sopts.horizon = opts.explore.horizon;
+  sopts.pool_capacity = opts.snapshot_pool;
+  return Explorer(
+      [&target, sopts, execs]() {
+        auto e = std::make_shared<StatefulExecutor>(target.make_spec(), sopts);
+        if (execs != nullptr) {
+          std::lock_guard<std::mutex> lk(execs->mu);
+          execs->all.push_back(e);
+        }
+        return ScheduleRunner([e](ReplayPolicy& p) { return e->run(p); });
+      },
+      opts.jobs);
 }
 
 }  // namespace
 
 ExploreReport CheckSession::explore(const CheckTarget& target) const {
-  if (!stateful(target)) return explore(target.runner());
-  const StatefulOptions sopts = stateful_options(opts_);
-  if (parallel_engine()) {
-    // One executor per worker: each owns a private Program and pool, so the
-    // runners share nothing mutable — same contract as stateless runners.
-    std::mutex mu;
-    std::vector<std::shared_ptr<StatefulExecutor>> execs;
-    ParallelExplorer ex(
-        [&]() {
-          auto e =
-              std::make_shared<StatefulExecutor>(target.make_spec(), sopts);
-          {
-            std::lock_guard<std::mutex> lk(mu);
-            execs.push_back(e);
-          }
-          return ScheduleRunner([e](ReplayPolicy& p) { return e->run(p); });
-        },
-        opts_.jobs);
-    ExploreReport rep = ex.explore(opts_.explore);
-    for (const auto& e : execs) merge_stats(rep, e->stats());
-    return rep;
-  }
-  StatefulExecutor exec(target.make_spec(), sopts);
-  Explorer ex(exec.runner());
+  Executors execs;
+  Explorer ex = explorer_for(opts_, stateful(target), target, &execs);
   ExploreReport rep = ex.explore(opts_.explore);
-  merge_stats(rep, exec.stats());
+  for (const auto& e : execs.all) {
+    rep.snapshots_taken += e->stats().snapshots_taken;
+    rep.snapshot_hits += e->stats().pool_hits;
+    rep.snapshot_misses += e->stats().pool_misses;
+  }
   return rep;
 }
 
 ExploreReport CheckSession::explore(const ScheduleRunner& runner) const {
-  if (parallel_engine()) {
-    ParallelExplorer ex(runner, opts_.jobs);
-    return ex.explore(opts_.explore);
-  }
-  Explorer ex(runner);
-  return ex.explore(opts_.explore);
+  return Explorer(runner, opts_.jobs).explore(opts_.explore);
 }
 
 RunOutcome CheckSession::replay(const CheckTarget& target,
                                 const DecisionString& schedule,
                                 bool* fully_applied) const {
-  if (stateful(target)) {
-    // Replay is one run — a fresh executor costs the same as a stateless
-    // replay, and repeated replays (minimize) go through minimize() below.
-    StatefulExecutor exec(target.make_spec(), stateful_options(opts_));
-    Explorer ex(exec.runner());
-    return ex.replay(schedule, opts_.explore.horizon, fully_applied);
-  }
-  return replay(target.runner(), schedule, fully_applied);
+  // Replay is one run — a fresh executor costs the same as a stateless
+  // replay, and repeated replays (minimize) go through minimize() below.
+  return explorer_for(opts_, stateful(target), target)
+      .replay(schedule, opts_.explore.horizon, fully_applied);
 }
 
 RunOutcome CheckSession::replay(const ScheduleRunner& runner,
                                 const DecisionString& schedule,
                                 bool* fully_applied) const {
-  // Replay is inherently sequential; both engines share the same contract.
-  Explorer ex(runner);
-  return ex.replay(schedule, opts_.explore.horizon, fully_applied);
+  return Explorer(runner).replay(schedule, opts_.explore.horizon,
+                                 fully_applied);
 }
 
 RunOutcome CheckSession::replay_traced(const CheckTarget& target,
@@ -812,34 +790,14 @@ RunOutcome CheckSession::replay_traced(const CheckTarget& target,
 
 DecisionString CheckSession::minimize(const CheckTarget& target,
                                       DecisionString failing) const {
-  if (stateful(target)) {
-    if (parallel_engine()) {
-      ParallelExplorer ex(
-          [&target, sopts = stateful_options(opts_)]() {
-            auto e =
-                std::make_shared<StatefulExecutor>(target.make_spec(), sopts);
-            return ScheduleRunner([e](ReplayPolicy& p) { return e->run(p); });
-          },
-          opts_.jobs);
-      return ex.minimize(std::move(failing), opts_.explore.horizon);
-    }
-    StatefulExecutor exec(target.make_spec(), stateful_options(opts_));
-    Explorer ex(exec.runner());
-    return ex.minimize(std::move(failing), opts_.explore.horizon);
-  }
-  return minimize(target.runner(), std::move(failing));
+  return explorer_for(opts_, stateful(target), target)
+      .minimize(std::move(failing), opts_.explore.horizon);
 }
 
 DecisionString CheckSession::minimize(const ScheduleRunner& runner,
                                       DecisionString failing) const {
-  if (parallel_engine()) {
-    // Round-parallel lowest-index-wins: identical result to the sequential
-    // greedy scan at any job count.
-    ParallelExplorer ex(runner, opts_.jobs);
-    return ex.minimize(std::move(failing), opts_.explore.horizon);
-  }
-  Explorer ex(runner);
-  return ex.minimize(std::move(failing), opts_.explore.horizon);
+  return Explorer(runner, opts_.jobs)
+      .minimize(std::move(failing), opts_.explore.horizon);
 }
 
 CheckReport CheckSession::check(const CheckTarget& target) const {

@@ -11,13 +11,13 @@
 // session step instead of DiffCheck-private code.
 //
 // A CheckSession owns the knobs every caller used to wire by hand — the
-// ExploreConfig bounds, DPOR mode, engine selection (sequential vs --jobs
-// parallel workers) — and produces one canonical CheckReport per target:
-// totals, the lexicographically least failing schedule, the shrunk target,
-// and the minimized schedule on it. Every field of a CheckReport is a pure
-// function of (target, SessionOptions); engine and job count never leak in
-// (absent truncation), so reports are byte-identical across engines and job
-// counts — the determinism contract tests/explore/ locks.
+// ExploreConfig bounds, DPOR mode, worker count (--jobs) and engine state —
+// and produces one canonical CheckReport per target: totals, the
+// lexicographically least failing schedule, the shrunk target, and the
+// minimized schedule on it. Every field of a CheckReport is a pure function
+// of (target, SessionOptions); engine state and job count never leak in
+// (absent truncation), so reports are byte-identical across both — the
+// determinism contract tests/explore/ locks.
 #pragma once
 
 #include <memory>
@@ -268,12 +268,6 @@ std::unique_ptr<CheckTarget> make_app_target(AppKind kind, rt::Target target,
 
 // -- The session facade ------------------------------------------------------
 
-/// Which exploration engine executes the session's bounded space. The
-/// space is a fixed tree either way, so every CheckReport field is engine-
-/// and job-count-invariant (absent truncation); kAuto picks the sequential
-/// engine for jobs <= 1 and the work-stealing parallel one otherwise.
-enum class Engine { kAuto, kSequential, kParallel };
-
 /// How the machine state at each explored decision point is reproduced.
 /// kReplay re-executes the whole decision prefix from a fresh Program
 /// (stateless, CHESS-style); kSnapshot checkpoints the live machine at
@@ -290,8 +284,10 @@ std::optional<EngineState> engine_state_from_string(std::string_view text);
 
 struct SessionOptions {
   ExploreConfig explore;
+  /// Exploration workers (the caller's thread plus jobs − 1 helpers); < 1
+  /// is clamped to 1. Every CheckReport field is job-count-invariant
+  /// (absent truncation); at jobs = 1 the telemetry is deterministic too.
   int jobs = 1;
-  Engine engine = Engine::kAuto;
   EngineState engine_state = EngineState::kSnapshot;
   /// Snapshot engine: checkpoint every `snapshot_stride`-th decision step
   /// below the horizon, keeping at most `snapshot_pool` non-root snapshots
@@ -305,9 +301,10 @@ struct SessionOptions {
 };
 
 /// Wall-clock and engine observability of one check() call. Everything in
-/// here is telemetry: timing-, engine-, and job-count-dependent, and
+/// here is telemetry: timing-, engine-state-, and job-count-dependent, and
 /// therefore excluded from CheckReport::to_text (which stays byte-identical
-/// across engines). to_json() carries it for dashboards and bench harnesses.
+/// across engine states and job counts). to_json() carries it for
+/// dashboards and bench harnesses.
 struct SessionTelemetry {
   double explore_seconds = 0;
   double schedules_per_sec = 0;
@@ -317,7 +314,7 @@ struct SessionTelemetry {
   uint64_t snapshots_taken = 0;
   uint64_t snapshot_hits = 0;
   uint64_t snapshot_misses = 0;
-  /// Successful steals per worker (parallel engine; empty otherwise).
+  /// Successful steals per worker (one entry per job).
   std::vector<uint64_t> worker_steals;
   /// hb-class discovery curve (only when explore.sample_hb_curve).
   std::vector<uint64_t> hb_curve;
@@ -357,15 +354,17 @@ struct CheckReport {
   /// Every distinct hb-class hash of the explored space, sorted ascending
   /// (only when SessionOptions::explore.collect_trace_hashes). Deterministic
   /// for (target, options) like the other non-telemetry fields — the fixed
-  /// schedule tree visits the same classes on every engine and job count —
+  /// schedule tree visits the same classes at every engine state and job
+  /// count —
   /// but excluded from to_text(), whose byte layout predates the field.
   std::vector<uint64_t> trace_hashes;
 
   /// Session observability; the only non-deterministic field.
   SessionTelemetry telemetry;
 
-  /// Canonical multi-line rendering; byte-identical across engines and job
-  /// counts (absent truncation) — what the determinism suites compare.
+  /// Canonical multi-line rendering; byte-identical across engine states
+  /// and job counts (absent truncation) — what the determinism suites
+  /// compare.
   /// Excludes `telemetry` entirely.
   std::string to_text() const;
   /// One-line JSON rendering of the deterministic fields plus a
@@ -373,18 +372,16 @@ struct CheckReport {
   std::string to_json() const;
 };
 
-/// Owns engine selection, bounds, DPOR mode, and failure minimization —
-/// the one front door to the exploration stack. Cheap to construct; check()
-/// borrows the target only for the duration of the call.
+/// Owns the bounds, DPOR mode, worker count, engine state, and failure
+/// minimization — the one front door to the exploration stack. Cheap to
+/// construct; check() borrows the target only for the duration of the call.
 class CheckSession {
  public:
   explicit CheckSession(SessionOptions opts);
   CheckSession(const ExploreConfig& cfg, int jobs = 1)
-      : CheckSession(SessionOptions{cfg, jobs, Engine::kAuto}) {}
+      : CheckSession(SessionOptions{cfg, jobs}) {}
 
   const SessionOptions& options() const { return opts_; }
-  /// True when this session runs the parallel work-stealing engine.
-  bool parallel_engine() const;
   /// True when this session drives `target` through the snapshot engine
   /// (engine_state == kSnapshot, target is stateful_capable, and the build
   /// supports fibers); false means the stateless replay path.
@@ -397,7 +394,7 @@ class CheckSession {
   /// shrinking would be neither deterministic nor sound), and minimize.
   CheckReport check(const CheckTarget& target) const;
 
-  // -- Building blocks (the only sanctioned route to the engines) ------------
+  // -- Building blocks (the only sanctioned route to the Explorer) -----------
   ExploreReport explore(const CheckTarget& target) const;
   ExploreReport explore(const ScheduleRunner& runner) const;
   RunOutcome replay(const CheckTarget& target, const DecisionString& schedule,
@@ -407,8 +404,9 @@ class CheckSession {
   /// execution). Needs the target's make_spec() to reach ProgramOptions, so
   /// targets that are not stateful_capable() run untraced — the verdict is
   /// still correct, the recorder just stays empty. The recorded events are
-  /// a pure function of (target, schedule): byte-identical across engines
-  /// and job counts, which tests/explore/test_trace_determinism.cpp locks.
+  /// a pure function of (target, schedule): byte-identical across engine
+  /// states and job counts, which tests/explore/test_trace_determinism.cpp
+  /// locks.
   RunOutcome replay_traced(const CheckTarget& target,
                            const DecisionString& schedule,
                            obs::TraceRecorder* recorder,

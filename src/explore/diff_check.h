@@ -69,7 +69,7 @@ class DiffCheck {
                        rt::sim_targets()) const;
 
   /// Same, but with the full session configuration — callers that pick the
-  /// execution engine (SessionOptions::engine_state) land here.
+  /// engine state (SessionOptions::engine_state) land here.
   DiffReport check(const SessionOptions& opts,
                    const std::vector<rt::Target>& targets =
                        rt::sim_targets()) const;

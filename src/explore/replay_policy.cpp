@@ -8,7 +8,7 @@ ReplayPolicy::ReplayPolicy(DecisionString overrides, uint64_t horizon,
                            bool record_footprints)
     : overrides_(std::move(overrides)),
       horizon_(horizon),
-      record_limit_(horizon + kFootprintWindow),
+      record_limit_(horizon + kRecordWindow),
       record_(record_footprints) {
   for (size_t i = 1; i < overrides_.size(); ++i) {
     PMC_CHECK_MSG(overrides_[i - 1].step < overrides_[i].step,

@@ -25,7 +25,7 @@ class ReplayPolicy final : public sim::SchedulePolicy {
   /// runs at its next default dispatch, which can lie past the horizon; the
   /// window bounds the recording cost, and anything beyond it is reported
   /// as unknown (callers must then assume dependence, never independence).
-  static constexpr uint64_t kFootprintWindow = 64;
+  static constexpr uint64_t kRecordWindow = 64;
 
   /// `horizon` bounds the recorded prefix (and thus which steps can branch).
   /// `record_footprints` enables the DPOR recording (candidate/chosen cores
@@ -104,7 +104,7 @@ class ReplayPolicy final : public sim::SchedulePolicy {
  private:
   DecisionString overrides_;
   uint64_t horizon_;
-  uint64_t record_limit_;  // horizon + kFootprintWindow
+  uint64_t record_limit_;  // horizon + kRecordWindow
   bool record_;            // DPOR recording on?
   size_t next_ = 0;
   uint64_t steps_ = 0;

@@ -1,7 +1,7 @@
 // The CheckTarget/CheckSession front door (DESIGN.md §9): apps-layer
 // targets model-checked on every back-end, byte-identical reports across
-// engines and job counts, seeded-fault discovery with minimization, and the
-// generic target-shrinking contract.
+// engine states and job counts, seeded-fault discovery with minimization,
+// and the generic target-shrinking contract.
 #include "explore/check.h"
 
 #include <gtest/gtest.h>
@@ -14,13 +14,13 @@ namespace pmc::explore {
 namespace {
 
 SessionOptions app_opts(DporMode dpor = DporMode::kSleepSet, int jobs = 1,
-                        Engine engine = Engine::kAuto) {
+                        EngineState state = EngineState::kSnapshot) {
   SessionOptions opts;
   opts.explore.preemption_bound = 1;
   opts.explore.horizon = 14;
   opts.explore.dpor = dpor;
   opts.jobs = jobs;
-  opts.engine = engine;
+  opts.engine_state = state;
   return opts;
 }
 
@@ -102,15 +102,17 @@ TEST(AppCheck, ReportsAreByteIdenticalAcrossEnginesAndJobs) {
     const auto target =
         make_app_target(kind, rt::Target::kSWCC, all_seeded_faults());
     const CheckReport ref =
-        CheckSession(app_opts(DporMode::kSleepSet, 1, Engine::kSequential))
-            .check(*target);
+        CheckSession(app_opts(DporMode::kSleepSet, 1)).check(*target);
     ASSERT_GT(ref.failing, 0u) << to_string(kind);
-    for (int jobs : {1, 2, 8}) {
-      const CheckReport rep =
-          CheckSession(app_opts(DporMode::kSleepSet, jobs, Engine::kParallel))
-              .check(*target);
-      EXPECT_EQ(rep.to_text(), ref.to_text())
-          << to_string(kind) << " jobs=" << jobs;
+    for (const EngineState state :
+         {EngineState::kReplay, EngineState::kSnapshot}) {
+      for (int jobs : {1, 2, 8}) {
+        const CheckReport rep =
+            CheckSession(app_opts(DporMode::kSleepSet, jobs, state))
+                .check(*target);
+        EXPECT_EQ(rep.to_text(), ref.to_text())
+            << to_string(kind) << " " << to_string(state) << " jobs=" << jobs;
+      }
     }
   }
 }
@@ -118,13 +120,11 @@ TEST(AppCheck, ReportsAreByteIdenticalAcrossEnginesAndJobs) {
 TEST(AppCheck, CleanReportsAreByteIdenticalAcrossJobs) {
   const MFifoTarget target(rt::Target::kDSM);
   const CheckReport ref =
-      CheckSession(app_opts(DporMode::kSleepSet, 1, Engine::kSequential))
-          .check(target);
+      CheckSession(app_opts(DporMode::kSleepSet, 1)).check(target);
   EXPECT_TRUE(ref.ok);
   for (int jobs : {2, 8}) {
     const CheckReport rep =
-        CheckSession(app_opts(DporMode::kSleepSet, jobs, Engine::kParallel))
-            .check(target);
+        CheckSession(app_opts(DporMode::kSleepSet, jobs)).check(target);
     EXPECT_EQ(rep.to_text(), ref.to_text()) << "jobs=" << jobs;
   }
 }

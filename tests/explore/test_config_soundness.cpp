@@ -69,17 +69,13 @@ TEST(ConfigSoundness, DporTotalsUnchangedOnDefaultShape) {
   const LitmusTarget target(model::litmus::fig4_exclusive(),
                             rt::Target::kSWCC);
   const auto full = CheckSession(bounds()).explore(target);
-  const auto fp = CheckSession(bounds(DporMode::kFootprint)).explore(target);
   const auto ss = CheckSession(bounds(DporMode::kSleepSet)).explore(target);
   // Pinned totals from the pre-contention-model tree (the seed baseline).
   EXPECT_EQ(full.explored, 79u);
   EXPECT_EQ(full.distinct_traces, 2u);
   EXPECT_EQ(full.failing, 0u);
-  EXPECT_EQ(fp.explored, 6u);
-  EXPECT_EQ(fp.dpor_pruned, 37u);
   EXPECT_EQ(ss.explored, 6u);
   EXPECT_EQ(ss.dpor_pruned, 37u);
-  EXPECT_EQ(fp.distinct_traces, full.distinct_traces);
   EXPECT_EQ(ss.distinct_traces, full.distinct_traces);
 }
 
@@ -101,18 +97,13 @@ TEST(ConfigSoundness, MeshModelDporMatchesFullExploration) {
   const LitmusTarget target(model::litmus::fig4_exclusive(),
                             rt::Target::kDSM, {}, mesh_config());
   const auto full = CheckSession(bounds()).explore(target);
-  const auto fp = CheckSession(bounds(DporMode::kFootprint)).explore(target);
   const auto ss = CheckSession(bounds(DporMode::kSleepSet)).explore(target);
   EXPECT_EQ(full.failing, 0u);
-  EXPECT_EQ(fp.failing, 0u);
   EXPECT_EQ(ss.failing, 0u);
-  EXPECT_EQ(fp.distinct_traces, full.distinct_traces);
   EXPECT_EQ(ss.distinct_traces, full.distinct_traces);
   // dpor_pruned counts bypassed candidates, each of which elides a whole
   // subtree — so the reduced tree is strictly smaller, not sum-equal.
-  EXPECT_LT(fp.explored, full.explored);
   EXPECT_LT(ss.explored, full.explored);
-  EXPECT_GT(fp.dpor_pruned, 0u);
   EXPECT_GT(ss.dpor_pruned, 0u);
 }
 

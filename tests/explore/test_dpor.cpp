@@ -28,12 +28,12 @@ namespace {
 
 TEST(DporMode, ParsesAndPrints) {
   EXPECT_STREQ(to_string(DporMode::kOff), "off");
-  EXPECT_STREQ(to_string(DporMode::kFootprint), "footprint");
   EXPECT_STREQ(to_string(DporMode::kSleepSet), "sleepset");
   EXPECT_EQ(dpor_mode_from_string("off"), DporMode::kOff);
-  EXPECT_EQ(dpor_mode_from_string("footprint"), DporMode::kFootprint);
   EXPECT_EQ(dpor_mode_from_string("sleepset"), DporMode::kSleepSet);
   EXPECT_FALSE(dpor_mode_from_string("on").has_value());
+  // No footprint-only mode: sleepset already prunes everything it would.
+  EXPECT_FALSE(dpor_mode_from_string("footprint").has_value());
 }
 
 // -- The headline reduction (acceptance criterion) ---------------------------
@@ -139,10 +139,8 @@ TEST(HbTraceHash, PollIterationCountsCollapse) {
 TEST(Dpor, DistinctTracesCountBehaviorsNotSchedules) {
   // The lock of the ROADMAP item: distinct_traces hashes the happens-before
   // quotient, so the hundreds of explored interleavings of the litmus suite
-  // collapse to a handful of behavior classes, and the footprint and
-  // sleep-set reductions — which prune exactly commuting reorderings —
-  // agree on the class count for every (test, back-end). The unreduced
-  // count can only be >= the reduced one: off-mode additionally reaches
+  // collapse to a handful of behavior classes. The unreduced count can
+  // only be >= the sleep-set-reduced one: off-mode additionally reaches
   // classes whose distinguishing race is resolved by frontier-warp timing
   // beyond the reordered pair, which footprint commutation deliberately
   // does not model (DESIGN.md §8's timed-machine caveat — equality there
@@ -157,12 +155,8 @@ TEST(Dpor, DistinctTracesCountBehaviorsNotSchedules) {
       const LitmusTarget target(test, t);
       cfg.dpor = DporMode::kOff;
       const auto off = CheckSession(cfg).explore(target);
-      cfg.dpor = DporMode::kFootprint;
-      const auto fp = CheckSession(cfg).explore(target);
       cfg.dpor = DporMode::kSleepSet;
       const auto ss = CheckSession(cfg).explore(target);
-      EXPECT_EQ(fp.distinct_traces, ss.distinct_traces)
-          << test.name << " on " << rt::to_string(t);
       EXPECT_GE(off.distinct_traces, ss.distinct_traces)
           << test.name << " on " << rt::to_string(t);
       suite_off_explored += off.explored;
@@ -179,8 +173,8 @@ TEST(Dpor, DistinctTracesCountBehaviorsNotSchedules) {
 TEST(Dpor, DistinctTracesAgreeAcrossAllModesWhereRacesAreInHorizon) {
   // fig4_exclusive has no poll loops and its one race (two cores, one lock)
   // is decided inside the branchable window, so every behavior class is
-  // reachable by an explicit branch and all three modes count the same
-  // classes on every back-end — the exact-equality half of the satellite.
+  // reachable by an explicit branch and both modes count the same classes
+  // on every back-end — the exact-equality half of the satellite.
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 24;
@@ -188,11 +182,8 @@ TEST(Dpor, DistinctTracesAgreeAcrossAllModesWhereRacesAreInHorizon) {
     const LitmusTarget target(model::litmus::fig4_exclusive(), t);
     cfg.dpor = DporMode::kOff;
     const auto off = CheckSession(cfg).explore(target);
-    cfg.dpor = DporMode::kFootprint;
-    const auto fp = CheckSession(cfg).explore(target);
     cfg.dpor = DporMode::kSleepSet;
     const auto ss = CheckSession(cfg).explore(target);
-    EXPECT_EQ(off.distinct_traces, fp.distinct_traces) << rt::to_string(t);
     EXPECT_EQ(off.distinct_traces, ss.distinct_traces) << rt::to_string(t);
     EXPECT_GE(off.distinct_traces, 2u)
         << rt::to_string(t) << ": both lock orders must be reachable";
@@ -246,14 +237,11 @@ TEST(Dpor, PureDelaySegmentsAreNeverTreatedAsIndependent) {
   cfg.dpor = DporMode::kOff;
   const auto off = CheckSession(cfg).explore(target);
   EXPECT_EQ(off.explored, 3u);  // root + one alternative at each step
-  for (const DporMode mode : {DporMode::kFootprint, DporMode::kSleepSet}) {
-    cfg.dpor = mode;
-    const auto on = CheckSession(cfg).explore(target);
-    EXPECT_EQ(on.explored, off.explored) << "dpor=" << to_string(mode);
-    EXPECT_EQ(on.dpor_pruned, 0u) << "dpor=" << to_string(mode);
-    EXPECT_EQ(on.distinct_traces, off.distinct_traces)
-        << "dpor=" << to_string(mode);
-  }
+  cfg.dpor = DporMode::kSleepSet;
+  const auto on = CheckSession(cfg).explore(target);
+  EXPECT_EQ(on.explored, off.explored);
+  EXPECT_EQ(on.dpor_pruned, 0u);
+  EXPECT_EQ(on.distinct_traces, off.distinct_traces);
 }
 
 TEST(Dpor, UndisciplinedTimingRacesAreOutsideTheDporContract) {
@@ -307,23 +295,16 @@ TEST_P(DporSeeded, FailingSetsAreIdenticalAcrossDporModes) {
   const CheckSession s_off(cfg);
   const auto off = s_off.explore(target);
   ASSERT_GT(off.failing, 0u);
-  cfg.dpor = DporMode::kFootprint;
-  const CheckSession s_fp(cfg);
-  const auto fp = s_fp.explore(target);
   cfg.dpor = DporMode::kSleepSet;
   const CheckSession s_ss(cfg);
   const auto ss = s_ss.explore(target);
 
   // Strictly fewer runs, same bugs: after minimization the failure sets of
-  // all three modes collapse to the same strings.
+  // both modes collapse to the same strings.
   EXPECT_LT(ss.explored, off.explored);
-  EXPECT_LE(ss.explored, fp.explored);
-  ASSERT_GT(fp.failing, 0u);
   ASSERT_GT(ss.failing, 0u);
   const auto set_off = minimized_failing_set(s_off, target, off);
-  const auto set_fp = minimized_failing_set(s_fp, target, fp);
   const auto set_ss = minimized_failing_set(s_ss, target, ss);
-  EXPECT_EQ(set_off, set_fp);
   EXPECT_EQ(set_off, set_ss);
 
   // The canonical minimized failure still replays to the same violation.
@@ -351,11 +332,9 @@ TEST(Dpor, TotalsAreBitIdenticalAcrossJobCounts) {
   opts.explore.preemption_bound = 2;
   opts.explore.horizon = 16;
   opts.explore.dpor = DporMode::kSleepSet;
-  opts.engine = Engine::kSequential;
   const CheckReport s = CheckSession(opts).check(target);
   ASSERT_GT(s.failing, 0u);
-  opts.engine = Engine::kParallel;
-  for (int jobs : {1, 2, 8}) {
+  for (int jobs : {2, 8}) {
     opts.jobs = jobs;
     const CheckReport p = CheckSession(opts).check(target);
     EXPECT_EQ(p.to_text(), s.to_text()) << "jobs=" << jobs;

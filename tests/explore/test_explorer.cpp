@@ -1,5 +1,5 @@
 // Session-driven enumeration, pruning accounting, back-end model checking,
-// and seeded-bug discovery (the sequential engine).
+// and seeded-bug discovery (at the default jobs = 1).
 //
 // The closed-form counting tests pin the enumeration exactly: for a 2-core
 // litmus program every decision step below the horizon has exactly two

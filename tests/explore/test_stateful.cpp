@@ -42,7 +42,6 @@ SessionOptions grid_opts(EngineState state, DporMode dpor = DporMode::kOff,
   opts.explore.horizon = horizon;
   opts.explore.dpor = dpor;
   opts.jobs = jobs;
-  opts.engine = jobs > 1 ? Engine::kParallel : Engine::kSequential;
   opts.engine_state = state;
   return opts;
 }
@@ -81,7 +80,7 @@ TEST(StatefulDifferential, DporModesAndJobCountsMatchReplay) {
            static_cast<const CheckTarget*>(&ex),
        }) {
     for (const DporMode dpor :
-         {DporMode::kOff, DporMode::kFootprint, DporMode::kSleepSet}) {
+         {DporMode::kOff, DporMode::kSleepSet}) {
       const std::string ref =
           check_text(*target, grid_opts(EngineState::kReplay, dpor));
       for (const int jobs : {1, 2, 8}) {

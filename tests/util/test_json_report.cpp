@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -57,6 +58,19 @@ TEST(JsonReport, EscapesQuotesBackslashesAndControlCharacters) {
       ++i;  // the escaped character is accounted for
     }
   }
+}
+
+TEST(JsonReport, NonFiniteDoublesWriteZero) {
+  // "%.6g" renders these as nan/inf, which no JSON parser accepts.
+  JsonReport json("demo");
+  json.add("nan", std::numeric_limits<double>::quiet_NaN());
+  json.add("inf", std::numeric_limits<double>::infinity());
+  json.add("neg_inf", -std::numeric_limits<double>::infinity());
+  const std::string out =
+      write_and_read(json, testing::TempDir() + "json_nonfinite.json");
+  EXPECT_EQ(out,
+            "{\n  \"bench\": \"demo\",\n  \"nan\": 0,\n  \"inf\": 0,\n"
+            "  \"neg_inf\": 0\n}\n");
 }
 
 TEST(JsonReport, NoJsonFlagWritesNothing) {
