@@ -115,8 +115,8 @@ int main(int argc, char** argv) {
       auto app = make_app(which, scale);
       const auto r = run_app(*app, base_opts(target, cores, validate, fibers));
       if (validate && !r.validated_ok) {
-        std::printf("!! %s on %s violated the model\n", kNames[which],
-                    rt::to_string(target));
+        std::printf("!! %s on %s violated the model: %s\n", kNames[which],
+                    rt::to_string(target), r.validation_error.c_str());
         return 1;
       }
       (cfg == 0 ? nocc : swcc) = Breakdown::from(r.stats);

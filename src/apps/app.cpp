@@ -18,6 +18,7 @@ AppRunResult run_app(App& app, ProgramOptions opts) {
     }
     if (prog.validator() != nullptr) {
       r.validated_ok = prog.validator()->ok();
+      r.validation_error = prog.validator()->first_violation();
     }
     prog.machine()->export_metrics(r.metrics);
   }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "obs/metrics.h"
 #include "runtime/program.h"
@@ -37,6 +38,7 @@ struct AppRunResult {
   sim::CoreStats stats;     // aggregate over cores (zeros for host target)
   uint64_t makespan = 0;    // max per-core cycle count (0 for host)
   bool validated_ok = true; // Definition 12 check (true when not validated)
+  std::string validation_error;  // the first violation when !validated_ok
   /// Machine-level counters and histograms (Machine::export_metrics): NoC
   /// packet/stall totals and port-queue waits. Empty for the host target.
   obs::MetricsRegistry metrics;

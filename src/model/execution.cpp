@@ -1,7 +1,6 @@
 #include "model/execution.h"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 
 #include "util/check.h"
@@ -64,7 +63,9 @@ Execution::Execution(int num_procs, int num_locs,
   PMC_CHECK(num_procs >= 1);
   PMC_CHECK(num_locs >= 0);
   PMC_CHECK(initial.empty() || initial.size() == static_cast<size_t>(num_locs));
+  in_begin_.push_back(0);
   writes_.resize(num_locs_);
+  chain_len_.assign(num_locs_, 1);
   release_frontier_.resize(num_locs_);
   pls_.resize(static_cast<size_t>(num_procs_) * num_locs_);
   ps_.resize(num_procs_);
@@ -91,19 +92,24 @@ OpId Execution::init_op(LocId v) const {
   return init_[v];
 }
 
-const std::vector<Edge>& Execution::out_edges(OpId id) const {
-  PMC_CHECK(id < out_.size());
-  return out_[id];
-}
-
-const std::vector<Edge>& Execution::in_edges(OpId id) const {
-  PMC_CHECK(id < in_.size());
-  return in_[id];
+std::span<const Edge> Execution::in_edges(OpId id) const {
+  PMC_CHECK(id < ops_.size());
+  return {edges_.data() + in_begin_[id], edges_.data() + in_begin_[id + 1]};
 }
 
 const std::vector<OpId>& Execution::writes_to(LocId v) const {
   PMC_CHECK(v >= 0 && v < num_locs_);
   return writes_[v];
+}
+
+bool Execution::write_chained(LocId v) const {
+  const auto& ws = writes_to(v);
+  const size_t n = ws.size();
+  if (n < 2 || chain_len_[v] == n) return true;
+  // The chain broke exactly at the newest write, or earlier; only then does
+  // the pair need a search of its own.
+  if (chain_len_[v] == n - 1) return false;
+  return reachable(ws[n - 2], ws[n - 1], kAnyProc);
 }
 
 OpId Execution::last_read_source(ProcId p, LocId v) const {
@@ -135,14 +141,14 @@ OpId Execution::new_op(uint8_t kinds, ProcId p, LocId v, uint64_t value) {
   o.loc = v;
   o.value = value;
   ops_.push_back(o);
-  out_.emplace_back();
-  in_.emplace_back();
+  in_begin_.push_back(in_begin_.back());
   return o.id;
 }
 
 void Execution::add_edge(OpId from, OpId to, EdgeKind kind) {
   if (from == kNoOp) return;
   PMC_CHECK(from < to);  // the graph is topologically ordered by id
+  PMC_CHECK(to + 1 == ops_.size());  // in-edges arrive with their target
   Edge e;
   e.from = from;
   e.to = to;
@@ -152,9 +158,8 @@ void Execution::add_edge(OpId from, OpId to, EdgeKind kind) {
     // process takes the view of the newer endpoint.
     e.owner = ops_[from].proc == kInitProc ? ops_[to].proc : ops_[from].proc;
   }
-  out_[from].push_back(e);
-  in_[to].push_back(e);
-  ++num_edges_;
+  edges_.push_back(e);
+  in_begin_.back() = static_cast<uint32_t>(edges_.size());
 }
 
 namespace {
@@ -212,7 +217,12 @@ OpId Execution::write(ProcId p, LocId v, uint64_t value) {
     add_edge(f, id, EdgeKind::kFence);
   }
   s.last_write = id;
-  writes_[v].push_back(id);
+  // Extend v's write chain while it still covers every earlier write.
+  auto& ws = writes_[v];
+  if (chain_len_[v] == ws.size() && reachable(ws.back(), id, kAnyProc)) {
+    ++chain_len_[v];
+  }
+  ws.push_back(id);
   touch(p, v);
   return id;
 }
@@ -280,25 +290,51 @@ OpId Execution::fence(ProcId p) {
   return id;
 }
 
+namespace {
+/// Reused DFS buffers, one set per thread and shared by every Execution the
+/// thread queries. A visit stamp equal to `gen` marks an op seen by the
+/// current search, so starting a search costs no clearing.
+struct SearchScratch {
+  std::vector<uint32_t> stamp;  // per op
+  uint32_t gen = 0;
+  std::vector<OpId> stack;
+};
+thread_local SearchScratch tl_scratch;
+}  // namespace
+
 bool Execution::reachable(OpId a, OpId b, ProcId view) const {
-  if (a == b) return false;
-  if (a > b) return false;  // edges only point up in id order
-  // Iterative DFS over ids < b.
-  std::vector<OpId> stack{a};
-  std::vector<char> seen(ops_.size(), 0);
-  seen[a] = 1;
+  if (a >= b) return false;  // edges only point up in id order
+  // Iterative DFS backwards from b; a path from a only passes ids in [a, b].
+  SearchScratch& sc = tl_scratch;
+  if (sc.stamp.size() < ops_.size()) sc.stamp.resize(ops_.size(), 0);
+  if (++sc.gen == 0) {  // stamps wrapped: forget every old mark
+    std::fill(sc.stamp.begin(), sc.stamp.end(), 0);
+    sc.gen = 1;
+  }
+  const uint32_t gen = sc.gen;
+  auto& stack = sc.stack;
+  stack.clear();
+  stack.push_back(b);
   while (!stack.empty()) {
     const OpId cur = stack.back();
     stack.pop_back();
-    for (const Edge& e : out_[cur]) {
-      if (e.kind == EdgeKind::kLocal && view != e.owner) continue;
-      if (e.to == b) return true;
-      if (e.to > b || seen[e.to]) continue;
-      seen[e.to] = 1;
-      stack.push_back(e.to);
+    const Edge* end = edges_.data() + in_begin_[cur + 1];
+    for (const Edge* e = edges_.data() + in_begin_[cur]; e != end; ++e) {
+      if (e->kind == EdgeKind::kLocal && view != e->owner) continue;
+      if (e->from == a) return true;
+      if (e->from < a || sc.stamp[e->from] == gen) continue;
+      sc.stamp[e->from] = gen;
+      stack.push_back(e->from);
     }
   }
   return false;
+}
+
+size_t Execution::chained_prefix(LocId v, OpId upper) const {
+  const auto& ws = writes_[v];
+  const size_t m = static_cast<size_t>(
+      std::lower_bound(ws.begin(), ws.end(), upper) - ws.begin());
+  return m <= chain_len_[v] ? m : 0;
 }
 
 bool Execution::hb_global(OpId a, OpId b) const {
@@ -317,17 +353,35 @@ std::vector<OpId> Execution::last_writes_impl(ProcId p,
                                               LocId v, OpId upper) const {
   // R = { a ∈ (w,·,v,·) | a p⪯ some pred }, i.e. all writes ordered before
   // the (possibly hypothetical) operation whose predecessors are `preds`.
-  std::vector<OpId> r_set;
-  for (OpId w : writes_[v]) {
-    if (w >= upper) break;
-    bool before = false;
+  const auto before = [&](OpId w) {
     for (OpId pr : preds) {
-      if (w == pr || reachable(w, pr, p)) {
-        before = true;
-        break;
+      if (w == pr || reachable(w, pr, p)) return true;
+    }
+    return false;
+  };
+  const auto& ws = writes_[v];
+  if (const size_t m = chained_prefix(v, upper); m > 0) {
+    // The writes below `upper` are ≺G-chained and ≺G is in every view, so
+    // R is a prefix of them and W is its newest element. Check the newest
+    // write, then binary-search for the end of the prefix.
+    if (before(ws[m - 1])) return {ws[m - 1]};
+    size_t lo = 0;      // every write below ws[lo] is in R
+    size_t hi = m - 1;  // ws[hi] is not
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (before(ws[mid])) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
       }
     }
-    if (before) r_set.push_back(w);
+    if (lo == 0) return {};
+    return {ws[lo - 1]};
+  }
+  std::vector<OpId> r_set;
+  for (OpId w : ws) {
+    if (w >= upper) break;
+    if (before(w)) r_set.push_back(w);
   }
   if (r_set.empty()) return r_set;
   // W = maximal elements of R under the p-view order (Definition 11). Fast
@@ -360,7 +414,7 @@ std::vector<OpId> Execution::last_writes(OpId o) const {
   PMC_CHECK(read_op.loc >= 0);
   const ProcId p = read_op.proc;
   std::vector<OpId> preds;
-  for (const Edge& e : in_[o]) {
+  for (const Edge& e : in_edges(o)) {
     if (e.kind == EdgeKind::kLocal && e.owner != p) continue;
     preds.push_back(e.from);
   }
@@ -380,8 +434,20 @@ std::vector<OpId> Execution::last_writes_now(ProcId p, LocId v) const {
 std::vector<OpId> Execution::legal_sources_now(ProcId p, LocId v) const {
   const std::vector<OpId> frontier = last_writes_now(p, v);
   const OpId last_src = pls(p, v).last_read_source;
+  const auto& ws = writes_[v];
+  if (chained_prefix(v, static_cast<OpId>(ops_.size())) == ws.size()) {
+    // All of v's writes are ≺G-chained: W is one write, and the writes p⪰
+    // it (and p⪰ the previous source) are the chain suffixes they start.
+    if (frontier.empty()) return {};
+    const auto index_of = [&](OpId w) {
+      return std::lower_bound(ws.begin(), ws.end(), w) - ws.begin();
+    };
+    auto first = index_of(frontier.front());
+    if (last_src != kNoOp) first = std::max(first, index_of(last_src));
+    return {ws.begin() + first, ws.end()};
+  }
   std::vector<OpId> legal;
-  for (OpId b : writes_[v]) {
+  for (OpId b : ws) {
     // Definition 12: b is readable iff some a ∈ W with a p⪯ b.
     bool after_frontier = false;
     for (OpId a : frontier) {
@@ -421,19 +487,21 @@ std::string Execution::to_dot() const {
   for (const Operation& o : ops_) {
     os << "  n" << o.id << " [label=\"" << o.describe() << "\"];\n";
   }
-  for (const auto& edges : out_) {
-    for (const Edge& e : edges) {
-      const char* style = "solid";
-      const char* color = "black";
-      switch (e.kind) {
-        case EdgeKind::kLocal: style = "dashed"; color = "gray40"; break;
-        case EdgeKind::kProgram: color = "black"; break;
-        case EdgeKind::kSync: color = "blue"; break;
-        case EdgeKind::kFence: color = "red"; break;
-      }
-      os << "  n" << e.from << " -> n" << e.to << " [style=" << style
-         << ",color=" << color << ",label=\"" << to_string(e.kind) << "\"];\n";
+  std::vector<Edge> by_source = edges_;
+  std::stable_sort(
+      by_source.begin(), by_source.end(),
+      [](const Edge& x, const Edge& y) { return x.from < y.from; });
+  for (const Edge& e : by_source) {
+    const char* style = "solid";
+    const char* color = "black";
+    switch (e.kind) {
+      case EdgeKind::kLocal: style = "dashed"; color = "gray40"; break;
+      case EdgeKind::kProgram: color = "black"; break;
+      case EdgeKind::kSync: color = "blue"; break;
+      case EdgeKind::kFence: color = "red"; break;
     }
+    os << "  n" << e.from << " -> n" << e.to << " [style=" << style
+       << ",color=" << color << ",label=\"" << to_string(e.kind) << "\"];\n";
   }
   os << "}\n";
   return os.str();

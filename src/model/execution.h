@@ -9,9 +9,24 @@
 // Edge insertion uses a closure-preserving reduction (only non-dominated
 // predecessors receive explicit edges); `tests/model/test_naive_equivalence`
 // property-checks it against the unreduced NaiveExecution on random programs.
+//
+// Storage (DESIGN.md §4): every in-edge of an op is added when the op is
+// issued, so all edges live in one vector grouped by target op. Per
+// location, a write-chain index records how long the issue-order prefix of
+// writes stays totally ≺G-ordered; Definition 11/12 queries on a location
+// whose writes are all in the chain need one search instead of a scan.
+//
+// Threads: the reachability search keeps its visit buffer and stack in a
+// thread-local scratch reused by every search, so a search allocates
+// nothing once the buffer has grown, a copy of a graph copies no scratch,
+// and const queries may run on several threads at once. Issuing an op
+// mutates the graph, so it must not race with any other use; every user
+// keeps its Execution confined to one thread.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "model/op.h"
@@ -30,12 +45,13 @@ class Execution {
   int num_procs() const { return num_procs_; }
   int num_locs() const { return num_locs_; }
   size_t num_ops() const { return ops_.size(); }
-  size_t num_edges() const { return num_edges_; }
+  size_t num_edges() const { return edges_.size(); }
 
   const Operation& op(OpId id) const;
   OpId init_op(LocId v) const;
-  const std::vector<Edge>& out_edges(OpId id) const;
-  const std::vector<Edge>& in_edges(OpId id) const;
+  /// The edges into `id`, in insertion order. The view is valid until the
+  /// next op is issued.
+  std::span<const Edge> in_edges(OpId id) const;
 
   // -- Issuing operations (Definition 4 state transitions) ------------------
 
@@ -83,10 +99,16 @@ class Execution {
   /// All writes to location v, in issue order (the initial op is first).
   const std::vector<OpId>& writes_to(LocId v) const;
 
+  /// True iff the newest write to v is ≺G-after the write issued before it
+  /// (trivially true while the initial op is the only write). Read from the
+  /// write-chain index while v's writes are totally ordered.
+  bool write_chained(LocId v) const;
+
   /// The source of the last read p issued on v (kNoOp if none/untracked).
   OpId last_read_source(ProcId p, LocId v) const;
 
-  /// Graphviz rendering, for documentation and the litmus explorer.
+  /// Graphviz rendering, for documentation and the litmus explorer. Edges
+  /// are listed by source op, then in insertion order.
   std::string to_dot() const;
 
  private:
@@ -107,19 +129,26 @@ class Execution {
   void touch(ProcId p, LocId v);
   OpId new_op(uint8_t kinds, ProcId p, LocId v, uint64_t value);
   void add_edge(OpId from, OpId to, EdgeKind kind);
-  /// BFS from a towards b over edges visible in `view` (kAnyProc = global).
+  /// DFS backwards from b towards a over edges visible in `view`
+  /// (kAnyProc = global).
   bool reachable(OpId a, OpId b, ProcId view) const;
+  /// Number of v's writes older than `upper` when all of them are in the
+  /// write chain; 0 when the chain does not cover them.
+  size_t chained_prefix(LocId v, OpId upper) const;
   std::vector<OpId> last_writes_impl(ProcId p, const std::vector<OpId>& preds,
                                      LocId v, OpId upper) const;
 
   int num_procs_;
   int num_locs_;
   std::vector<Operation> ops_;
-  std::vector<std::vector<Edge>> out_;
-  std::vector<std::vector<Edge>> in_;
-  size_t num_edges_ = 0;
+  std::vector<Edge> edges_;       // grouped by target op, insertion order
+  std::vector<uint32_t> in_begin_;  // [id]..[id + 1]: id's range in edges_
   std::vector<OpId> init_;                       // per location
   std::vector<std::vector<OpId>> writes_;        // per location, issue order
+  /// Per location: length of the prefix of writes_[v] in which each write
+  /// is ≺G the next. A path between two issued ops only passes through ops
+  /// between them, whose in-edges already exist, so the fact never changes.
+  std::vector<uint32_t> chain_len_;
   std::vector<std::vector<OpId>> release_frontier_;  // per location
   std::vector<ProcLocState> pls_;                // [p * num_locs + v]
   std::vector<ProcState> ps_;

@@ -63,8 +63,9 @@ void NaiveExecution::apply_table(OpId id) {
   }
 }
 
-OpId NaiveExecution::read(ProcId p, LocId v, uint64_t value) {
+OpId NaiveExecution::read(ProcId p, LocId v, uint64_t value, OpId source) {
   const OpId id = new_op(kind_bit(OpKind::kRead), p, v, value);
+  ops_[id].source = source;
   apply_table(id);
   return id;
 }
@@ -118,6 +119,47 @@ bool NaiveExecution::hb_global(OpId a, OpId b) const {
 
 bool NaiveExecution::hb_view(ProcId p, OpId a, OpId b) const {
   return reachable(a, b, p);
+}
+
+std::vector<OpId> NaiveExecution::last_writes_now(ProcId p, LocId v) const {
+  NaiveExecution probe = *this;
+  const OpId o = probe.read(p, v, 0);
+  std::vector<OpId> before;
+  for (OpId a = 0; a < o; ++a) {
+    if (ops_[a].is(OpKind::kWrite) && ops_[a].loc == v &&
+        probe.hb_view(p, a, o)) {
+      before.push_back(a);
+    }
+  }
+  std::vector<OpId> maximal;
+  for (OpId a : before) {
+    bool dominated = false;
+    for (OpId b : before) dominated |= hb_view(p, a, b);
+    if (!dominated) maximal.push_back(a);
+  }
+  return maximal;
+}
+
+std::vector<OpId> NaiveExecution::legal_sources_now(ProcId p, LocId v) const {
+  const std::vector<OpId> frontier = last_writes_now(p, v);
+  OpId last_src = kNoOp;
+  for (const Operation& o : ops_) {
+    if (o.is(OpKind::kRead) && o.proc == p && o.loc == v &&
+        o.source != kNoOp) {
+      last_src = o.source;
+    }
+  }
+  const auto p_eq = [&](OpId a, OpId b) { return a == b || hb_view(p, a, b); };
+  std::vector<OpId> legal;
+  for (const Operation& b : ops_) {
+    if (!b.is(OpKind::kWrite) || b.loc != v) continue;
+    bool after_frontier = false;
+    for (OpId a : frontier) after_frontier |= p_eq(a, b.id);
+    if (after_frontier && (last_src == kNoOp || p_eq(last_src, b.id))) {
+      legal.push_back(b.id);
+    }
+  }
+  return legal;
 }
 
 }  // namespace pmc::model

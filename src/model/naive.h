@@ -3,8 +3,9 @@
 // Every issue scans *all* previously issued operations and adds every edge
 // the table prescribes. It is O(n) per issue and O(n²) in edges — useful
 // only as a reference oracle. tests/model/test_naive_equivalence.cpp checks
-// that Execution (with its closure-preserving edge reduction) computes the
-// same reachability relations on randomized well-formed programs.
+// that Execution (with its closure-preserving edge reduction and write-chain
+// index) computes the same reachability relations and Definition 11/12 sets
+// on randomized well-formed programs.
 //
 // Two deliberate deviations, mirrored in Execution (see DESIGN.md §4):
 //  * initial operations are exempt from the fence column's ≺ℓ edges (they
@@ -26,7 +27,8 @@ class NaiveExecution {
   NaiveExecution(int num_procs, int num_locs,
                  const std::vector<uint64_t>& initial = {});
 
-  OpId read(ProcId p, LocId v, uint64_t value);
+  /// Issues a read; `source` is the write it returned (kNoOp: untracked).
+  OpId read(ProcId p, LocId v, uint64_t value, OpId source = kNoOp);
   OpId write(ProcId p, LocId v, uint64_t value);
   OpId acquire(ProcId p, LocId v);
   OpId release(ProcId p, LocId v);
@@ -38,6 +40,14 @@ class NaiveExecution {
 
   bool hb_global(OpId a, OpId b) const;
   bool hb_view(ProcId p, OpId a, OpId b) const;
+
+  /// Definition 11, literally: issue p's read of v on a copy of this
+  /// execution, collect every write to v p-before it, and keep the maximal
+  /// ones.
+  std::vector<OpId> last_writes_now(ProcId p, LocId v) const;
+  /// Definition 12, literally: every write to v p-after some element of
+  /// last_writes_now(p, v) and p-after p's previous read source on v.
+  std::vector<OpId> legal_sources_now(ProcId p, LocId v) const;
 
  private:
   OpId new_op(uint8_t kinds, ProcId p, LocId v, uint64_t value);

@@ -31,16 +31,14 @@ void TraceValidator::on_event(const TraceEvent& e) {
       if (opts_.check_races) {
         // In a data-race-free trace, all writes to one location are totally
         // ordered (§IV-D); the previous write must be ≺G the new one.
-        const auto& ws = exec_.writes_to(e.loc);
-        if (ws.size() >= 2) {
+        if (!exec_.write_chained(e.loc)) {
+          const auto& ws = exec_.writes_to(e.loc);
           const OpId prev = ws[ws.size() - 2];
-          if (!exec_.hb_global(prev, id)) {
-            std::ostringstream os;
-            os << "write/write race on v" << e.loc << ": "
-               << exec_.op(prev).describe() << " unordered with "
-               << exec_.op(id).describe();
-            flag(os.str());
-          }
+          std::ostringstream os;
+          os << "write/write race on v" << e.loc << ": "
+             << exec_.op(prev).describe() << " unordered with "
+             << exec_.op(id).describe();
+          flag(os.str());
         }
       }
       break;
@@ -91,7 +89,12 @@ void TraceValidator::on_events(const std::vector<TraceEvent>& events) {
 }
 
 std::string TraceValidator::first_violation() const {
-  if (violations_.empty()) return "";
+  if (violations_.empty()) {
+    if (!saturated_) return "";
+    std::ostringstream os;
+    os << "validation saturated after " << exec_.num_ops() << " ops";
+    return os.str();
+  }
   std::ostringstream os;
   os << "event " << violations_.front().event_index << ": "
      << violations_.front().message;

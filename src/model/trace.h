@@ -46,9 +46,11 @@ struct TraceViolation {
 class TraceValidator {
  public:
   struct Options {
-    /// Stop building the graph beyond this many operations (quadratic
-    /// queries would dominate); the validator reports `saturated`.
-    size_t max_ops = 20'000;
+    /// Stop building the graph beyond this many operations; the validator
+    /// then reports `saturated` and is no longer ok(). Far above the
+    /// paper's largest runs (RADIOSITY at 768 patches: about 38k ops on 32
+    /// cores, 43k on 256), while bounding the graph's memory.
+    size_t max_ops = 1'000'000;
     /// Also flag reads whose last-write set has more than one element
     /// (data races, Definition 11).
     bool check_races = true;
@@ -64,12 +66,15 @@ class TraceValidator {
   void on_event(const TraceEvent& e);
   void on_events(const std::vector<TraceEvent>& events);
 
-  bool ok() const { return violations_.empty(); }
+  /// No violation, and every event was checked (a saturated validation
+  /// is a failure, not a pass).
+  bool ok() const { return violations_.empty() && !saturated_; }
   bool saturated() const { return saturated_; }
   size_t num_events() const { return num_events_; }
   const std::vector<TraceViolation>& violations() const { return violations_; }
   const Execution& execution() const { return exec_; }
-  /// Human-readable first violation (empty when ok()).
+  /// Human-readable first violation, or the saturation notice when the
+  /// only failure is saturation (empty when ok()).
   std::string first_violation() const;
 
  private:

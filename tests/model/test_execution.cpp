@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "util/check.h"
 
 namespace pmc::model {
@@ -212,6 +215,19 @@ TEST(Execution, RacyReadHasMultipleLastWrites) {
   EXPECT_EQ(racy[0].second, w_locked);
 }
 
+TEST(Execution, WriteChainedTracksTheNewestPair) {
+  // write_chained(v) must stay exact after the chain breaks.
+  Execution e(2, 1, {0});
+  e.write(0, 0, 1);
+  EXPECT_TRUE(e.write_chained(0));
+  e.write(1, 0, 2);  // unordered with p0's write
+  EXPECT_FALSE(e.write_chained(0));
+  e.write(1, 0, 3);  // ≺P after p1's previous write
+  EXPECT_TRUE(e.write_chained(0));
+  e.write(0, 0, 4);  // ≺P after p0's write, not after p1's
+  EXPECT_FALSE(e.write_chained(0));
+}
+
 TEST(Execution, LockedWritersAreTotallyOrdered) {
   Execution e(2, 1);
   for (ProcId p : {0, 1, 0, 1}) {
@@ -232,6 +248,100 @@ TEST(Execution, DescribeAndDotRender) {
   EXPECT_NE(dot.find("W v0=9"), std::string::npos);
   EXPECT_NE(dot.find("sync"), std::string::npos);
   EXPECT_EQ(e.op(1).describe(), "#1 p0 acq v0");
+}
+
+TEST(Execution, Fig5DotIsStable) {
+  // The Fig. 5 execution in its depicted interleaving (as explore_litmus
+  // --dot draws it). Edges are listed by source op, then insertion order.
+  Execution e(2, 2, {0, 0});
+  e.acquire(0, 0);
+  const OpId wx = e.write(0, 0, 42);
+  e.fence(0);
+  e.release(0, 0);
+  e.acquire(0, 1);
+  const OpId wf = e.write(0, 1, 1);
+  e.release(0, 1);
+  e.read(1, 1, 1, wf);
+  e.fence(1);
+  e.acquire(1, 0);
+  e.read(1, 0, 42, wx);
+  e.release(1, 0);
+  EXPECT_EQ(e.to_dot(), R"(digraph pmc {
+  rankdir=TB;
+  node [shape=box,fontname="mono"];
+  n0 [label="#0 p* W+rel v0=0"];
+  n1 [label="#1 p* W+rel v1=0"];
+  n2 [label="#2 p0 acq v0"];
+  n3 [label="#3 p0 W v0=42"];
+  n4 [label="#4 p0 fence"];
+  n5 [label="#5 p0 rel v0"];
+  n6 [label="#6 p0 acq v1"];
+  n7 [label="#7 p0 W v1=1"];
+  n8 [label="#8 p0 rel v1"];
+  n9 [label="#9 p1 R v1=1"];
+  n10 [label="#10 p1 fence"];
+  n11 [label="#11 p1 acq v0"];
+  n12 [label="#12 p1 R v0=42"];
+  n13 [label="#13 p1 rel v0"];
+  n0 -> n2 [style=solid,color=blue,label="sync"];
+  n0 -> n3 [style=solid,color=black,label="program"];
+  n0 -> n12 [style=dashed,color=gray40,label="local"];
+  n0 -> n13 [style=solid,color=black,label="program"];
+  n1 -> n6 [style=solid,color=blue,label="sync"];
+  n1 -> n7 [style=solid,color=black,label="program"];
+  n1 -> n9 [style=dashed,color=gray40,label="local"];
+  n2 -> n3 [style=solid,color=black,label="program"];
+  n2 -> n4 [style=solid,color=red,label="fence"];
+  n3 -> n4 [style=dashed,color=gray40,label="local"];
+  n3 -> n5 [style=solid,color=black,label="program"];
+  n4 -> n5 [style=solid,color=red,label="fence"];
+  n4 -> n6 [style=solid,color=red,label="fence"];
+  n5 -> n11 [style=solid,color=blue,label="sync"];
+  n6 -> n7 [style=solid,color=black,label="program"];
+  n7 -> n8 [style=solid,color=black,label="program"];
+  n9 -> n10 [style=dashed,color=gray40,label="local"];
+  n10 -> n11 [style=solid,color=red,label="fence"];
+  n11 -> n12 [style=dashed,color=gray40,label="local"];
+  n11 -> n13 [style=solid,color=black,label="program"];
+  n12 -> n13 [style=dashed,color=gray40,label="local"];
+}
+)");
+}
+
+TEST(Execution, ConstQueriesRunOnSeveralThreads) {
+  // The search scratch is per thread, so threads may query one graph at
+  // once and get the answers one thread gets.
+  Execution e(3, 2, {0, 0});
+  for (int round = 0; round < 40; ++round) {
+    for (ProcId p = 0; p < 3; ++p) {
+      const LocId v = round % 2;
+      e.acquire(p, v);
+      e.write(p, v, static_cast<uint64_t>(round * 3 + p));
+      e.release(p, v);
+      e.read(p, 1 - v, 0);
+    }
+  }
+  const auto answers = [&e] {
+    std::vector<size_t> out;
+    const OpId n = static_cast<OpId>(e.num_ops());
+    for (OpId a = 0; a < n; a += 7) {
+      for (OpId b = a; b < n; b += 5) out.push_back(e.hb_view(0, a, b));
+    }
+    for (ProcId p = 0; p < 3; ++p) {
+      for (LocId v = 0; v < 2; ++v) {
+        out.push_back(e.legal_sources_now(p, v).size());
+      }
+    }
+    return out;
+  };
+  const auto expected = answers();
+  std::vector<std::vector<size_t>> got(4);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < got.size(); ++i) {
+    threads.emplace_back([&got, &answers, i] { got[i] = answers(); });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& g : got) EXPECT_EQ(g, expected);
 }
 
 TEST(Execution, BoundsAreChecked) {

@@ -93,7 +93,9 @@ TEST(TraceValidator, FlagsLostUpdate) {
   ASSERT_FALSE(v.ok());
 }
 
-TEST(TraceValidator, SaturatesInsteadOfExploding) {
+TEST(TraceValidator, SaturationIsAFailure) {
+  // Events past the cap go unchecked, so a saturated validation must not
+  // pass.
   TraceValidator::Options opts;
   opts.max_ops = 8;
   TraceValidator v(1, 1, {0}, opts);
@@ -101,7 +103,9 @@ TEST(TraceValidator, SaturatesInsteadOfExploding) {
     v.on_event(E::write(0, 0, static_cast<uint64_t>(i)));
   }
   EXPECT_TRUE(v.saturated());
-  EXPECT_TRUE(v.ok());
+  EXPECT_FALSE(v.ok());
+  EXPECT_TRUE(v.violations().empty());
+  EXPECT_EQ(v.first_violation(), "validation saturated after 8 ops");
   EXPECT_EQ(v.num_events(), 50u);
 }
 
