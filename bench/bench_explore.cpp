@@ -30,7 +30,6 @@
 #include "fuzz/farm.h"
 #include "model/litmus_library.h"
 #include "obs/trace.h"
-#include "sim/scheduler.h"
 
 using namespace pmc;
 
@@ -270,10 +269,6 @@ int main(int argc, char** argv) {
     std::printf("stateful exploration (annotatable suite, all back-ends, "
                 "horizon=%llu, dpor=off)\n\n",
                 static_cast<unsigned long long>(scfg.horizon));
-    if (!sim::Scheduler::fibers_supported()) {
-      std::printf("note: fibers unavailable in this build — the snapshot "
-                  "engine falls back to replay, expect ~1.0x\n\n");
-    }
     const explore::EngineState states[2] = {explore::EngineState::kReplay,
                                             explore::EngineState::kSnapshot};
     double rates[2] = {0, 0};

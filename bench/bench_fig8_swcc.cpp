@@ -14,8 +14,7 @@
 // --config=a.cfg,b.cfg appends a scaled sweep: the RADIOSITY-like kernel on
 // each described machine (MachineConfig::from_file) under no-CC and SWCC,
 // with per-core-count keys and the NoC/port contention metrics those
-// configs enable; --fibers runs each machine's cores as fibers on one host
-// thread (what makes the 256-core config tractable).
+// configs enable.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -34,7 +33,7 @@ using namespace pmc;
 using namespace pmc::bench;
 using namespace pmc::apps;
 
-ProgramOptions base_opts(Target t, int cores, bool validate, bool fibers) {
+ProgramOptions base_opts(Target t, int cores, bool validate) {
   ProgramOptions o;
   o.target = t;
   o.cores = cores;
@@ -43,19 +42,16 @@ ProgramOptions base_opts(Target t, int cores, bool validate, bool fibers) {
   o.machine.max_cycles = UINT64_C(40'000'000'000);
   o.validate = validate;
   o.lock_capacity = 4096;
-  o.fiber_execution = fibers;
   return o;
 }
 
-ProgramOptions config_opts(Target t, const sim::MachineConfig& mc,
-                           bool fibers) {
+ProgramOptions config_opts(Target t, const sim::MachineConfig& mc) {
   ProgramOptions o;
   o.target = t;
   o.cores = mc.num_cores;
   o.machine = mc;
   o.validate = false;  // the Def. 12 trace dominates run time at 256 cores
   o.lock_capacity = 4096;
-  o.fiber_execution = fibers;
   return o;
 }
 
@@ -93,7 +89,6 @@ int main(int argc, char** argv) {
   const int64_t scale = flag_int(argc, argv, "scale", 1000);
   const bool validate = flag_set(argc, argv, "validate");
   const char* config_list = flag_str(argc, argv, "config", nullptr);
-  const bool fibers = flag_set(argc, argv, "fibers");
 
   std::printf(
       "== Fig. 8: execution time breakdown, no-CC vs software cache "
@@ -113,7 +108,7 @@ int main(int argc, char** argv) {
     for (int cfg = 0; cfg < 2; ++cfg) {
       const Target target = cfg == 0 ? Target::kNoCC : Target::kSWCC;
       auto app = make_app(which, scale);
-      const auto r = run_app(*app, base_opts(target, cores, validate, fibers));
+      const auto r = run_app(*app, base_opts(target, cores, validate));
       if (validate && !r.validated_ok) {
         std::printf("!! %s on %s violated the model: %s\n", kNames[which],
                     rt::to_string(target), r.validation_error.c_str());
@@ -191,7 +186,7 @@ int main(int argc, char** argv) {
       for (int cfg = 0; cfg < 2; ++cfg) {
         const Target target = cfg == 0 ? Target::kNoCC : Target::kSWCC;
         auto app = make_app(0, scale);
-        const auto r = run_app(*app, config_opts(target, mc, fibers));
+        const auto r = run_app(*app, config_opts(target, mc));
         cycles[cfg] = Breakdown::from(r.stats).total;
         checksums[cfg] = r.checksum;
         if (cfg == 1) swcc_run = r;

@@ -8,9 +8,7 @@
 // Flags: --cores=N (default 16), --rounds=N (default 40).
 // --config=a.cfg,b.cfg runs the heavy-contention scenario once per machine
 // description (MachineConfig::from_file) and reports per-core-count keys
-// plus the NoC/port contention metrics those configs enable; --fibers runs
-// each machine's cores as fibers on one host thread (needed to make the
-// 256-core sweep tractable).
+// plus the NoC/port contention metrics those configs enable.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -18,7 +16,6 @@
 #include "bench/bench_common.h"
 #include "obs/metrics.h"
 #include "sim/machine.h"
-#include "sim/scheduler.h"
 #include "sync/locks.h"
 #include "util/check.h"
 #include "util/table.h"
@@ -41,9 +38,8 @@ struct LockRun {
 };
 
 LockRun run_locks(bool distributed, const sim::MachineConfig& mc, int rounds,
-                  uint32_t cs_len, uint32_t gap, bool fibers) {
+                  uint32_t cs_len, uint32_t gap) {
   sim::Machine m(mc);
-  if (fibers && sim::Scheduler::fibers_supported()) m.enable_snapshots();
   std::unique_ptr<sync::LockManager> locks;
   if (distributed) {
     locks = std::make_unique<sync::DistLockManager>(m, sim::kSdramBase,
@@ -94,7 +90,6 @@ int main(int argc, char** argv) {
   const int cores = static_cast<int>(flag_int(argc, argv, "cores", 16));
   const int rounds = static_cast<int>(flag_int(argc, argv, "rounds", 40));
   const char* config_list = flag_str(argc, argv, "config", nullptr);
-  const bool fibers = flag_set(argc, argv, "fibers");
   std::printf("== ablation: distributed lock vs remote test-and-set "
               "(%d cores, %d rounds each) ==\n\n",
               cores, rounds);
@@ -118,8 +113,8 @@ int main(int argc, char** argv) {
   };
   for (const auto& s : scenarios) {
     for (bool dist : {false, true}) {
-      const LockRun r = run_locks(dist, preset_config(s.ncores), rounds, s.cs,
-                                  s.gap, fibers);
+      const LockRun r =
+          run_locks(dist, preset_config(s.ncores), rounds, s.cs, s.gap);
       t.add_row({s.name, dist ? "distributed" : "spin-TAS",
                  fmt_u64(r.makespan), fmt_u64(r.atomics),
                  fmt_u64(r.noc_packets)});
@@ -154,7 +149,7 @@ int main(int argc, char** argv) {
       }
       const std::string prefix = "c" + std::to_string(mc.num_cores) + "_";
       for (bool dist : {false, true}) {
-        const LockRun r = run_locks(dist, mc, rounds, 200, 20, fibers);
+        const LockRun r = run_locks(dist, mc, rounds, 200, 20);
         st.add_row({path, std::to_string(mc.num_cores),
                     dist ? "distributed" : "spin-TAS", fmt_u64(r.makespan),
                     fmt_u64(r.link_stall_cycles), fmt_u64(r.stalled_packets),

@@ -209,7 +209,7 @@ StatefulSpec LitmusTarget::make_spec() const {
           init, rt::Placement::kReplicated, "v" + std::to_string(v)));
     }
     st->regs.assign(static_cast<size_t>(test_.num_regs), 0);
-    if (prog.machine()->snapshots_enabled() && !st->regs.empty()) {
+    if (!st->regs.empty()) {
       prog.machine()->register_state(st->regs.data(),
                                      st->regs.size() * sizeof(uint64_t));
     }
@@ -465,12 +465,10 @@ StatefulSpec MFifoTarget::make_spec() const {
     st->fifo.emplace(prog, /*elem_bytes=*/4, shape_.depth, shape_.readers);
     st->got.assign(static_cast<size_t>(shape_.readers) * shape_.items, 0);
     st->counts.assign(static_cast<size_t>(shape_.readers), 0);
-    if (prog.machine()->snapshots_enabled()) {
-      prog.machine()->register_state(st->got.data(),
-                                     st->got.size() * sizeof(uint32_t));
-      prog.machine()->register_state(st->counts.data(),
-                                     st->counts.size() * sizeof(uint32_t));
-    }
+    prog.machine()->register_state(st->got.data(),
+                                   st->got.size() * sizeof(uint32_t));
+    prog.machine()->register_state(st->counts.data(),
+                                   st->counts.size() * sizeof(uint32_t));
   };
 
   spec.body = [this, st](rt::Env& env) {
@@ -567,12 +565,10 @@ StatefulSpec TaskCounterTarget::make_spec() const {
     st->counter.create(prog);
     st->chunks.assign(static_cast<size_t>(shape_.cores) * cap, Chunk{});
     st->counts.assign(static_cast<size_t>(shape_.cores), 0);
-    if (prog.machine()->snapshots_enabled()) {
-      prog.machine()->register_state(st->chunks.data(),
-                                     st->chunks.size() * sizeof(Chunk));
-      prog.machine()->register_state(st->counts.data(),
-                                     st->counts.size() * sizeof(uint32_t));
-    }
+    prog.machine()->register_state(st->chunks.data(),
+                                   st->chunks.size() * sizeof(Chunk));
+    prog.machine()->register_state(st->counts.data(),
+                                   st->counts.size() * sizeof(uint32_t));
   };
 
   spec.body = [this, st, cap](rt::Env& env) {
@@ -696,7 +692,7 @@ CheckSession::CheckSession(SessionOptions opts) : opts_(std::move(opts)) {
 
 bool CheckSession::stateful(const CheckTarget& target) const {
   return opts_.engine_state == EngineState::kSnapshot &&
-         target.stateful_capable() && sim::Scheduler::fibers_supported();
+         target.stateful_capable();
 }
 
 namespace {

@@ -275,7 +275,7 @@ std::unique_ptr<CheckTarget> make_app_target(AppKind kind, rt::Target target,
 /// §10). The schedule tree — and therefore every CheckReport field — is
 /// identical either way; kSnapshot only changes how fast a schedule runs.
 /// kSnapshot silently falls back to replay for targets that are not
-/// stateful_capable() or on builds without fiber support.
+/// stateful_capable().
 enum class EngineState { kReplay, kSnapshot };
 
 const char* to_string(EngineState s);

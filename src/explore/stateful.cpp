@@ -17,8 +17,6 @@ struct StatefulExecutor::PoolEntry {
 
 StatefulExecutor::StatefulExecutor(StatefulSpec spec, StatefulOptions opts)
     : spec_(std::move(spec)), opts_(opts) {
-  PMC_CHECK_MSG(sim::Scheduler::fibers_supported(),
-                "stateful execution needs fiber support on this build");
   if (opts_.checkpoint_stride < 1) opts_.checkpoint_stride = 1;
 }
 
@@ -111,7 +109,6 @@ RunOutcome StatefulExecutor::run(ReplayPolicy& policy) {
       rt::ProgramOptions opts = spec_.opts;
       opts.schedule_policy = &policy;
       prog_ = std::make_unique<rt::Program>(opts);
-      prog_->enable_snapshots();
       prog_->set_checkpoint_hook(this);
       spec_.setup(*prog_);
       prog_->run(spec_.body);

@@ -48,7 +48,7 @@ struct StatefulStats {
 /// One worker's stateful schedule runner; a drop-in for the ScheduleRunner
 /// a CheckTarget::run-based closure provides. Not thread-safe — parallel
 /// exploration builds one executor per worker thread, each with its own
-/// Program and pool. Requires sim::Scheduler::fibers_supported().
+/// Program and pool.
 class StatefulExecutor final : public sim::CheckpointHook {
  public:
   StatefulExecutor(StatefulSpec spec, StatefulOptions opts);

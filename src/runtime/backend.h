@@ -50,7 +50,7 @@ class Backend {
 
   /// Registers the back-end's mutable host-side state (staging buffers,
   /// per-core cursors) with the machine's snapshot contract (DESIGN.md §10).
-  /// Called after ObjectSpace::freeze and before the run, snapshot mode only.
+  /// Called after ObjectSpace::freeze and before every simulated run.
   virtual void register_state(sim::Machine& m) { (void)m; }
 };
 

@@ -48,8 +48,8 @@ class BackendBase : public Backend {
     }
     std::vector<uint8_t>& b = scratch_[static_cast<size_t>(core)];
     if (b.size() < n) {
-      // register_state pre-sizes to the maximum span, so in snapshot mode
-      // the buffer never moves after its bytes were registered.
+      // register_state pre-sizes to the maximum span, so the buffer never
+      // moves after its bytes were registered.
       PMC_CHECK_MSG(!registered_, "staging buffer grew after register_state");
       b.resize(n);
     }

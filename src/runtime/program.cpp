@@ -69,9 +69,6 @@ Program::Program(const ProgramOptions& opts) : opts_(opts) {
   const std::string mc_err = check_machine(desc, mc);
   PMC_CHECK_MSG(mc_err.empty(), mc_err);
   machine_ = std::make_unique<sim::Machine>(mc);
-  if (opts_.fiber_execution && sim::Scheduler::fibers_supported()) {
-    machine_->enable_snapshots();
-  }
   if (opts_.schedule_policy != nullptr) {
     machine_->set_schedule_policy(opts_.schedule_policy);
   }
@@ -145,18 +142,16 @@ void Program::run(const std::function<void(Env&)>& body) {
 
 void Program::run_sim(const std::function<void(Env&)>& body) {
   objs_->freeze();
-  // Held as a member: in snapshot mode restored fibers re-enter the body
+  // Held as a member: restored fibers re-enter the body
   // after this frame (and the caller's `body`) are gone.
   body_ = body;
-  if (machine_->snapshots_enabled()) {
-    // All host-side mutable state coupled to the run joins the snapshot
-    // contract now — storage is final once the layout is frozen, and the
-    // root snapshot fires at the first scheduling decision inside run().
-    objs_->register_state();
-    locks_->register_state(*machine_);
-    barrier_->register_state(*machine_);
-    backend_->register_state(*machine_);
-  }
+  // All host-side mutable state coupled to the run joins the snapshot
+  // contract now — storage is final once the layout is frozen, and the
+  // root snapshot fires at the first scheduling decision inside run().
+  objs_->register_state();
+  locks_->register_state(*machine_);
+  barrier_->register_state(*machine_);
+  backend_->register_state(*machine_);
   machine_->run([this](sim::Core& core) {
     SimEnv env(rt_, core);
     body_(env);
@@ -171,12 +166,6 @@ void Program::revalidate() {
       opts_.cores, objs_->count(),
       std::vector<uint64_t>(static_cast<size_t>(objs_->count()), 0));
   validator_->on_events(rt_.trace);
-}
-
-void Program::enable_snapshots() {
-  PMC_CHECK_MSG(machine_ != nullptr,
-                "snapshot mode requires a simulated target");
-  machine_->enable_snapshots();
 }
 
 void Program::set_checkpoint_hook(sim::CheckpointHook* hook) {

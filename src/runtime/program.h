@@ -59,10 +59,9 @@ struct ProgramOptions {
   /// outlive run()). nullptr leaves tracing detached — the zero-overhead
   /// default. See src/obs/trace.h and DESIGN.md §11.
   obs::TraceRecorder* trace = nullptr;
-  /// Run cores as fibers on one host thread (when supported) instead of one
-  /// host thread per core. Identical schedules and results; at hundreds of
-  /// cores the handoffs are ~100× cheaper, which is what makes the scaled
-  /// bench configs (bench/configs/*.cfg) tractable. Ignored off-sim.
+  /// Inert: simulated cores always run as fibers now. Kept only because
+  /// bench/pmcbench/workloads.cpp still sets it and that package changes
+  /// only together with the repo benchmark; nothing reads it.
   bool fiber_execution = false;
 };
 
@@ -98,9 +97,6 @@ class Program {
 
   // -- Stateful exploration (snapshot engine, DESIGN.md §10) -----------------
 
-  /// Switches the machine to checkpointable (fiber) execution. Must precede
-  /// start(); sim targets only, requires sim::Scheduler::fibers_supported().
-  void enable_snapshots();
   /// Checkpoint callback, forwarded to the scheduler.
   void set_checkpoint_hook(sim::CheckpointHook* hook);
   /// Swaps the scheduling policy between restore()/resume() cycles.

@@ -124,7 +124,7 @@ void Machine::peek(Addr a, void* out, size_t n) {
 void Machine::run(const std::function<void(Core&)>& body) {
   PMC_CHECK_MSG(!ran_, "a Machine instance runs once");
   ran_ = true;
-  // Held as a member: in snapshot mode restored fibers re-enter the body
+  // Held as a member: restored fibers re-enter the body
   // long after this frame has returned.
   body_ = body;
   sched_.run([this](int id) {
@@ -227,8 +227,10 @@ uint64_t Machine::digest(const Snapshot& s) {
   for (const auto& f : s.sched.fibers) {
     // The saved ucontext holds host pointers (fpregs, uc_link); the register
     // file that matters is implied by the stack slice + resume offsets.
-    mix(f.stack_off);
-    mix_bytes(f.stack.data(), f.stack.size());
+    // Hashing starts at the saved SP: the margin below it is dead at the
+    // swap and holds sanitizer-runtime residue.
+    mix(f.stack_off + f.dead_bytes);
+    mix_bytes(f.stack.data() + f.dead_bytes, f.stack.size() - f.dead_bytes);
   }
   for (const auto& c : s.caches) {
     mix(c.tick);

@@ -191,13 +191,12 @@ class Machine {
   const MachineConfig& config() const { return cfg_; }
   int num_cores() const { return cfg_.num_cores; }
 
-  /// Runs body(core) on every core. A Machine instance runs once —
-  /// except in snapshot mode, where restore() + resume() re-run suffixes.
+  /// Runs body(core) on every core. A Machine instance runs once;
+  /// restore() + resume() re-run suffixes of that run.
   void run(const std::function<void(Core&)>& body);
 
   /// Installs a scheduling-decision override (see sim/scheduler.h); must be
-  /// called before run() (in snapshot mode: may be swapped between
-  /// restore()/resume() cycles). Used by the schedule-exploration engine
+  /// called before run() (or swapped between restore()/resume() cycles). Used by the schedule-exploration engine
   /// (src/explore/) to model-check interleavings. Not owned.
   void set_schedule_policy(SchedulePolicy* policy) {
     sched_.set_policy(policy);
@@ -219,13 +218,7 @@ class Machine {
 
   // -- Checkpointing (DESIGN.md §10) ----------------------------------------
 
-  /// Switches the scheduler to fiber execution so snapshot()/restore()/
-  /// resume() work. Must be called before run(); requires
-  /// Scheduler::fibers_supported().
-  void enable_snapshots() { sched_.set_fiber_mode(true); }
-  bool snapshots_enabled() const { return sched_.fiber_mode(); }
-
-  /// Checkpoint callback, forwarded to the scheduler (fiber mode only).
+  /// Checkpoint callback, forwarded to the scheduler.
   void set_checkpoint_hook(CheckpointHook* hook) {
     sched_.set_checkpoint_hook(hook);
   }

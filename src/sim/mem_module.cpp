@@ -39,7 +39,10 @@ uint8_t* MemModule::at(Addr a, size_t n) {
 void MemModule::apply_pending(uint64_t t) {
   while (!pending_.empty() && pending_.top().arrival <= t) {
     const Pending& p = pending_.top();
-    std::memcpy(at(p.addr, p.data.size()), p.data.data(), p.data.size());
+    // An empty payload's data() may be null, which memcpy must never see.
+    if (!p.data.empty()) {
+      std::memcpy(at(p.addr, p.data.size()), p.data.data(), p.data.size());
+    }
     mark_write(p.addr, p.data.size());
     pending_.pop();
   }

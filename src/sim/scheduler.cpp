@@ -1,24 +1,40 @@
 #include "sim/scheduler.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "util/check.h"
 
-// Fiber mode needs working swapcontext. Thread/AddressSanitizer instrument
-// stack switches poorly (false positives and shadow-stack corruption), so
-// both builds fall back to thread mode and stateless exploration.
-#if defined(__linux__)
-#define PMC_FIBERS_AVAILABLE 1
+// Sanitizers cannot follow a swapcontext stack switch on their own; the
+// fiber annotations below keep TSan's per-fiber state and ASan's stack
+// bounds in step with every swap (DESIGN.md §10).
+#if defined(__SANITIZE_THREAD__)
+#define PMC_TSAN_FIBERS 1
 #endif
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#undef PMC_FIBERS_AVAILABLE
+#if defined(__SANITIZE_ADDRESS__)
+#define PMC_ASAN_FIBERS 1
 #endif
 #if defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#undef PMC_FIBERS_AVAILABLE
+#if __has_feature(thread_sanitizer)
+#define PMC_TSAN_FIBERS 1
 #endif
+#if __has_feature(address_sanitizer)
+#define PMC_ASAN_FIBERS 1
+#endif
+#endif
+
+#if defined(PMC_TSAN_FIBERS)
+#include <sanitizer/tsan_interface.h>
+// The instrumentation entry hook; not declared by the public header.
+extern "C" void __tsan_func_entry(void* call_pc);
+#endif
+#if defined(PMC_ASAN_FIBERS)
+#include <pthread.h>
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
 #endif
 
 namespace pmc::sim {
@@ -43,9 +59,9 @@ thread_local Scheduler* tl_fiber_sched = nullptr;
 /// Stack pointer of a saved context, for used-slice snapshotting; 0 means
 /// unknown (whole stack is copied instead).
 uintptr_t saved_sp(const FiberContext& ctx) {
-#if defined(PMC_FIBERS_AVAILABLE) && defined(__x86_64__)
+#if defined(__x86_64__)
   return static_cast<uintptr_t>(ctx.uc_mcontext.gregs[REG_RSP]);
-#elif defined(PMC_FIBERS_AVAILABLE) && defined(__aarch64__)
+#elif defined(__aarch64__)
   return static_cast<uintptr_t>(ctx.uc_mcontext.sp);
 #else
   (void)ctx;
@@ -53,7 +69,70 @@ uintptr_t saved_sp(const FiberContext& ctx) {
 #endif
 }
 
+size_t page_bytes() {
+  static const size_t bytes = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return bytes;
+}
+
+/// Maps a fiber stack with a PROT_NONE guard page below it, so an overflow
+/// faults instead of running into neighbouring memory. Pages are faulted in
+/// on first touch; a shallow body never touches most of them.
+uint8_t* map_stack() {
+  const size_t guard = page_bytes();
+  void* p = mmap(nullptr, guard + kFiberStackBytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  PMC_CHECK_MSG(p != MAP_FAILED, "fiber stack mmap failed");
+  PMC_CHECK(mprotect(p, guard, PROT_NONE) == 0);
+  return static_cast<uint8_t*>(p) + guard;
+}
+
+#if defined(PMC_TSAN_FIBERS)
+/// Shadow call-stack entries pushed onto a re-created TSan fiber before a
+/// restored stack runs on it: the restored frames return through entries
+/// the fresh context never saw, and the padding absorbs those pops.
+constexpr int kTsanShadowPad = 256;
+#endif
+
+#if defined(PMC_ASAN_FIBERS)
+struct StackBounds {
+  const void* bottom = nullptr;
+  size_t size = 0;
+};
+
+/// The calling host thread's own stack, the destination of every swap back
+/// to the main context.
+const StackBounds& host_stack() {
+  thread_local const StackBounds bounds = [] {
+    pthread_attr_t attr;
+    PMC_CHECK(pthread_getattr_np(pthread_self(), &attr) == 0);
+    void* addr = nullptr;
+    StackBounds b;
+    PMC_CHECK(pthread_attr_getstack(&attr, &addr, &b.size) == 0);
+    pthread_attr_destroy(&attr);
+    b.bottom = addr;
+    return b;
+  }();
+  return bounds;
+}
+#endif
+
+/// Clears ASan poisoning (stale frame redzones) on fiber-stack bytes that
+/// snapshot()/restore() copy wholesale; a no-op in other builds.
+void unpoison(const uint8_t* p, size_t n) {
+#if defined(PMC_ASAN_FIBERS)
+  ASAN_UNPOISON_MEMORY_REGION(p, n);
+#else
+  (void)p;
+  (void)n;
+#endif
+}
+
 }  // namespace
+
+void Scheduler::StackUnmap::operator()(uint8_t* stack) const {
+  const size_t guard = page_bytes();
+  munmap(stack - guard, guard + kFiberStackBytes);
+}
 
 Scheduler::Scheduler(int num_cores, uint64_t max_cycles)
     : max_cycles_(max_cycles) {
@@ -61,19 +140,7 @@ Scheduler::Scheduler(int num_cores, uint64_t max_cycles)
   slots_.resize(static_cast<size_t>(num_cores));
 }
 
-bool Scheduler::fibers_supported() {
-#if defined(PMC_FIBERS_AVAILABLE)
-  return true;
-#else
-  return false;
-#endif
-}
-
-void Scheduler::set_fiber_mode(bool on) {
-  PMC_CHECK_MSG(!on || fibers_supported(),
-                "fiber mode is unsupported on this platform/build");
-  fiber_mode_ = on;
-}
+Scheduler::~Scheduler() { destroy_tsan_fibers(); }
 
 void Scheduler::trace_switch(int from, int to, bool from_done) {
   obs::TraceEvent e;
@@ -93,7 +160,7 @@ void Scheduler::trace_switch(int from, int to, bool from_done) {
   }
 }
 
-int Scheduler::pick_next_locked() const {
+int Scheduler::pick_next() const {
   int best = -1;
   for (int i = 0; i < num_cores(); ++i) {
     if (slots_[i].done) continue;
@@ -102,7 +169,7 @@ int Scheduler::pick_next_locked() const {
   return best;
 }
 
-int Scheduler::consult_policy_locked(int yielding) {
+int Scheduler::consult_policy(int yielding) {
   std::vector<ScheduleCandidate> cands;
   cands.reserve(slots_.size());
   for (int i = 0; i < num_cores(); ++i) {
@@ -151,211 +218,22 @@ int Scheduler::consult_policy_locked(int yielding) {
 }
 
 void Scheduler::advance(int core, uint64_t delta) {
-  if (fiber_mode_) {
-    advance_fiber(core, delta);
-    return;
-  }
-  std::unique_lock<std::mutex> lk(mu_);
   PMC_CHECK_MSG(current_ == core, "advance() from a core that is not running");
   Slot& me = slots_[core];
   me.time += delta;
   PMC_CHECK_MSG(me.time < max_cycles_,
                 "simulation watchdog: core " << core << " passed "
                     << max_cycles_ << " cycles (deadlock?)");
-  const int next =
-      policy_ != nullptr ? consult_policy_locked(core) : pick_next_locked();
+  maybe_checkpoint_yield(core);
+  const int next = next_core(core);
   if (next == core || next == -1) return;
   if (tracing()) trace_switch(core, next, /*from_done=*/false);
   current_ = next;
-  slots_[next].cv.notify_one();
-  me.cv.wait(lk, [&] { return current_ == core; });
-}
-
-void Scheduler::thread_main(int core, const std::function<void(int)>& body) {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    slots_[core].cv.wait(lk, [&] { return current_ == core; });
-  }
-  try {
-    body(core);
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!error_) error_ = std::current_exception();
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  slots_[core].done = true;
-  const int next =
-      policy_ != nullptr ? consult_policy_locked(core) : pick_next_locked();
-  if (tracing()) trace_switch(core, next, /*from_done=*/true);
-  if (next != -1) {
-    current_ = next;
-    slots_[next].cv.notify_one();
-  }
+  switch_to(fibers_[static_cast<size_t>(core)].ctx, next);
 }
 
 void Scheduler::run(const std::function<void(int)>& body) {
-  if (fiber_mode_) {
-    body_ = body;
-    run_fibers();
-    return;
-  }
-  for (auto& s : slots_) {
-    s.time = 0;
-    s.warped = 0;
-    s.done = false;
-    s.observable = false;
-    s.fp.clear();
-  }
-  error_ = nullptr;
-  step_ = 0;
-  frontier_ = 0;
-  // Lowest id runs first among the all-zero clocks — unless a policy
-  // overrides this very first decision too.
-  current_ = 0;
-  if (policy_ != nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    current_ = consult_policy_locked(/*yielding=*/-1);
-    PMC_CHECK(current_ != -1);
-  }
-  if (tracing()) trace_switch(-1, current_, false);
-  std::vector<std::thread> threads;
-  threads.reserve(slots_.size());
-  for (int i = 0; i < num_cores(); ++i) {
-    threads.emplace_back([this, i, &body] { thread_main(i, body); });
-  }
-  // Threads self-schedule: the chosen core sees current_ == id and starts.
-  for (auto& t : threads) t.join();
-  if (error_) std::rethrow_exception(error_);
-}
-
-// ---------------------------------------------------------------------------
-// Fiber mode (DESIGN.md §10)
-// ---------------------------------------------------------------------------
-
-bool Scheduler::all_done() const {
-  for (const Slot& s : slots_) {
-    if (!s.done) return false;
-  }
-  return true;
-}
-
-void Scheduler::fiber_entry() {
-  Scheduler* sched = tl_fiber_sched;
-  // A fiber is only ever entered when it is the current core, so its own id
-  // is exactly current_ at first dispatch.
-  sched->fiber_main(sched->current_);
-}
-
-void Scheduler::init_fibers() {
-#if defined(PMC_FIBERS_AVAILABLE)
-  if (fibers_.empty()) {
-    fibers_.resize(slots_.size());
-    for (Fiber& f : fibers_) {
-      f.stack = std::make_unique<uint8_t[]>(kFiberStackBytes);
-    }
-  }
-  for (Fiber& f : fibers_) {
-    PMC_CHECK(getcontext(&f.ctx) == 0);
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = kFiberStackBytes;
-    f.ctx.uc_link = nullptr;  // fibers exit by explicit handoff, never return
-    makecontext(&f.ctx, &Scheduler::fiber_entry, 0);
-  }
-#endif
-}
-
-void Scheduler::maybe_checkpoint_yield(int core) {
-#if defined(PMC_FIBERS_AVAILABLE)
-  if (hook_ == nullptr) return;
-  int runnable = 0;
-  for (const Slot& s : slots_) runnable += s.done ? 0 : 1;
-  if (!hook_->wants_checkpoint(step_, runnable)) return;
-  resume_core_ = core;
-  swapcontext(&fibers_[static_cast<size_t>(core)].ctx, &main_ctx_);
-  // Restored snapshots re-enter here — after the wants_checkpoint() test —
-  // so the checkpoint that produced them is never re-offered.
-  resume_core_ = -1;
-#else
-  (void)core;
-#endif
-}
-
-void Scheduler::advance_fiber(int core, uint64_t delta) {
-#if defined(PMC_FIBERS_AVAILABLE)
-  PMC_CHECK_MSG(current_ == core, "advance() from a core that is not running");
-  Slot& me = slots_[core];
-  me.time += delta;
-  PMC_CHECK_MSG(me.time < max_cycles_,
-                "simulation watchdog: core " << core << " passed "
-                    << max_cycles_ << " cycles (deadlock?)");
-  maybe_checkpoint_yield(core);
-  const int next =
-      policy_ != nullptr ? consult_policy_locked(core) : pick_next_locked();
-  if (next == core || next == -1) return;
-  if (tracing()) trace_switch(core, next, /*from_done=*/false);
-  current_ = next;
-  swapcontext(&fibers_[static_cast<size_t>(core)].ctx,
-              &fibers_[static_cast<size_t>(next)].ctx);
-#else
-  (void)core;
-  (void)delta;
-#endif
-}
-
-void Scheduler::fiber_main(int core) {
-#if defined(PMC_FIBERS_AVAILABLE)
-  try {
-    body_(core);
-  } catch (...) {
-    if (!error_) error_ = std::current_exception();
-  }
-  slots_[core].done = true;
-  // A core's completion is a decision point exactly as in thread mode; it is
-  // also a checkpointable one (children of an explored schedule may branch
-  // here). Unlike thread mode the consult is guarded: a policy throw must
-  // not escape a fiber with no frame to unwind into.
-  maybe_checkpoint_yield(core);
-  int next = -1;
-  if (policy_ != nullptr) {
-    try {
-      next = consult_policy_locked(core);
-    } catch (...) {
-      if (!error_) error_ = std::current_exception();
-      next = pick_next_locked();
-    }
-  } else {
-    next = pick_next_locked();
-  }
-  if (tracing()) trace_switch(core, next, /*from_done=*/true);
-  if (next == -1) {
-    swapcontext(&fibers_[static_cast<size_t>(core)].ctx, &main_ctx_);
-  } else {
-    current_ = next;
-    swapcontext(&fibers_[static_cast<size_t>(core)].ctx,
-                &fibers_[static_cast<size_t>(next)].ctx);
-  }
-  // Unreachable: a done fiber is never re-dispatched, and restore()
-  // overwrites its context wholesale.
-#else
-  (void)core;
-#endif
-}
-
-void Scheduler::drive() {
-#if defined(PMC_FIBERS_AVAILABLE)
-  for (;;) {
-    swapcontext(&main_ctx_, &fibers_[static_cast<size_t>(current_)].ctx);
-    if (all_done()) break;
-    // A live fiber parked for a checkpoint: snapshot on this (main) context,
-    // then hand control straight back to it.
-    hook_->on_checkpoint(step_);
-  }
-  if (error_) std::rethrow_exception(error_);
-#endif
-}
-
-void Scheduler::run_fibers() {
-#if defined(PMC_FIBERS_AVAILABLE)
+  body_ = body;
   for (auto& s : slots_) {
     s.time = 0;
     s.warped = 0;
@@ -374,22 +252,139 @@ void Scheduler::run_fibers() {
   if (hook_ != nullptr && hook_->wants_checkpoint(0, num_cores())) {
     hook_->on_checkpoint(0);
   }
+  // Lowest id runs first among the all-zero clocks — unless a policy
+  // overrides this very first decision too.
   current_ = 0;
   if (policy_ != nullptr) {
-    current_ = consult_policy_locked(/*yielding=*/-1);
+    current_ = consult_policy(/*yielding=*/-1);
     PMC_CHECK(current_ != -1);
   }
   if (tracing()) trace_switch(-1, current_, false);
   drive();
-#else
-  PMC_CHECK_MSG(false, "fiber mode is unsupported on this platform/build");
+}
+
+bool Scheduler::all_done() const {
+  for (const Slot& s : slots_) {
+    if (!s.done) return false;
+  }
+  return true;
+}
+
+void Scheduler::fiber_entry() {
+#if defined(PMC_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
+#endif
+  Scheduler* sched = tl_fiber_sched;
+  // A fiber is only ever entered when it is the current core, so its own id
+  // is exactly current_ at first dispatch.
+  sched->fiber_main(sched->current_);
+}
+
+void Scheduler::init_fibers() {
+  if (fibers_.empty()) {
+    fibers_.resize(slots_.size());
+    for (Fiber& f : fibers_) f.stack.reset(map_stack());
+  }
+  destroy_tsan_fibers();
+  for (Fiber& f : fibers_) {
+#if defined(PMC_TSAN_FIBERS)
+    f.tsan = __tsan_create_fiber(0);
+#endif
+    PMC_CHECK(getcontext(&f.ctx) == 0);
+    f.ctx.uc_stack.ss_sp = f.stack.get();
+    f.ctx.uc_stack.ss_size = kFiberStackBytes;
+    f.ctx.uc_link = nullptr;  // fibers exit by explicit handoff, never return
+    makecontext(&f.ctx, &Scheduler::fiber_entry, 0);
+  }
+}
+
+void Scheduler::destroy_tsan_fibers() {
+#if defined(PMC_TSAN_FIBERS)
+  for (Fiber& f : fibers_) {
+    if (f.tsan != nullptr) __tsan_destroy_fiber(f.tsan);
+    f.tsan = nullptr;
+  }
 #endif
 }
 
+void Scheduler::switch_to(FiberContext& from, int to, bool from_dies) {
+  FiberContext& target =
+      to >= 0 ? fibers_[static_cast<size_t>(to)].ctx : main_ctx_;
+#if defined(PMC_TSAN_FIBERS)
+  __tsan_switch_to_fiber(
+      to >= 0 ? fibers_[static_cast<size_t>(to)].tsan : main_tsan_, 0);
+#endif
+#if defined(PMC_ASAN_FIBERS)
+  const StackBounds dest =
+      to >= 0 ? StackBounds{fibers_[static_cast<size_t>(to)].stack.get(),
+                            kFiberStackBytes}
+              : host_stack();
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(from_dies ? nullptr : &fake_stack,
+                                 dest.bottom, dest.size);
+#else
+  (void)from_dies;
+#endif
+  swapcontext(&from, &target);
+#if defined(PMC_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+}
+
+void Scheduler::maybe_checkpoint_yield(int core) {
+  if (hook_ == nullptr) return;
+  int runnable = 0;
+  for (const Slot& s : slots_) runnable += s.done ? 0 : 1;
+  if (!hook_->wants_checkpoint(step_, runnable)) return;
+  resume_core_ = core;
+  switch_to(fibers_[static_cast<size_t>(core)].ctx, /*to=*/-1);
+  // Restored snapshots re-enter here — after the wants_checkpoint() test —
+  // so the checkpoint that produced them is never re-offered.
+  resume_core_ = -1;
+}
+
+void Scheduler::fiber_main(int core) {
+  try {
+    body_(core);
+  } catch (...) {
+    if (!error_) error_ = std::current_exception();
+  }
+  slots_[core].done = true;
+  // A core's completion is a decision point, and a checkpointable one
+  // (children of an explored schedule may branch here). The consult is
+  // guarded: a policy throw must not escape a fiber with no frame to unwind
+  // into.
+  maybe_checkpoint_yield(core);
+  int next = -1;
+  try {
+    next = next_core(core);
+  } catch (...) {
+    if (!error_) error_ = std::current_exception();
+    next = pick_next();
+  }
+  if (tracing()) trace_switch(core, next, /*from_done=*/true);
+  if (next != -1) current_ = next;
+  switch_to(fibers_[static_cast<size_t>(core)].ctx, next, /*from_dies=*/true);
+  // Unreachable: a done fiber is never re-dispatched, and restore()
+  // overwrites its context wholesale.
+}
+
+void Scheduler::drive() {
+#if defined(PMC_TSAN_FIBERS)
+  main_tsan_ = __tsan_get_current_fiber();
+#endif
+  for (;;) {
+    switch_to(main_ctx_, current_);
+    if (all_done()) break;
+    // A live fiber parked for a checkpoint: snapshot on this (main) context,
+    // then hand control straight back to it.
+    hook_->on_checkpoint(step_);
+  }
+  if (error_) std::rethrow_exception(error_);
+}
+
 void Scheduler::resume() {
-#if defined(PMC_FIBERS_AVAILABLE)
-  PMC_CHECK_MSG(fiber_mode_ && !fibers_.empty(),
-                "resume() needs a prior fiber-mode run()");
+  PMC_CHECK_MSG(!fibers_.empty(), "resume() needs a prior run()");
   tl_fiber_sched = this;
   if (resume_core_ == -1) {
     // Pre-dispatch snapshot: redo the initial consult (the hook is not
@@ -398,20 +393,16 @@ void Scheduler::resume() {
     // re-recording it here reproduces the original buffer exactly.
     current_ = 0;
     if (policy_ != nullptr) {
-      current_ = consult_policy_locked(/*yielding=*/-1);
+      current_ = consult_policy(/*yielding=*/-1);
       PMC_CHECK(current_ != -1);
     }
     if (tracing()) trace_switch(-1, current_, false);
   }
   drive();
-#else
-  PMC_CHECK_MSG(false, "fiber mode is unsupported on this platform/build");
-#endif
 }
 
 Scheduler::Snapshot Scheduler::snapshot() const {
-  PMC_CHECK_MSG(fiber_mode_ && !fibers_.empty(),
-                "snapshot() needs a fiber-mode run");
+  PMC_CHECK_MSG(!fibers_.empty(), "snapshot() needs a prior run()");
   Snapshot s;
   s.slots.reserve(slots_.size());
   for (const Slot& sl : slots_) {
@@ -428,13 +419,15 @@ Scheduler::Snapshot Scheduler::snapshot() const {
     img.ctx = f.ctx;
     const uintptr_t base = reinterpret_cast<uintptr_t>(f.stack.get());
     const uintptr_t top = base + kFiberStackBytes;
-    uintptr_t sp = saved_sp(f.ctx);
-    if (sp <= base + kStackSliceMargin || sp > top) {
-      sp = base;  // unknown/degenerate SP: keep the whole stack (always safe)
-    } else {
-      sp -= kStackSliceMargin;
-    }
-    img.stack_off = static_cast<size_t>(sp - base);
+    const uintptr_t sp = saved_sp(f.ctx);
+    // Unknown/degenerate SP: keep the whole stack (always safe).
+    const uintptr_t lo =
+        sp > base + kStackSliceMargin && sp <= top ? sp - kStackSliceMargin
+                                                   : base;
+    img.stack_off = static_cast<size_t>(lo - base);
+    img.dead_bytes = sp >= lo && sp <= top ? static_cast<size_t>(sp - lo) : 0;
+    // Parked frames keep their ASan redzones poisoned; the copy reads them.
+    unpoison(f.stack.get() + img.stack_off, kFiberStackBytes - img.stack_off);
     img.stack.assign(f.stack.get() + img.stack_off,
                      f.stack.get() + kFiberStackBytes);
     s.fibers.push_back(std::move(img));
@@ -443,8 +436,7 @@ Scheduler::Snapshot Scheduler::snapshot() const {
 }
 
 void Scheduler::restore(const Snapshot& s) {
-  PMC_CHECK_MSG(fiber_mode_ && !fibers_.empty() &&
-                    s.slots.size() == slots_.size() &&
+  PMC_CHECK_MSG(!fibers_.empty() && s.slots.size() == slots_.size() &&
                     s.fibers.size() == fibers_.size(),
                 "snapshot does not fit this scheduler");
   for (size_t i = 0; i < slots_.size(); ++i) {
@@ -460,13 +452,28 @@ void Scheduler::restore(const Snapshot& s) {
   current_ = s.current;
   resume_core_ = s.resume_core;
   error_ = s.error;
+#if defined(PMC_TSAN_FIBERS)
+  void* const self = __tsan_get_current_fiber();
+#endif
   for (size_t i = 0; i < fibers_.size(); ++i) {
     Fiber& f = fibers_[i];
     // Same-object restore keeps the glibc uc_mcontext.fpregs self-pointer
     // (into this very ucontext_t) and the uc_stack base valid.
     f.ctx = s.fibers[i].ctx;
+    unpoison(f.stack.get(), kFiberStackBytes);
     std::memcpy(f.stack.get() + s.fibers[i].stack_off, s.fibers[i].stack.data(),
                 s.fibers[i].stack.size());
+#if defined(PMC_TSAN_FIBERS)
+    // The fiber's TSan context describes the abandoned stack: start a fresh
+    // one, padded so the restored frames can return without underflowing.
+    __tsan_destroy_fiber(f.tsan);
+    f.tsan = __tsan_create_fiber(0);
+    __tsan_switch_to_fiber(f.tsan, __tsan_switch_to_fiber_no_sync);
+    for (int pad = 0; pad < kTsanShadowPad; ++pad) {
+      __tsan_func_entry(__builtin_return_address(0));
+    }
+    __tsan_switch_to_fiber(self, __tsan_switch_to_fiber_no_sync);
+#endif
   }
 }
 

@@ -1,16 +1,17 @@
 // Deterministic many-core scheduler.
 //
-// Each simulated core runs application code natively on its own host thread,
-// but exactly one core executes at any moment: the one with the smallest
+// Each simulated core runs application code natively on its own ucontext
+// fiber, and every fiber of a scheduler runs on the host thread that called
+// run(). Exactly one core executes at any moment: the one with the smallest
 // (local_time, core_id). Every simulator call advances the caller's local
-// clock and is a potential handoff point. Consequences:
+// clock and is a potential handoff point (a direct fiber-to-fiber swap).
+// Consequences:
 //
 //  * all memory-system events are generated in nondecreasing global time
 //    order, so pending-write queues may be drained lazily at read time;
 //  * the simulation is bit-deterministic — scheduling depends only on
-//    simulated clocks, never on host thread timing;
-//  * no locks are needed around machine state (single runner), and the
-//    mutex/condvar handoff provides the host-level happens-before.
+//    simulated clocks, never on host timing;
+//  * no locks are needed around machine state: one host thread runs it all.
 //
 // A SchedulePolicy (DESIGN.md §6) may override the pick at every decision
 // point. To keep the simulation timing-consistent when a non-minimal core is
@@ -23,29 +24,23 @@
 // behavior exactly.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#if defined(__linux__)
-#include <ucontext.h>
+#if !defined(__linux__)
+#error "sim::Scheduler runs cores as ucontext fibers and needs Linux"
 #endif
+#include <ucontext.h>
 
 #include "obs/trace.h"
 #include "sim/footprint.h"
 
 namespace pmc::sim {
 
-#if defined(__linux__)
 using FiberContext = ::ucontext_t;
-#else
-struct FiberContext {};  // fiber mode unsupported off Linux; never entered
-#endif
 
 /// One runnable core at a decision point.
 struct ScheduleCandidate {
@@ -76,8 +71,8 @@ struct YieldPoint {
   Footprint footprint;
 };
 
-/// Overrides the scheduler's pick at each decision point. pick() is called
-/// with the scheduler lock held and must not call back into the Scheduler;
+/// Overrides the scheduler's pick at each decision point. pick() runs on the
+/// yielding core's fiber and must not call back into the Scheduler;
 /// `cands` is sorted by (time, core_id), so index 0 is the min-time default.
 /// Returning 0 everywhere reproduces the default schedule bit-for-bit.
 class SchedulePolicy {
@@ -91,7 +86,7 @@ class SchedulePolicy {
   virtual bool wants_footprints() const { return false; }
 };
 
-/// Checkpoint callback for fiber-mode runs (DESIGN.md §10). Before each
+/// Checkpoint callback (DESIGN.md §10). Before each
 /// scheduling decision the scheduler asks wants_checkpoint(); when it returns
 /// true the running fiber parks and on_checkpoint() runs on the host (main)
 /// context, where Machine::snapshot() is safe to call — no simulated core is
@@ -111,6 +106,9 @@ class Scheduler {
   /// max_cycles: watchdog — a core advancing past this throws (deadlocked
   /// polls in buggy programs would otherwise spin forever).
   explicit Scheduler(int num_cores, uint64_t max_cycles = UINT64_C(1) << 40);
+  ~Scheduler();
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
 
   int num_cores() const { return static_cast<int>(slots_.size()); }
 
@@ -135,24 +133,13 @@ class Scheduler {
   /// time-decomposition identity exact.
   uint64_t warped(int core) const { return slots_[core].warped; }
 
-  /// Runs body(core_id) on one host thread per core under min-time
-  /// scheduling; returns when all cores finish. Rethrows the first exception
-  /// any core raised. In fiber mode (set_fiber_mode) every core is a ucontext
-  /// fiber on the calling thread instead, with identical decision semantics.
+  /// Runs body(core_id) on one fiber per core, all on the calling thread,
+  /// under min-time scheduling; returns when all cores finish. Rethrows the
+  /// first exception any core raised.
   void run(const std::function<void(int)>& body);
 
-  /// True when this build/platform can run cores as ucontext fibers (Linux,
-  /// no Thread/AddressSanitizer — swapcontext confuses both). Callers fall
-  /// back to thread mode (and stateless exploration) when false.
-  static bool fibers_supported();
-
-  /// Selects fiber execution for subsequent run()s. Required for snapshot /
-  /// restore / resume; must be set before the first run().
-  void set_fiber_mode(bool on);
-  bool fiber_mode() const { return fiber_mode_; }
-
-  /// Installs the checkpoint callback (nullptr disables). Fiber mode only;
-  /// not owned. May be swapped between run()/resume() calls.
+  /// Installs the checkpoint callback (nullptr disables). Not owned. May be
+  /// swapped between run()/resume() calls.
   void set_checkpoint_hook(CheckpointHook* hook) { hook_ = hook; }
 
   /// Deep copy of all scheduler-owned mutable state, including each fiber's
@@ -172,6 +159,10 @@ class Scheduler {
       FiberContext ctx{};
       size_t stack_off = 0;        // offset of the saved slice in the stack
       std::vector<uint8_t> stack;  // [stack_off, stack_off + stack.size())
+      /// Bytes at the front of `stack` below the saved stack pointer: the
+      /// red-zone margin, copied for restore() but dead at the swap (it
+      /// holds sanitizer-runtime residue), so digests skip it.
+      size_t dead_bytes = 0;
     };
     std::vector<SlotState> slots;
     std::vector<FiberImage> fibers;
@@ -184,19 +175,19 @@ class Scheduler {
   Snapshot snapshot() const;
   void restore(const Snapshot& s);
 
-  /// Continues a restored run to completion (fiber mode only): re-enters the
+  /// Continues a restored run to completion: re-enters the
   /// checkpointed fiber — or redoes the initial dispatch for a pre-dispatch
   /// snapshot — and drives until every core is done. Rethrows like run().
   /// The checkpoint that produced the snapshot is not re-offered to the hook.
   void resume();
 
-  /// Local clock of `core`. Only meaningful from that core's own thread.
+  /// Local clock of `core`. Only meaningful from that core's own fiber.
   uint64_t now(int core) const { return slots_[core].time; }
 
   /// Marks that `core` performed (or is mid-way through) a memory-system
   /// effect on `[addr, addr+len)` since its last advance (cheap no-op
   /// without a policy). `sync` tags lock/barrier words. Called by the
-  /// machine layer from the running core's own thread; accumulated into the
+  /// machine layer from the running core's own fiber; accumulated into the
   /// current segment's footprint and reported at the next yield.
   void note_access(int core, uint64_t addr, uint32_t len, AccessKind kind,
                    bool sync = false) {
@@ -235,12 +226,17 @@ class Scheduler {
     bool done = false;
     bool observable = false;  // effect since last yield (policy runs only)
     Footprint fp;             // footprint since last yield (policy runs only)
-    std::condition_variable cv;
+  };
+
+  /// munmaps a fiber stack together with the guard page below it.
+  struct StackUnmap {
+    void operator()(uint8_t* stack) const;
   };
 
   struct Fiber {
     FiberContext ctx{};
-    std::unique_ptr<uint8_t[]> stack;
+    std::unique_ptr<uint8_t, StackUnmap> stack;  // lowest usable byte
+    void* tsan = nullptr;  // ThreadSanitizer fiber context (TSan builds)
   };
 
   /// True when dispatch/park/warp events should be recorded.
@@ -249,28 +245,31 @@ class Scheduler {
   /// finished core). Caller checks tracing().
   void trace_switch(int from, int to, bool from_done);
 
-  int pick_next_locked() const;
+  int pick_next() const;
   /// Consults the policy, warps the chosen core's clock to the frontier and
   /// advances the frontier; returns the chosen core or -1 when all done.
-  /// (In fiber mode there is no lock — one host thread runs everything.)
-  int consult_policy_locked(int yielding);
-  void thread_main(int core, const std::function<void(int)>& body);
+  int consult_policy(int yielding);
+  /// pick_next() or consult_policy(), whichever applies.
+  int next_core(int yielding) {
+    return policy_ != nullptr ? consult_policy(yielding) : pick_next();
+  }
 
-  // Fiber-mode internals. Control flow mirrors thread mode exactly: the
-  // decision is consulted *on* the yielding fiber and handoffs are direct
+  // The decision is consulted *on* the yielding fiber and handoffs are direct
   // fiber-to-fiber swaps; the main context is entered only for checkpoints
   // and at run end, so checkpointing cannot perturb decision order.
-  void run_fibers();
   void init_fibers();
+  void destroy_tsan_fibers();
+  /// Saves the running context into `from` and enters core `to` (-1: the
+  /// main context), with the sanitizer fiber annotations around the swap.
+  /// `from_dies` marks a fiber's final exit.
+  void switch_to(FiberContext& from, int to, bool from_dies = false);
   void drive();
-  void advance_fiber(int core, uint64_t delta);
   void maybe_checkpoint_yield(int core);
   void fiber_main(int core);
   bool all_done() const;
   static void fiber_entry();  // makecontext target; dispatches via a TLS ptr
 
-  mutable std::mutex mu_;
-  std::deque<Slot> slots_;
+  std::vector<Slot> slots_;
   int current_ = 0;
   uint64_t max_cycles_;
   std::exception_ptr error_;
@@ -280,9 +279,9 @@ class Scheduler {
   uint64_t step_ = 0;      // decision counter (policy runs only)
   uint64_t frontier_ = 0;  // latest dispatch time (policy runs only)
 
-  bool fiber_mode_ = false;
-  std::vector<Fiber> fibers_;  // allocated on the first fiber-mode run()
+  std::vector<Fiber> fibers_;  // allocated on the first run()
   FiberContext main_ctx_{};
+  void* main_tsan_ = nullptr;  // the host thread's TSan fiber, set by drive()
   CheckpointHook* hook_ = nullptr;
   int resume_core_ = -1;  // fiber parked at the live checkpoint, -1 otherwise
   std::function<void(int)> body_;  // persists across restore()/resume()

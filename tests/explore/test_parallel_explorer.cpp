@@ -11,7 +11,6 @@
 
 #include "explore/litmus_driver.h"
 #include "model/litmus_library.h"
-#include "sim/scheduler.h"
 
 namespace pmc::explore {
 namespace {
@@ -129,9 +128,7 @@ TEST(ParallelEngine, SingleJobTelemetryIsDeterministic) {
   EXPECT_EQ(a.snapshots_taken, b.snapshots_taken);
   EXPECT_EQ(a.snapshot_hits, b.snapshot_hits);
   EXPECT_EQ(a.snapshot_misses, b.snapshot_misses);
-  if (sim::Scheduler::fibers_supported()) {
-    EXPECT_GT(a.snapshots_taken, 0u);  // the snapshot engine really ran
-  }
+  EXPECT_GT(a.snapshots_taken, 0u);  // the snapshot engine really ran
   EXPECT_EQ(a.worker_steals, std::vector<uint64_t>{0});
 }
 

@@ -24,16 +24,6 @@
 namespace pmc::explore {
 namespace {
 
-// Fiber scheduling is what makes checkpoints possible; builds without it
-// (e.g. sanitizers that reject swapcontext) fall back to replay, and these
-// suites have nothing stateful left to test.
-#define SKIP_WITHOUT_FIBERS()                                             \
-  do {                                                                    \
-    if (!sim::Scheduler::fibers_supported()) {                            \
-      GTEST_SKIP() << "fiber scheduling unavailable in this build";       \
-    }                                                                     \
-  } while (0)
-
 SessionOptions grid_opts(EngineState state, DporMode dpor = DporMode::kOff,
                          int jobs = 1, uint64_t horizon = 12,
                          int preemptions = 2) {
@@ -55,7 +45,6 @@ std::string check_text(const CheckTarget& target, const SessionOptions& opts) {
 class LitmusDifferential : public ::testing::TestWithParam<rt::Target> {};
 
 TEST_P(LitmusDifferential, EveryAnnotatableTestMatchesReplay) {
-  SKIP_WITHOUT_FIBERS();
   for (const auto& test : annotatable_tests()) {
     const LitmusTarget target(test, GetParam());
     const std::string ref =
@@ -72,7 +61,6 @@ INSTANTIATE_TEST_SUITE_P(SimTargets, LitmusDifferential,
                          });
 
 TEST(StatefulDifferential, DporModesAndJobCountsMatchReplay) {
-  SKIP_WITHOUT_FIBERS();
   const LitmusTarget mp(model::litmus::fig5_mp_annotated(), rt::Target::kSWCC);
   const LitmusTarget ex(model::litmus::fig4_exclusive(), rt::Target::kDSM);
   for (const CheckTarget* target : {
@@ -95,7 +83,6 @@ TEST(StatefulDifferential, DporModesAndJobCountsMatchReplay) {
 }
 
 TEST(StatefulDifferential, AppTargetsMatchReplayOnEveryBackend) {
-  SKIP_WITHOUT_FIBERS();
   // App bounds: kernels take more decisions per schedule than a litmus
   // test, so trade horizon for per-schedule depth (same as the CLI).
   for (const rt::Target t : rt::sim_targets()) {
@@ -113,7 +100,6 @@ TEST(StatefulDifferential, AppTargetsMatchReplayOnEveryBackend) {
 }
 
 TEST(StatefulDifferential, FuzzProgramsMatchReplay) {
-  SKIP_WITHOUT_FIBERS();
   for (const uint64_t seed : {1u, 2u, 5u}) {
     const GenProgram prog = generate_program(shape_for_seed(seed));
     for (const rt::Target t : {rt::Target::kNoCC, rt::Target::kSWCC}) {
@@ -129,7 +115,6 @@ TEST(StatefulDifferential, FuzzProgramsMatchReplay) {
 }
 
 TEST(StatefulDifferential, SeededFaultReportsMatchReplayIncludingMinimization) {
-  SKIP_WITHOUT_FIBERS();
   // Failing targets exercise the rest of the pipeline — canonicalization,
   // minimization, replay confirmation — so byte-equality here covers the
   // minimized schedule/message set, not just the totals.
@@ -165,7 +150,6 @@ TEST(StatefulDifferential, SeededFaultReportsMatchReplayIncludingMinimization) {
 // -- Bounded pool: eviction pressure only costs time, never changes reports --
 
 TEST(SnapshotPool, RootOnlyPoolStillMatchesReplay) {
-  SKIP_WITHOUT_FIBERS();
   const LitmusTarget target(model::litmus::fig5_mp_annotated(),
                             rt::Target::kSWCC);
   const std::string ref = check_text(target, grid_opts(EngineState::kReplay));
@@ -178,7 +162,6 @@ TEST(SnapshotPool, RootOnlyPoolStillMatchesReplay) {
 }
 
 TEST(SnapshotPool, CapacityZeroFallsBackToRootRestores) {
-  SKIP_WITHOUT_FIBERS();
   const LitmusTarget target(model::litmus::fig5_mp_annotated(),
                             rt::Target::kSWCC);
   StatefulOptions sopts;
@@ -202,7 +185,6 @@ TEST(SnapshotPool, CapacityZeroFallsBackToRootRestores) {
 }
 
 TEST(SnapshotPool, DefaultPoolForksMostSchedulesMidRun) {
-  SKIP_WITHOUT_FIBERS();
   const LitmusTarget target(model::litmus::fig5_mp_annotated(),
                             rt::Target::kSWCC);
   StatefulExecutor exec(target.make_spec(), StatefulOptions{});
@@ -241,7 +223,6 @@ struct RoundTrip {
     rt::ProgramOptions opts = spec.opts;
     opts.schedule_policy = &policy;
     prog = std::make_unique<rt::Program>(opts);
-    prog->enable_snapshots();
     hook.prog = prog.get();
     hook.policy = &policy;
     hook.grab_step = grab_step;
@@ -256,7 +237,6 @@ struct RoundTrip {
 };
 
 TEST(SnapshotRoundTrip, RestoredContinuationIsBitIdentical) {
-  SKIP_WITHOUT_FIBERS();
   const LitmusTarget target(model::litmus::fig5_mp_annotated(),
                             rt::Target::kSWCC);
   const StatefulSpec spec = target.make_spec();
@@ -287,7 +267,6 @@ TEST(SnapshotRoundTrip, RestoredContinuationIsBitIdentical) {
 }
 
 TEST(SnapshotRoundTrip, RestoreIsIdempotent) {
-  SKIP_WITHOUT_FIBERS();
   const LitmusTarget target(model::litmus::fig4_exclusive(),
                             rt::Target::kDSM);
   const StatefulSpec spec = target.make_spec();
@@ -319,7 +298,6 @@ TEST(SnapshotRoundTrip, RestoreIsIdempotent) {
 // machine must travel with the snapshot) ------------------------------------
 
 TEST(RecordingContract, ResumingWithAnUnseededPolicyThrowsOutOfOrder) {
-  SKIP_WITHOUT_FIBERS();
   const LitmusTarget target(model::litmus::fig5_mp_annotated(),
                             rt::Target::kSWCC);
   RoundTrip rt(target.make_spec());
@@ -344,7 +322,6 @@ TEST(RecordingContract, ResumingWithAnUnseededPolicyThrowsOutOfOrder) {
 }
 
 TEST(RecordingContract, SeededResumeRecordsWhatAFullReplayRecords) {
-  SKIP_WITHOUT_FIBERS();
   const LitmusTarget target(model::litmus::fig5_mp_annotated(),
                             rt::Target::kSWCC);
   RoundTrip rt(target.make_spec());

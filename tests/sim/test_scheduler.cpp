@@ -147,7 +147,7 @@ TEST(Scheduler, BitDeterministicAcrossRuns) {
   // Regression guard for the SchedulePolicy hook: two runs of the same
   // program must produce identical per-core final clocks and identical
   // trace bytes — scheduling depends only on simulated clocks, never on
-  // host thread timing.
+  // host timing.
   Scheduler s1(3), s2(3);
   std::vector<uint64_t> clocks1, clocks2;
   const auto trace1 = workload::run(s1, &clocks1);
@@ -253,6 +253,30 @@ TEST(Scheduler, ManyCoresFinishIndependently) {
   for (int c = 0; c < 16; ++c) {
     EXPECT_EQ(final_time[c], static_cast<uint64_t>(2 * (c + 1)));
   }
+}
+
+/// Recurses `levels` deep; the volatile frame keeps every level real.
+int recurse(int levels) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(levels);
+  return levels == 0 ? 0 : recurse(levels - 1) + frame[0];
+}
+
+TEST(SchedulerDeathTest, StackOverflowHitsTheGuardPage) {
+  // A fiber stack is 256 KiB over a PROT_NONE guard page. Core 0 recurses
+  // ~300 KiB deep and would return normally if the memory below its stack
+  // were writable (the stack of core 1, mapped next and already finished,
+  // is a likely neighbour), so only the guard page makes this run die.
+  EXPECT_DEATH(
+      {
+        Scheduler s(2);
+        s.run([&](int core) {
+          if (core != 0) return;
+          s.advance(0, 1);  // core 1 runs to completion first
+          recurse(600);     // >= 512 bytes a frame
+        });
+      },
+      "");
 }
 
 }  // namespace
