@@ -1,6 +1,7 @@
 // Shared helpers for the figure-regeneration harnesses.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -10,17 +11,26 @@
 
 #include "apps/app.h"
 #include "obs/json.h"
+#include "util/check.h"
 #include "util/table.h"
 
 namespace pmc::bench {
 
-/// Minimal flag parsing: --name=value.
+/// Minimal flag parsing: --name=value. A value that is not a whole decimal
+/// integer ("two", "3x", "") throws util::CheckFailure naming the flag.
 inline int64_t flag_int(int argc, char** argv, const char* name,
                         int64_t def) {
   const std::string prefix = std::string("--") + name + "=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atoll(argv[i] + prefix.size());
+      const char* text = argv[i] + prefix.size();
+      const char* end = text + std::strlen(text);
+      int64_t value = 0;
+      const auto [stop, err] = std::from_chars(text, end, value);
+      if (err != std::errc() || stop != end) {
+        throw util::CheckFailure(prefix + text + " is not an integer");
+      }
+      return value;
     }
   }
   return def;

@@ -33,7 +33,6 @@
 
 #include "bench/bench_common.h"
 #include "explore/check.h"
-#include "explore/diff_check.h"
 #include "explore/litmus_driver.h"
 #include "fuzz/seed_plan.h"
 #include "model/execution.h"
@@ -318,30 +317,56 @@ int run_fuzz(uint64_t base_seed, uint64_t count, bool seed_bug,
   uint64_t total_pruned = 0;
   uint64_t failures = 0;
   int rc = 0;
+  const explore::CheckSession session(sopts);
   for (uint64_t s = base_seed; s < base_seed + count; ++s) {
     const explore::GenProgram prog =
         explore::generate_program(fuzz_shape(s, argc, argv));
-    const explore::DiffCheck dc(prog, faults);
-    const explore::DiffReport rep = dc.check(sopts, backends);
-    total_explored += rep.explored;
-    total_pruned += rep.pruned;
-    table.add_row({std::to_string(s), std::to_string(prog.shape.cores),
-                   std::to_string(prog.ops()),
-                   std::to_string(rep.explored) + (rep.truncated ? "+" : ""),
-                   std::to_string(rep.pruned),
-                   std::to_string(rep.distinct_traces),
-                   rep.ok ? "ok" : "FAIL"});
-    if (!rep.ok) {
+    uint64_t explored = 0;
+    uint64_t pruned = 0;
+    uint64_t traces = 0;
+    bool truncated = false;
+    bool failed = false;
+    const auto add = [&](const auto& r) {
+      explored += r.explored;
+      pruned += r.pruned;
+      traces += r.distinct_traces;
+      truncated = truncated || r.truncated;
+    };
+    // Every back-end explores the program; only the first failing one (in
+    // --backend order) is shrunk and minimized, the rest add their totals.
+    for (const rt::Target t : backends) {
+      const explore::GenProgramTarget target(prog, t, faults);
+      if (failed) {
+        add(session.explore(target));
+        continue;
+      }
+      const explore::CheckReport rep = session.check(target);
+      add(rep);
+      if (rep.ok) continue;
+      failed = true;
       ++failures;
       rc = seed_bug ? rc : 1;
-      const explore::DiffFailure& f = *rep.failure;
+      // The repro line regenerates the original program from its seed, so
+      // it replays the schedule minimized on that program.
+      const std::string repro =
+          fuzz::repro_line(prog.shape, t, rep.repro_schedule, faults);
+      const std::string listing = rep.minimized_listing.empty()
+                                      ? explore::to_string(prog)
+                                      : rep.minimized_listing;
       std::printf("!! seed %llu on %s: schedule \"%s\": %s\n   %s\n"
                   "   minimized program:\n%s",
-                  static_cast<unsigned long long>(s),
-                  rt::to_string(f.target),
-                  explore::to_string(f.schedule).c_str(), f.message.c_str(),
-                  f.repro.c_str(), explore::to_string(f.program).c_str());
+                  static_cast<unsigned long long>(s), rt::to_string(t),
+                  explore::to_string(rep.minimized_schedule).c_str(),
+                  rep.minimized_message.c_str(), repro.c_str(),
+                  listing.c_str());
     }
+    total_explored += explored;
+    total_pruned += pruned;
+    table.add_row({std::to_string(s), std::to_string(prog.shape.cores),
+                   std::to_string(prog.ops()),
+                   std::to_string(explored) + (truncated ? "+" : ""),
+                   std::to_string(pruned), std::to_string(traces),
+                   failed ? "FAIL" : "ok"});
   }
   std::printf("%s", table.render().c_str());
   json.add("fuzz_programs", count);

@@ -108,6 +108,15 @@ uint64_t hb_trace_hash(const std::vector<model::TraceEvent>& trace) {
 
 // -- Stateful decomposition --------------------------------------------------
 
+void judge_run(const StatefulSpec& spec, rt::Program& prog, RunOutcome& out) {
+  spec.judge(prog, out);
+  const model::TraceValidator* v = prog.validator();
+  if (v != nullptr && !v->ok()) {
+    out.ok = false;
+    out.message = "Definition 12 violation: " + v->first_violation();
+  }
+}
+
 RunOutcome run_spec_once(const StatefulSpec& spec, ReplayPolicy& policy) {
   RunOutcome out;
   try {
@@ -116,7 +125,7 @@ RunOutcome run_spec_once(const StatefulSpec& spec, ReplayPolicy& policy) {
     rt::Program prog(opts);
     spec.setup(prog);
     prog.run(spec.body);
-    spec.judge(prog, out);
+    judge_run(spec, prog, out);
   } catch (const std::exception& e) {
     out.ok = false;
     out.message = e.what();
@@ -124,7 +133,11 @@ RunOutcome run_spec_once(const StatefulSpec& spec, ReplayPolicy& policy) {
   return out;
 }
 
-StatefulSpec CheckTarget::make_spec() const {
+RunOutcome CheckTarget::run(ReplayPolicy& policy) const {
+  return run_spec_once(make_spec(), policy);
+}
+
+StatefulSpec FnTarget::make_spec() const {
   PMC_CHECK_MSG(false, name() << " is not stateful_capable");
   return {};
 }
@@ -164,10 +177,6 @@ LitmusTarget::LitmusTarget(model::LitmusTest test, rt::Target target,
 
 std::string LitmusTarget::name() const {
   return test_.name + "@" + rt::to_string(target_);
-}
-
-RunOutcome LitmusTarget::run(ReplayPolicy& policy) const {
-  return run_spec_once(make_spec(), policy);
 }
 
 StatefulSpec LitmusTarget::make_spec() const {
@@ -276,12 +285,6 @@ StatefulSpec LitmusTarget::make_spec() const {
     for (const uint64_t r : st->regs) h = util::hash_combine(h, r);
     out.trace_hash = h;
 
-    if (!prog.validator()->ok()) {
-      out.ok = false;
-      out.message = "Definition 12 violation: " +
-                    prog.validator()->first_violation();
-      return;
-    }
     if (allowed_.find(st->regs) == allowed_.end()) {
       out.ok = false;
       out.message = "outcome {";
@@ -309,10 +312,6 @@ GenProgramTarget::GenProgramTarget(GenProgram prog, rt::Target target,
 std::string GenProgramTarget::name() const {
   return "fuzz-seed-" + std::to_string(prog_.shape.seed) + "@" +
          rt::to_string(target_);
-}
-
-RunOutcome GenProgramTarget::run(ReplayPolicy& policy) const {
-  return run_spec_once(make_spec(), policy);
 }
 
 StatefulSpec GenProgramTarget::make_spec() const {
@@ -353,12 +352,6 @@ StatefulSpec GenProgramTarget::make_spec() const {
     }
     out.trace_hash = h;
 
-    if (p.validator() != nullptr && !p.validator()->ok()) {
-      out.ok = false;
-      out.message =
-          "Definition 12 violation: " + p.validator()->first_violation();
-      return;
-    }
     for (int i = 0; i < prog_.shape.objects; ++i) {
       const uint32_t got = p.result<uint32_t>(st->objs[static_cast<size_t>(i)]);
       const uint32_t want = prog_.expected_final(i);
@@ -439,10 +432,6 @@ std::string MFifoTarget::name() const {
          ")@" + rt::to_string(target_);
 }
 
-RunOutcome MFifoTarget::run(ReplayPolicy& policy) const {
-  return run_spec_once(make_spec(), policy);
-}
-
 StatefulSpec MFifoTarget::make_spec() const {
   StatefulSpec spec;
   spec.opts = app_options(target_, 1 + shape_.readers, faults_,
@@ -497,12 +486,6 @@ StatefulSpec MFifoTarget::make_spec() const {
     }
     out.trace_hash = h;
 
-    if (prog.validator() != nullptr && !prog.validator()->ok()) {
-      out.ok = false;
-      out.message = "Definition 12 violation: " +
-                    prog.validator()->first_violation();
-      return;
-    }
     // Broadcast delivery: every reader received every element, in push
     // order (a single writer makes the global slot order the push order).
     // A completed run pops exactly `items` elements per reader.
@@ -536,10 +519,6 @@ std::string TaskCounterTarget::name() const {
   return "taskcounter(c" + std::to_string(shape_.cores) + ",t" +
          std::to_string(shape_.total) + ",k" + std::to_string(shape_.chunk) +
          ")@" + rt::to_string(target_);
-}
-
-RunOutcome TaskCounterTarget::run(ReplayPolicy& policy) const {
-  return run_spec_once(make_spec(), policy);
 }
 
 StatefulSpec TaskCounterTarget::make_spec() const {
@@ -595,12 +574,6 @@ StatefulSpec TaskCounterTarget::make_spec() const {
     }
     out.trace_hash = h;
 
-    if (prog.validator() != nullptr && !prog.validator()->ok()) {
-      out.ok = false;
-      out.message = "Definition 12 violation: " +
-                    prog.validator()->first_violation();
-      return;
-    }
     // Exact chunk partition: the grabbed chunks tile [0, total) with no
     // gap, no overlap, and no chunk larger than the grab size.
     std::vector<Chunk> all;
@@ -741,10 +714,6 @@ ExploreReport CheckSession::explore(const CheckTarget& target) const {
   return rep;
 }
 
-ExploreReport CheckSession::explore(const ScheduleRunner& runner) const {
-  return Explorer(runner, opts_.jobs).explore(opts_.explore);
-}
-
 RunOutcome CheckSession::replay(const CheckTarget& target,
                                 const DecisionString& schedule,
                                 bool* fully_applied) const {
@@ -752,13 +721,6 @@ RunOutcome CheckSession::replay(const CheckTarget& target,
   // replay, and repeated replays (minimize) go through minimize() below.
   return explorer_for(opts_, stateful(target), target)
       .replay(schedule, opts_.explore.horizon, fully_applied);
-}
-
-RunOutcome CheckSession::replay(const ScheduleRunner& runner,
-                                const DecisionString& schedule,
-                                bool* fully_applied) const {
-  return Explorer(runner).replay(schedule, opts_.explore.horizon,
-                                 fully_applied);
 }
 
 RunOutcome CheckSession::replay_traced(const CheckTarget& target,
@@ -787,12 +749,6 @@ RunOutcome CheckSession::replay_traced(const CheckTarget& target,
 DecisionString CheckSession::minimize(const CheckTarget& target,
                                       DecisionString failing) const {
   return explorer_for(opts_, stateful(target), target)
-      .minimize(std::move(failing), opts_.explore.horizon);
-}
-
-DecisionString CheckSession::minimize(const ScheduleRunner& runner,
-                                      DecisionString failing) const {
-  return Explorer(runner, opts_.jobs)
       .minimize(std::move(failing), opts_.explore.horizon);
 }
 

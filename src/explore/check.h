@@ -1,14 +1,15 @@
 // One front door for model checking heterogeneous workloads (DESIGN.md §9).
 //
-// A CheckTarget is anything the explorer can model-check: it builds a fresh
-// rt::Program (or raw machine) for one back-end, runs it under a
-// ReplayPolicy, and judges the run with its own oracle. LitmusTarget drives
-// the annotatable litmus subset, GenProgramTarget one generated fuzz
-// program, MFifoTarget / TaskCounterTarget the apps-layer kernels at small
-// shapes, and FnTarget wraps an ad-hoc runner. Targets that can shrink
-// themselves (drop an op, keep the bug) expose shrink candidates, which is
-// what turns "minimize the program, then the schedule" into a generic
-// session step instead of DiffCheck-private code.
+// A CheckTarget is anything the explorer can model-check: it describes a
+// fresh rt::Program for one back-end as a StatefulSpec, runs it under a
+// ReplayPolicy, and judges the run with its own oracle plus the shared
+// Definition 12 verdict. LitmusTarget drives the annotatable litmus subset,
+// GenProgramTarget one generated fuzz program (one per back-end is the
+// differential fuzzer), MFifoTarget / TaskCounterTarget the apps-layer
+// kernels at small shapes, and FnTarget wraps an ad-hoc raw-machine runner.
+// Targets that can shrink themselves (drop an op, keep the bug) expose
+// shrink candidates, which is what turns "minimize the program, then the
+// schedule" into a generic session step.
 //
 // A CheckSession owns the knobs every caller used to wire by hand — the
 // ExploreConfig bounds, DPOR mode, worker count (--jobs) and engine state —
@@ -61,8 +62,8 @@ uint64_t hb_trace_hash(const std::vector<model::TraceEvent>& trace);
 /// run-mutable buffers through the heap-held state that make_spec()
 /// allocated (never through captured run()-frame locals — those frames are
 /// gone by the first resume). `setup` must register every such buffer the
-/// body mutates with the machine's snapshot contract when snapshots are
-/// enabled, or restored runs would resume against torn oracle state.
+/// body mutates with the machine's snapshot contract, or restored runs
+/// would resume against torn oracle state.
 struct StatefulSpec {
   /// Program configuration; `schedule_policy` is filled in per run.
   rt::ProgramOptions opts;
@@ -71,23 +72,29 @@ struct StatefulSpec {
   std::function<void(rt::Program&)> setup;
   /// The per-core workload; same contract as Program::run's body.
   std::function<void(rt::Env&)> body;
-  /// Judges one completed run (trace hash + oracle verdict). Called after
-  /// every completed run or resume; must be repeatable.
+  /// Judges one completed run: the trace hash and the target's own oracle
+  /// (judge_run adds the Definition 12 verdict). Called after every
+  /// completed run or resume; must be repeatable.
   std::function<void(rt::Program&, RunOutcome&)> judge;
 };
 
+/// The verdict of one completed run of `spec`, shared by both engines:
+/// spec.judge, then the Definition 12 rule — a validator violation fails
+/// the run and its message replaces the target's own oracle verdict.
+void judge_run(const StatefulSpec& spec, rt::Program& prog, RunOutcome& out);
+
 /// Executes one schedule of `spec` the stateless way: fresh Program, full
-/// run, judge — converting exceptions into failing outcomes. This is the
-/// replay engine's (and every stateful_capable target's run()'s) execution
-/// path, so both engines run literally the same code and differ only in how
-/// the machine state at a decision point is reproduced.
+/// run, judge_run — converting exceptions into failing outcomes. This is the
+/// replay engine's (and CheckTarget::run's default) execution path, so both
+/// engines run literally the same code and differ only in how the machine
+/// state at a decision point is reproduced.
 RunOutcome run_spec_once(const StatefulSpec& spec, ReplayPolicy& policy);
 
 /// One checkable unit: builds a fresh program for its back-end on every
-/// run() call and judges the run with its own oracle. run() must be safe to
-/// invoke concurrently from several threads (share nothing mutable — build
-/// the whole world afresh per call) and must report oracle violations and
-/// exceptions as failing RunOutcomes, never propagate them.
+/// run() call and judges the run. run() must be safe to invoke concurrently
+/// from several threads (share nothing mutable — build the whole world
+/// afresh per call) and must report oracle violations and exceptions as
+/// failing RunOutcomes, never propagate them.
 class CheckTarget {
  public:
   virtual ~CheckTarget() = default;
@@ -96,22 +103,24 @@ class CheckTarget {
   virtual std::string name() const = 0;
 
   /// Executes one schedule; the ReplayPolicy is the only scheduling input.
-  virtual RunOutcome run(ReplayPolicy& policy) const = 0;
+  /// Defaults to run_spec_once(make_spec(), policy).
+  virtual RunOutcome run(ReplayPolicy& policy) const;
 
   /// Explorer adapter. Borrows `this`: the target must outlive the runner.
   ScheduleRunner runner() const {
     return [this](ReplayPolicy& p) { return run(p); };
   }
 
-  // -- Stateful exploration (optional) ---------------------------------------
-  /// True when make_spec() is implemented, i.e. the target's run decomposes
-  /// into the StatefulSpec phases and its body honors the fiber-safety
-  /// contract. The snapshot engine silently falls back to replay otherwise.
-  virtual bool stateful_capable() const { return false; }
+  // -- Stateful exploration ---------------------------------------------------
+  /// True when make_spec() describes run(), i.e. the target's run
+  /// decomposes into the StatefulSpec phases and its body honors the
+  /// fiber-safety contract. Only FnTarget says no; the snapshot engine
+  /// silently falls back to replay for it.
+  virtual bool stateful_capable() const { return true; }
   /// The stateful decomposition of run(); only valid when stateful_capable().
   /// Every call allocates fresh oracle state, so concurrent executors built
   /// from separate specs share nothing mutable.
-  virtual StatefulSpec make_spec() const;
+  virtual StatefulSpec make_spec() const = 0;
 
   // -- Failure minimization (optional) ---------------------------------------
   /// Number of single-step reductions of this target (0: not shrinkable).
@@ -128,13 +137,17 @@ class CheckTarget {
   virtual std::string describe() const { return {}; }
 };
 
-/// Ad-hoc target wrapping a ScheduleRunner (raw-machine test programs).
+/// Ad-hoc target wrapping a ScheduleRunner (raw-machine test programs). The
+/// runner judges its own runs and has no StatefulSpec, so it always runs on
+/// the replay engine.
 class FnTarget final : public CheckTarget {
  public:
   FnTarget(std::string name, ScheduleRunner fn)
       : name_(std::move(name)), fn_(std::move(fn)) {}
   std::string name() const override { return name_; }
   RunOutcome run(ReplayPolicy& policy) const override { return fn_(policy); }
+  bool stateful_capable() const override { return false; }
+  StatefulSpec make_spec() const override;
 
  private:
   std::string name_;
@@ -164,8 +177,6 @@ class LitmusTarget final : public CheckTarget {
   bool dsm_eager() const { return has_poll_; }
 
   std::string name() const override;
-  RunOutcome run(ReplayPolicy& policy) const override;
-  bool stateful_capable() const override { return true; }
   StatefulSpec make_spec() const override;
 
  private:
@@ -189,8 +200,6 @@ class GenProgramTarget final : public CheckTarget {
   rt::Target target() const { return target_; }
 
   std::string name() const override;
-  RunOutcome run(ReplayPolicy& policy) const override;
-  bool stateful_capable() const override { return true; }
   StatefulSpec make_spec() const override;
   size_t shrink_count() const override;
   std::unique_ptr<CheckTarget> shrink(size_t i) const override;
@@ -221,8 +230,6 @@ class MFifoTarget final : public CheckTarget {
   explicit MFifoTarget(rt::Target target, MFifoShape shape = {},
                        rt::FaultInjection faults = {});
   std::string name() const override;
-  RunOutcome run(ReplayPolicy& policy) const override;
-  bool stateful_capable() const override { return true; }
   StatefulSpec make_spec() const override;
 
  private:
@@ -247,8 +254,6 @@ class TaskCounterTarget final : public CheckTarget {
   explicit TaskCounterTarget(rt::Target target, TaskCounterShape shape = {},
                              rt::FaultInjection faults = {});
   std::string name() const override;
-  RunOutcome run(ReplayPolicy& policy) const override;
-  bool stateful_capable() const override { return true; }
   StatefulSpec make_spec() const override;
 
  private:
@@ -383,8 +388,8 @@ class CheckSession {
 
   const SessionOptions& options() const { return opts_; }
   /// True when this session drives `target` through the snapshot engine
-  /// (engine_state == kSnapshot, target is stateful_capable, and the build
-  /// supports fibers); false means the stateless replay path.
+  /// (engine_state == kSnapshot and the target is stateful_capable); false
+  /// means the stateless replay path.
   bool stateful(const CheckTarget& target) const;
 
   /// The full pipeline: explore the bounded space; on failure canonicalize
@@ -395,8 +400,8 @@ class CheckSession {
   CheckReport check(const CheckTarget& target) const;
 
   // -- Building blocks (the only sanctioned route to the Explorer) -----------
+  // Raw-machine runners reach them wrapped in an FnTarget.
   ExploreReport explore(const CheckTarget& target) const;
-  ExploreReport explore(const ScheduleRunner& runner) const;
   RunOutcome replay(const CheckTarget& target, const DecisionString& schedule,
                     bool* fully_applied = nullptr) const;
   /// Replays one schedule with a cycle recorder attached to the machine
@@ -411,11 +416,7 @@ class CheckSession {
                            const DecisionString& schedule,
                            obs::TraceRecorder* recorder,
                            bool* fully_applied = nullptr) const;
-  RunOutcome replay(const ScheduleRunner& runner, const DecisionString& schedule,
-                    bool* fully_applied = nullptr) const;
   DecisionString minimize(const CheckTarget& target,
-                          DecisionString failing) const;
-  DecisionString minimize(const ScheduleRunner& runner,
                           DecisionString failing) const;
 
  private:

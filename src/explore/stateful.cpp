@@ -125,7 +125,7 @@ RunOutcome StatefulExecutor::run(ReplayPolicy& policy) {
       prog_->set_schedule_policy(&policy);
       prog_->resume();
     }
-    spec_.judge(*prog_, out);
+    judge_run(spec_, *prog_, out);
   } catch (const std::exception& ex) {
     out.ok = false;
     out.message = ex.what();

@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <thread>
 
-#include "explore/diff_check.h"
+#include "fuzz/seed_plan.h"
 #include "obs/json.h"
 #include "runtime/backends/registry.h"
 #include "util/check.h"
@@ -232,8 +232,8 @@ void Farm::process(const Job& job, const CheckReport& rep,
   f.schedule =
       shrunk != nullptr ? rep.minimized_schedule : rep.repro_schedule;
   if (seed_reproducible(job.program)) {
-    f.repro = explore::repro_line(job.program.shape, job.target,
-                                  rep.repro_schedule, opts_.faults);
+    f.repro = repro_line(job.program.shape, job.target, rep.repro_schedule,
+                         opts_.faults);
   } else if (!opts_.corpus_dir.empty()) {
     // A mutant has no generating seed, so the replayable artifact is the
     // program itself: crash_<k>.json plus the schedule minimized on it.

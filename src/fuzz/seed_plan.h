@@ -13,11 +13,18 @@
 //
 // Counts are clamped to [1, 10000] wherever they came from, and the seed
 // values themselves are base, base+1, ... — the contiguous sweep the ctest
-// fuzz label's PRE_TEST discovery enumerates.
+// fuzz label's PRE_TEST discovery enumerates. repro_line turns that rule
+// around: the PMC_FUZZ_SEEDS width that brings a failing seed into the
+// sweep.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
+
+#include "explore/decision.h"
+#include "explore/program_gen.h"
+#include "runtime/program.h"
 
 namespace pmc::fuzz {
 
@@ -42,5 +49,13 @@ const char* to_string(SeedPlan::Source source);
 /// Shorthand for the test suites: the full seed list at default width
 /// `def`, widened by PMC_FUZZ_SEEDS (the historical explore::fuzz_seeds).
 std::vector<uint64_t> seed_sweep(int def = 10);
+
+/// The one-command repro line every fuzz failure prints: how to re-run the
+/// failing seed under ctest, and how to replay the failing schedule
+/// directly. When `faults` injects anything, the replay command carries
+/// --seed-bug so the CLI re-injects it.
+std::string repro_line(const explore::ProgramShape& shape, rt::Target target,
+                       const explore::DecisionString& schedule,
+                       const rt::FaultInjection& faults = {});
 
 }  // namespace pmc::fuzz

@@ -28,18 +28,16 @@ void TraceValidator::on_event(const TraceEvent& e) {
   switch (e.kind) {
     case TraceEvent::Kind::kWrite: {
       const OpId id = exec_.write(e.proc, e.loc, e.value);
-      if (opts_.check_races) {
-        // In a data-race-free trace, all writes to one location are totally
-        // ordered (§IV-D); the previous write must be ≺G the new one.
-        if (!exec_.write_chained(e.loc)) {
-          const auto& ws = exec_.writes_to(e.loc);
-          const OpId prev = ws[ws.size() - 2];
-          std::ostringstream os;
-          os << "write/write race on v" << e.loc << ": "
-             << exec_.op(prev).describe() << " unordered with "
-             << exec_.op(id).describe();
-          flag(os.str());
-        }
+      // In a data-race-free trace, all writes to one location are totally
+      // ordered (§IV-D); the previous write must be ≺G the new one.
+      if (!exec_.write_chained(e.loc)) {
+        const auto& ws = exec_.writes_to(e.loc);
+        const OpId prev = ws[ws.size() - 2];
+        std::ostringstream os;
+        os << "write/write race on v" << e.loc << ": "
+           << exec_.op(prev).describe() << " unordered with "
+           << exec_.op(id).describe();
+        flag(os.str());
       }
       break;
     }
@@ -64,7 +62,9 @@ void TraceValidator::on_event(const TraceEvent& e) {
         break;
       }
       const OpId id = exec_.read(e.proc, e.loc, e.value, source);
-      if (opts_.check_races && exec_.last_writes(id).size() > 1) {
+      // A read whose last-write set has more than one element is a data
+      // race (Definition 11).
+      if (exec_.last_writes(id).size() > 1) {
         std::ostringstream os;
         os << "data race: |W_o| > 1 for " << exec_.op(id).describe();
         flag(os.str());

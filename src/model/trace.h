@@ -51,9 +51,6 @@ class TraceValidator {
     /// paper's largest runs (RADIOSITY at 768 patches: about 38k ops on 32
     /// cores, 43k on 256), while bounding the graph's memory.
     size_t max_ops = 1'000'000;
-    /// Also flag reads whose last-write set has more than one element
-    /// (data races, Definition 11).
-    bool check_races = true;
   };
 
   TraceValidator(int num_procs, int num_locs,

@@ -107,9 +107,6 @@ struct BackendPolicy {
 
 /// Creates a back-end bound to `objs`. Checks that the machine configuration
 /// matches (e.g. SWCC requires cache_shared, no-CC requires uncached).
-std::unique_ptr<Backend> make_backend(BackendKind kind, ObjectSpace& objs);
-std::unique_ptr<Backend> make_backend(BackendKind kind, ObjectSpace& objs,
-                                      const FaultInjection& faults);
 std::unique_ptr<Backend> make_backend(BackendKind kind, ObjectSpace& objs,
                                       const FaultInjection& faults,
                                       const BackendPolicy& policy);

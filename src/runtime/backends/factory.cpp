@@ -11,15 +11,6 @@ std::optional<BackendKind> backend_from_string(std::string_view name) {
   return d->kind;
 }
 
-std::unique_ptr<Backend> make_backend(BackendKind kind, ObjectSpace& objs) {
-  return make_backend(kind, objs, FaultInjection{});
-}
-
-std::unique_ptr<Backend> make_backend(BackendKind kind, ObjectSpace& objs,
-                                      const FaultInjection& faults) {
-  return make_backend(kind, objs, faults, BackendPolicy{});
-}
-
 std::unique_ptr<Backend> make_backend(BackendKind kind, ObjectSpace& objs,
                                       const FaultInjection& faults,
                                       const BackendPolicy& policy) {

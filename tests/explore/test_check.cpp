@@ -45,6 +45,46 @@ TEST(CheckTargetNames, AreStableAndBackendQualified) {
             "fuzz-seed-3@nocc");
 }
 
+/// The target's own verdict on one schedule: spec.judge alone, without the
+/// Definition 12 rule judge_run applies on top.
+RunOutcome own_verdict(const CheckTarget& target, const DecisionString& ds,
+                       uint64_t horizon) {
+  const StatefulSpec spec = target.make_spec();
+  ReplayPolicy policy(ds, horizon, /*record_footprints=*/false);
+  rt::ProgramOptions opts = spec.opts;
+  opts.schedule_policy = &policy;
+  rt::Program prog(opts);
+  spec.setup(prog);
+  prog.run(spec.body);
+  RunOutcome out;
+  spec.judge(prog, out);
+  return out;
+}
+
+TEST(CheckSession, Definition12VerdictBeatsTheTargetsOwnOracle) {
+  // With the seeded SWCC fault, a reader pops a stale slot: the validator
+  // rejects the read and the broadcast oracle rejects the element. The
+  // validator's verdict must win on both engines.
+  const MFifoTarget target(rt::Target::kSWCC, MFifoShape{},
+                           seeded_fault(rt::Target::kSWCC));
+  for (const EngineState state :
+       {EngineState::kReplay, EngineState::kSnapshot}) {
+    const SessionOptions opts = app_opts(DporMode::kSleepSet, 1, state);
+    const CheckReport rep = CheckSession(opts).check(target);
+    ASSERT_FALSE(rep.ok) << to_string(state);
+    const RunOutcome own =
+        own_verdict(target, rep.first_failing, opts.explore.horizon);
+    EXPECT_FALSE(own.ok) << to_string(state);
+    EXPECT_FALSE(own.message.starts_with("Definition 12 violation: "))
+        << own.message;
+    EXPECT_TRUE(
+        rep.first_failing_message.starts_with("Definition 12 violation: "))
+        << to_string(state) << ": " << rep.first_failing_message;
+    EXPECT_TRUE(rep.minimized_message.starts_with("Definition 12 violation: "))
+        << to_string(state) << ": " << rep.minimized_message;
+  }
+}
+
 TEST(FnTarget, WrapsAdHocRunners) {
   const FnTarget target("always-ok", [](ReplayPolicy&) {
     RunOutcome out;

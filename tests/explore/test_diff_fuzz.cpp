@@ -3,10 +3,14 @@
 // validator and land on the generator's closed-form final state. Seeded
 // protocol faults must be found, program- and schedule-minimized, and
 // reported with an exact one-command repro line in the assertion message.
-#include "explore/diff_check.h"
-
+// Each (program, back-end) pair is one GenProgramTarget checked through the
+// CheckSession front door.
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "explore/check.h"
 #include "explore/litmus_driver.h"
@@ -25,17 +29,47 @@ ExploreConfig fuzz_cfg() {
 
 rt::FaultInjection all_faults() { return all_seeded_faults(); }
 
+/// One back-end's verdict on a generated program.
+struct BackendReport {
+  rt::Target target;
+  CheckReport rep;
+};
+
+/// Checks `prog` on every simulated back-end, in sim_targets() order.
+std::vector<BackendReport> check_all(const GenProgram& prog,
+                                     const rt::FaultInjection& faults,
+                                     int jobs) {
+  const CheckSession session(fuzz_cfg(), jobs);
+  std::vector<BackendReport> out;
+  for (const rt::Target t : rt::sim_targets()) {
+    out.push_back({t, session.check(GenProgramTarget(prog, t, faults))});
+  }
+  return out;
+}
+
+/// The first back-end (in sim_targets() order) on which `prog` fails.
+std::optional<BackendReport> first_failure(const GenProgram& prog,
+                                           const rt::FaultInjection& faults,
+                                           int jobs) {
+  const CheckSession session(fuzz_cfg(), jobs);
+  for (const rt::Target t : rt::sim_targets()) {
+    CheckReport rep = session.check(GenProgramTarget(prog, t, faults));
+    if (!rep.ok) return BackendReport{t, std::move(rep)};
+  }
+  return std::nullopt;
+}
+
 /// The one assertion every fuzz property funnels through: a failing report
 /// trips EXPECT_TRUE with the repro line (and the minimized program) in the
 /// assertion message — the contract the grep test below locks in.
-void expect_diff_ok(const DiffReport& rep) {
-  if (!rep.failure.has_value()) {
-    EXPECT_TRUE(rep.ok);
-    return;
-  }
-  EXPECT_TRUE(rep.ok) << rep.failure->message << "\n"
-                      << rep.failure->repro << "\nminimized program:\n"
-                      << to_string(rep.failure->program);
+void expect_diff_ok(const GenProgram& prog, const rt::FaultInjection& faults,
+                    const BackendReport& b) {
+  EXPECT_TRUE(b.rep.ok)
+      << b.rep.minimized_message << "\n"
+      << fuzz::repro_line(prog.shape, b.target, b.rep.repro_schedule, faults)
+      << "\nminimized program:\n"
+      << (b.rep.minimized_listing.empty() ? to_string(prog)
+                                          : b.rep.minimized_listing);
 }
 
 // -- Generator invariants ---------------------------------------------------
@@ -120,11 +154,11 @@ class DiffFuzzSeeds : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DiffFuzzSeeds, EveryBackendValidatesAndAgreesOnEverySchedule) {
   const GenProgram prog = generate_program(shape_for_seed(GetParam()));
-  const DiffCheck dc(prog);
-  const DiffReport rep = dc.check(fuzz_cfg(), /*jobs=*/2);
-  expect_diff_ok(rep);
-  EXPECT_FALSE(rep.truncated);
-  EXPECT_GE(rep.explored, 4u);  // at least the default schedule per back-end
+  for (const BackendReport& b : check_all(prog, {}, /*jobs=*/2)) {
+    expect_diff_ok(prog, {}, b);
+    EXPECT_FALSE(b.rep.truncated) << rt::to_string(b.target);
+    EXPECT_GE(b.rep.explored, 1u) << rt::to_string(b.target);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffFuzzSeeds,
@@ -134,62 +168,64 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DiffFuzzSeeds,
 
 TEST(DiffFuzz, SeededFaultIsFoundMinimizedAndReplayable) {
   const GenProgram prog = generate_program(shape_for_seed(1));
-  const DiffCheck dc(prog, all_faults());
-  const ExploreConfig cfg = fuzz_cfg();
-  const DiffReport rep = dc.check(cfg, 2);
-  ASSERT_FALSE(rep.ok);
-  ASSERT_TRUE(rep.failure.has_value());
-  const DiffFailure& f = *rep.failure;
+  const std::optional<BackendReport> f = first_failure(prog, all_faults(), 2);
+  ASSERT_TRUE(f.has_value());
+  const CheckReport& rep = f->rep;
+  const std::string repro =
+      fuzz::repro_line(prog.shape, f->target, rep.repro_schedule, all_faults());
 
   // The repro line carries the env var, the ctest invocation, the fault
   // re-injection flag, and a step:choice replay string.
-  EXPECT_NE(f.repro.find("PMC_FUZZ_SEEDS="), std::string::npos) << f.repro;
-  EXPECT_NE(f.repro.find("ctest -R"), std::string::npos) << f.repro;
-  EXPECT_NE(f.repro.find("--seed-bug"), std::string::npos) << f.repro;
-  const size_t replay_at = f.repro.find("--replay=");
-  ASSERT_NE(replay_at, std::string::npos) << f.repro;
+  EXPECT_NE(repro.find("PMC_FUZZ_SEEDS="), std::string::npos) << repro;
+  EXPECT_NE(repro.find("ctest -R"), std::string::npos) << repro;
+  EXPECT_NE(repro.find("--seed-bug"), std::string::npos) << repro;
+  const size_t replay_at = repro.find("--replay=");
+  ASSERT_NE(replay_at, std::string::npos) << repro;
 
   // The repro's replay string holds on the *original* program (the one the
   // CLI regenerates from the seed): it must fail there, fully applied.
   const DecisionString repro_schedule = parse_decision_string(
-      f.repro.substr(replay_at + std::string("--replay=").size()));
-  const CheckSession session(cfg, /*jobs=*/2);
-  const auto original = dc.target(f.target);
+      repro.substr(replay_at + std::string("--replay=").size()));
+  const CheckSession session(fuzz_cfg(), /*jobs=*/2);
+  const GenProgramTarget original(prog, f->target, all_faults());
   bool applied = false;
-  EXPECT_FALSE(session.replay(*original, repro_schedule, &applied).ok);
+  EXPECT_FALSE(session.replay(original, repro_schedule, &applied).ok);
   EXPECT_TRUE(applied);
 
   // The minimized program got smaller and the minimized schedule still
   // reproduces the exact failure on it.
-  EXPECT_LT(f.program.ops(), prog.ops());
-  const GenProgramTarget minimized(f.program, f.target, all_faults());
+  const auto* minimized =
+      dynamic_cast<const GenProgramTarget*>(rep.minimized_target.get());
+  ASSERT_NE(minimized, nullptr);
+  EXPECT_LT(minimized->program().ops(), prog.ops());
   applied = false;
-  const RunOutcome out = session.replay(minimized, f.schedule, &applied);
+  const RunOutcome out =
+      session.replay(*minimized, rep.minimized_schedule, &applied);
   EXPECT_TRUE(applied);
   EXPECT_FALSE(out.ok);
-  EXPECT_EQ(out.message, f.message);
+  EXPECT_EQ(out.message, rep.minimized_message);
 }
 
 TEST(DiffFuzz, SeededFailureIsIdenticalAtAnyJobCount) {
   const rt::FaultInjection faults =
       rt::FaultInjection::one("swcc_skip_exit_writeback");
   const GenProgram prog = generate_program(shape_for_seed(2));
-  const DiffCheck dc(prog, faults);
-  const DiffReport ref = dc.check(fuzz_cfg(), 1);
-  ASSERT_TRUE(ref.failure.has_value());
+  const std::vector<BackendReport> ref = check_all(prog, faults, 1);
+  ASSERT_TRUE(std::any_of(ref.begin(), ref.end(), [](const BackendReport& b) {
+    return !b.rep.ok;
+  }));
   for (int jobs : {2, 8}) {
-    const DiffReport rep = dc.check(fuzz_cfg(), jobs);
-    ASSERT_TRUE(rep.failure.has_value()) << "jobs=" << jobs;
-    EXPECT_EQ(rep.explored, ref.explored) << "jobs=" << jobs;
-    EXPECT_EQ(rep.pruned, ref.pruned) << "jobs=" << jobs;
-    EXPECT_EQ(rep.failure->target, ref.failure->target) << "jobs=" << jobs;
-    EXPECT_EQ(to_string(rep.failure->schedule),
-              to_string(ref.failure->schedule))
-        << "jobs=" << jobs;
-    EXPECT_EQ(to_string(rep.failure->program), to_string(ref.failure->program))
-        << "jobs=" << jobs;
-    EXPECT_EQ(rep.failure->message, ref.failure->message) << "jobs=" << jobs;
-    EXPECT_EQ(rep.failure->repro, ref.failure->repro) << "jobs=" << jobs;
+    const std::vector<BackendReport> got = check_all(prog, faults, jobs);
+    ASSERT_EQ(got.size(), ref.size());
+    for (size_t i = 0; i < ref.size(); ++i) {
+      // to_text carries the totals, the failing and minimized schedules
+      // with their verdicts, and the minimized program listing.
+      EXPECT_EQ(got[i].rep.to_text(), ref[i].rep.to_text())
+          << "jobs=" << jobs;
+      EXPECT_EQ(to_string(got[i].rep.repro_schedule),
+                to_string(ref[i].rep.repro_schedule))
+          << "jobs=" << jobs;
+    }
   }
 }
 
@@ -197,12 +233,13 @@ TEST(DiffFuzz, AssertionMessageCarriesTheReproLine) {
   // Force a seeded-bug failure through the real assertion path and grep the
   // resulting gtest message for the repro line (ISSUE satellite).
   const GenProgram prog = generate_program(shape_for_seed(1));
-  const DiffCheck dc(prog, all_faults());
-  const DiffReport rep = dc.check(fuzz_cfg(), 2);
-  ASSERT_FALSE(rep.ok);
-  EXPECT_NONFATAL_FAILURE(expect_diff_ok(rep), "PMC_FUZZ_SEEDS=");
-  EXPECT_NONFATAL_FAILURE(expect_diff_ok(rep), "ctest -R");
-  EXPECT_NONFATAL_FAILURE(expect_diff_ok(rep), "--replay=");
+  const std::optional<BackendReport> f = first_failure(prog, all_faults(), 2);
+  ASSERT_TRUE(f.has_value());
+  EXPECT_NONFATAL_FAILURE(expect_diff_ok(prog, all_faults(), *f),
+                          "PMC_FUZZ_SEEDS=");
+  EXPECT_NONFATAL_FAILURE(expect_diff_ok(prog, all_faults(), *f), "ctest -R");
+  EXPECT_NONFATAL_FAILURE(expect_diff_ok(prog, all_faults(), *f),
+                          "--replay=");
 }
 
 }  // namespace

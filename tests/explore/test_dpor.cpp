@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "explore/check.h"
-#include "explore/diff_check.h"
 #include "explore/litmus_driver.h"
 #include "explore/program_gen.h"
 #include "model/litmus_library.h"
@@ -341,30 +340,28 @@ TEST(Dpor, TotalsAreBitIdenticalAcrossJobCounts) {
   }
 }
 
-// -- DiffCheck picks the reduction up for free -------------------------------
+// -- Generated programs pick the reduction up for free ----------------------
 
-TEST(Dpor, DiffCheckAgreesWithTheUnreducedVerdict) {
+TEST(Dpor, GenProgramTargetAgreesWithTheUnreducedVerdict) {
   // Scan a few fuzz seeds with every seeded protocol fault injected; on the
   // first program whose unreduced exploration fails, the reduced one must
-  // fail too, on the same back-end — DiffCheck picks DPOR up through
-  // ExploreConfig without any code of its own.
+  // fail too, on the same back-ends — GenProgramTarget picks DPOR up
+  // through ExploreConfig without any code of its own.
   ExploreConfig cfg;
   cfg.preemption_bound = 1;
   cfg.horizon = 10;
   bool found_failure = false;
   for (uint64_t seed = 0; seed < 6 && !found_failure; ++seed) {
     const GenProgram prog = generate_program(shape_for_seed(seed));
-    const DiffCheck dc(prog, all_seeded_faults());
-    cfg.dpor = DporMode::kOff;
-    const DiffReport off = dc.check(cfg, /*jobs=*/1);
-    cfg.dpor = DporMode::kSleepSet;
-    const DiffReport on = dc.check(cfg, /*jobs=*/2);
-    EXPECT_LE(on.explored, off.explored) << "seed " << seed;
-    ASSERT_EQ(off.ok, on.ok) << "seed " << seed;
-    if (!off.ok) {
-      ASSERT_TRUE(on.failure.has_value());
-      EXPECT_EQ(off.failure->target, on.failure->target) << "seed " << seed;
-      found_failure = true;
+    for (const rt::Target t : rt::sim_targets()) {
+      const GenProgramTarget target(prog, t, all_seeded_faults());
+      cfg.dpor = DporMode::kOff;
+      const auto off = CheckSession(cfg, /*jobs=*/1).explore(target);
+      cfg.dpor = DporMode::kSleepSet;
+      const auto on = CheckSession(cfg, /*jobs=*/2).explore(target);
+      EXPECT_LE(on.explored, off.explored) << target.name();
+      EXPECT_EQ(off.failing > 0, on.failing > 0) << target.name();
+      found_failure = found_failure || off.failing > 0;
     }
   }
   EXPECT_TRUE(found_failure)

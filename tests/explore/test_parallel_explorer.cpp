@@ -204,14 +204,15 @@ TEST(ParallelEngine, SingleJobMinimizeReplaysLikeAFirstAcceptScan) {
   const auto rep = session.explore(target);
   ASSERT_GT(rep.failing, 0u);
   std::atomic<uint64_t> calls{0};
-  const ScheduleRunner counting = [&](ReplayPolicy& p) {
+  const FnTarget counting("counting", [&](ReplayPolicy& p) {
     ++calls;
     return target.run(p);
-  };
+  });
   uint64_t total = 0;
   for (const DecisionString& f : rep.failing_schedules) {
     calls = 0;
-    const DecisionString ref = first_accept_scan(counting, f, cfg.horizon);
+    const DecisionString ref =
+        first_accept_scan(counting.runner(), f, cfg.horizon);
     const uint64_t ref_calls = calls.exchange(0);
     EXPECT_EQ(to_string(session.minimize(counting, f)), to_string(ref));
     EXPECT_EQ(calls.load(), ref_calls) << "from \"" << to_string(f) << "\"";

@@ -3,7 +3,7 @@
 // sense-reversing barrier must hold on every explored interleaving — raw on
 // the machine (no runtime back-end in the way) and at the Env level on all
 // four Table II back-ends. Everything goes through the CheckSession front
-// door; raw runners ride along as ScheduleRunner lambdas (DESIGN.md §9).
+// door; raw runners ride along wrapped in FnTarget (DESIGN.md §9).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -136,10 +136,10 @@ class LockKind : public ::testing::TestWithParam<bool> {};
 TEST_P(LockKind, MutualExclusionHoldsOnEveryExploredSchedule) {
   const bool dist = GetParam();
   const CheckSession session(sync_cfg(), /*jobs=*/2);
-  const auto rep = session.explore([dist](ReplayPolicy& p) {
+  const auto rep = session.explore(FnTarget("locked", [dist](ReplayPolicy& p) {
     return run_lock_once(dist, /*locked=*/true, /*cores=*/2,
                          /*rounds=*/2, p);
-  });
+  }));
   EXPECT_EQ(rep.failing, 0u)
       << "schedule \"" << to_string(rep.first_failing)
       << "\": " << rep.first_failing_message;
@@ -154,10 +154,11 @@ TEST_P(LockKind, OracleHasTeethWithoutTheLock) {
   ExploreConfig cfg = sync_cfg();
   cfg.horizon = 20;
   const CheckSession session(cfg, /*jobs=*/2);
-  const auto rep = session.explore([dist](ReplayPolicy& p) {
-    return run_lock_once(dist, /*locked=*/false, /*cores=*/2,
-                         /*rounds=*/2, p);
-  });
+  const auto rep =
+      session.explore(FnTarget("unlocked", [dist](ReplayPolicy& p) {
+        return run_lock_once(dist, /*locked=*/false, /*cores=*/2,
+                             /*rounds=*/2, p);
+      }));
   EXPECT_GT(rep.failing, 0u)
       << "no explored schedule lost an update on the unlocked counter";
 }
@@ -170,8 +171,9 @@ INSTANTIATE_TEST_SUITE_P(Managers, LockKind, ::testing::Bool(),
 
 TEST(BarrierExplore, AllArrivedBeforeAnyoneLeavesOnEverySchedule) {
   const CheckSession session(sync_cfg(), /*jobs=*/2);
-  const auto rep = session.explore(
-      [](ReplayPolicy& p) { return run_barrier_once(3, /*rounds=*/2, p); });
+  const auto rep = session.explore(FnTarget("barrier", [](ReplayPolicy& p) {
+    return run_barrier_once(3, /*rounds=*/2, p);
+  }));
   EXPECT_EQ(rep.failing, 0u)
       << "schedule \"" << to_string(rep.first_failing)
       << "\": " << rep.first_failing_message;
@@ -289,8 +291,9 @@ TEST_P(BackendSync, BarrierMakesPreBarrierWritesVisibleOnEverySchedule) {
   cfg.preemption_bound = 1;
   cfg.horizon = 12;
   const CheckSession session(cfg, /*jobs=*/2);
-  const auto rep = session.explore(
-      [t](ReplayPolicy& p) { return run_env_barrier_once(t, 2, p); });
+  const auto rep = session.explore(FnTarget(
+      "env-barrier",
+      [t](ReplayPolicy& p) { return run_env_barrier_once(t, 2, p); }));
   EXPECT_EQ(rep.failing, 0u)
       << rt::to_string(t) << ": schedule \"" << to_string(rep.first_failing)
       << "\": " << rep.first_failing_message;

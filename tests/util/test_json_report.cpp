@@ -81,5 +81,28 @@ TEST(JsonReport, NoJsonFlagWritesNothing) {
   EXPECT_TRUE(json.maybe_write(1, argv));
 }
 
+TEST(FlagInt, ParsesWholeIntegersAndRejectsEverythingElse) {
+  char prog[] = "test";
+  char neg[] = "--preemptions=-3";
+  char pos[] = "--fuzz=12";
+  char* good[] = {prog, neg, pos};
+  EXPECT_EQ(flag_int(3, good, "preemptions", 0), -3);
+  EXPECT_EQ(flag_int(3, good, "fuzz", 0), 12);
+  EXPECT_EQ(flag_int(3, good, "jobs", 7), 7);  // absent: the default
+
+  char word[] = "--preemptions=two";
+  char suffix[] = "--fuzz=3x";
+  char* bad[] = {prog, word, suffix};
+  try {
+    flag_int(3, bad, "preemptions", 0);
+    ADD_FAILURE() << "--preemptions=two parsed";
+  } catch (const util::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("--preemptions=two"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(flag_int(3, bad, "fuzz", 0), util::CheckFailure);
+}
+
 }  // namespace
 }  // namespace pmc::bench
