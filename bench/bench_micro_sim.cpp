@@ -26,7 +26,24 @@ void BM_SchedulerHandoff(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * steps * cores);
 }
-BENCHMARK(BM_SchedulerHandoff)->Arg(2)->Arg(8)->Arg(32);
+BENCHMARK(BM_SchedulerHandoff)->Arg(2)->Arg(8)->Arg(32)->Arg(256);
+
+void BM_SchedulerStaggered(benchmark::State& state) {
+  // Distinct per-core deltas, the shape of a Fig. 8 run on a large mesh:
+  // clocks drift apart, so most advances hand off to a core deep in the
+  // ready queue rather than to the next id.
+  const int cores = static_cast<int>(state.range(0));
+  const int steps = 2000;
+  for (auto _ : state) {
+    Scheduler s(cores);
+    s.run([&](int core) {
+      const uint64_t delta = static_cast<uint64_t>(core + 1);
+      for (int i = 0; i < steps; ++i) s.advance(core, delta);
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * steps * cores);
+}
+BENCHMARK(BM_SchedulerStaggered)->Arg(256);
 
 void BM_SchedulerNoContention(benchmark::State& state) {
   // One active core: advances never yield.

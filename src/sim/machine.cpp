@@ -225,10 +225,11 @@ uint64_t Machine::digest(const Snapshot& s) {
     }
   }
   for (const auto& f : s.sched.fibers) {
-    // The saved ucontext holds host pointers (fpregs, uc_link); the register
-    // file that matters is implied by the stack slice + resume offsets.
-    // Hashing starts at the saved SP: the margin below it is dead at the
-    // swap and holds sanitizer-runtime residue.
+    // The fiber switch saves the callee-saved registers and FP control
+    // words on the stack, so hashing from the saved SP upward covers the
+    // whole switched-out context; the SP itself enters as its offset. The
+    // margin below the SP is dead at the switch and holds sanitizer-runtime
+    // residue.
     mix(f.stack_off + f.dead_bytes);
     mix_bytes(f.stack.data() + f.dead_bytes, f.stack.size() - f.dead_bytes);
   }

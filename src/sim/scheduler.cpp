@@ -8,9 +8,9 @@
 
 #include "util/check.h"
 
-// Sanitizers cannot follow a swapcontext stack switch on their own; the
-// fiber annotations below keep TSan's per-fiber state and ASan's stack
-// bounds in step with every swap (DESIGN.md §10).
+// Sanitizers cannot follow a fiber stack switch on their own; the fiber
+// annotations below keep TSan's per-fiber state and ASan's stack bounds in
+// step with every switch (DESIGN.md §10).
 #if defined(__SANITIZE_THREAD__)
 #define PMC_TSAN_FIBERS 1
 #endif
@@ -37,6 +37,50 @@ extern "C" void __tsan_func_entry(void* call_pc);
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+// pmc_fiber_switch(save_sp, load_sp): pushes the callee-saved registers and
+// an 8-byte FP-control slot (MXCSR, then the x87 control word) onto the
+// running stack, stores the stack pointer to *save_sp, loads the target's
+// from *load_sp and pops the target's saved state in reverse. Everything
+// else the System V ABI lets a callee clobber, so a plain call suffices and
+// no signal mask is touched (glibc's swapcontext makes a sigprocmask system
+// call on every switch). The target SP is read through its slot's address
+// inside the routine, never held in a C++ local: under ASan such a local is
+// spilled onto the fiber stack, and a host-context SP there makes snapshot
+// digests depend on where the host stack happened to be.
+asm(R"(
+  .pushsection .text
+  .globl pmc_fiber_switch
+  .hidden pmc_fiber_switch
+  .type pmc_fiber_switch, @function
+  .p2align 4
+pmc_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  pushq $0
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq (%rsi), %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size pmc_fiber_switch, .-pmc_fiber_switch
+  .popsection
+)");
+
+extern "C" void pmc_fiber_switch(void** save_sp, void* const* load_sp);
+
 namespace pmc::sim {
 
 namespace {
@@ -50,24 +94,11 @@ constexpr size_t kFiberStackBytes = 256 * 1024;
 /// pointer (the red zone); the saved slice starts below it.
 constexpr size_t kStackSliceMargin = 128;
 
-/// A fiber's first entry has no argument channel (makecontext varargs casts
-/// trip -Wcast-function-type), so the entry trampoline finds its scheduler
-/// here. Safe across concurrent Machines: every fiber of a scheduler runs on
-/// the host thread that called run()/resume().
+/// A fiber's first entry is a `ret` into fiber_entry and carries no
+/// argument, so the entry trampoline finds its scheduler here. Safe across
+/// concurrent Machines: every fiber of a scheduler runs on the host thread
+/// that called run()/resume().
 thread_local Scheduler* tl_fiber_sched = nullptr;
-
-/// Stack pointer of a saved context, for used-slice snapshotting; 0 means
-/// unknown (whole stack is copied instead).
-uintptr_t saved_sp(const FiberContext& ctx) {
-#if defined(__x86_64__)
-  return static_cast<uintptr_t>(ctx.uc_mcontext.gregs[REG_RSP]);
-#elif defined(__aarch64__)
-  return static_cast<uintptr_t>(ctx.uc_mcontext.sp);
-#else
-  (void)ctx;
-  return 0;
-#endif
-}
 
 size_t page_bytes() {
   static const size_t bytes = static_cast<size_t>(sysconf(_SC_PAGESIZE));
@@ -160,23 +191,72 @@ void Scheduler::trace_switch(int from, int to, bool from_done) {
   }
 }
 
-int Scheduler::pick_next() const {
-  int best = -1;
-  for (int i = 0; i < num_cores(); ++i) {
-    if (slots_[i].done) continue;
-    if (best == -1 || slots_[i].time < slots_[best].time) best = i;
+void Scheduler::sift_up(size_t i) {
+  const int core = ready_[i];
+  while (i > 0) {
+    const size_t parent = (i - 1) / 2;
+    if (!ready_before(core, ready_[parent])) break;
+    ready_[i] = ready_[parent];
+    pos_[static_cast<size_t>(ready_[i])] = static_cast<int>(i);
+    i = parent;
   }
-  return best;
+  ready_[i] = core;
+  pos_[static_cast<size_t>(core)] = static_cast<int>(i);
+}
+
+void Scheduler::sift_down(size_t i) {
+  const int core = ready_[i];
+  const size_t n = ready_.size();
+  const size_t start = i;
+  for (;;) {
+    size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && ready_before(ready_[child + 1], ready_[child])) {
+      ++child;
+    }
+    if (!ready_before(ready_[child], core)) break;
+    ready_[i] = ready_[child];
+    pos_[static_cast<size_t>(ready_[i])] = static_cast<int>(i);
+    i = child;
+  }
+  // Unmoved: skipping the two stores is measurably cheaper per advance().
+  if (i == start) return;
+  ready_[i] = core;
+  pos_[static_cast<size_t>(core)] = static_cast<int>(i);
+}
+
+void Scheduler::remove_ready(int core) {
+  const size_t i = static_cast<size_t>(pos_[static_cast<size_t>(core)]);
+  const int last = ready_.back();
+  ready_.pop_back();
+  pos_[static_cast<size_t>(core)] = -1;
+  if (last == core) return;
+  ready_[i] = last;
+  sift_up(i);
+  sift_down(static_cast<size_t>(pos_[static_cast<size_t>(last)]));
+}
+
+void Scheduler::rebuild_ready() {
+  ready_.clear();
+  pos_.assign(slots_.size(), -1);
+  for (int i = 0; i < num_cores(); ++i) {
+    if (!slots_[i].done) ready_.push_back(i);
+  }
+  // A sorted array is a valid heap.
+  std::sort(ready_.begin(), ready_.end(),
+            [this](int a, int b) { return ready_before(a, b); });
+  for (size_t i = 0; i < ready_.size(); ++i) {
+    pos_[static_cast<size_t>(ready_[i])] = static_cast<int>(i);
+  }
 }
 
 int Scheduler::consult_policy(int yielding) {
-  std::vector<ScheduleCandidate> cands;
-  cands.reserve(slots_.size());
-  for (int i = 0; i < num_cores(); ++i) {
-    if (!slots_[i].done) cands.push_back({i, slots_[i].time});
+  if (ready_.empty()) return -1;
+  cands_.clear();
+  for (const int core : ready_) {
+    cands_.push_back({core, slots_[static_cast<size_t>(core)].time});
   }
-  if (cands.empty()) return -1;
-  std::sort(cands.begin(), cands.end(),
+  std::sort(cands_.begin(), cands_.end(),
             [](const ScheduleCandidate& a, const ScheduleCandidate& b) {
               return a.time != b.time ? a.time < b.time : a.core < b.core;
             });
@@ -189,12 +269,12 @@ int Scheduler::consult_policy(int yielding) {
     yp.footprint = std::move(slots_[yielding].fp);
     slots_[yielding].fp.clear();
   }
-  const int choice = policy_->pick(yp, cands);
-  PMC_CHECK_MSG(choice >= 0 && choice < static_cast<int>(cands.size()),
+  const int choice = policy_->pick(yp, cands_);
+  PMC_CHECK_MSG(choice >= 0 && choice < static_cast<int>(cands_.size()),
                 "schedule policy returned candidate index "
-                    << choice << " of " << cands.size() << " at step "
+                    << choice << " of " << cands_.size() << " at step "
                     << yp.step);
-  const int chosen_core = cands[static_cast<size_t>(choice)].core;
+  const int chosen_core = cands_[static_cast<size_t>(choice)].core;
   Slot& chosen = slots_[chosen_core];
   // Bypassed cores were effectively stalled: the dispatched core may never
   // start a segment before the frontier, or its memory events could carry
@@ -212,6 +292,7 @@ int Scheduler::consult_policy(int yielding) {
       trace_->record(e);
     }
     chosen.time = frontier_;
+    sift_down(static_cast<size_t>(pos_[static_cast<size_t>(chosen_core)]));
   }
   frontier_ = chosen.time;
   return chosen_core;
@@ -221,6 +302,7 @@ void Scheduler::advance(int core, uint64_t delta) {
   PMC_CHECK_MSG(current_ == core, "advance() from a core that is not running");
   Slot& me = slots_[core];
   me.time += delta;
+  sift_down(static_cast<size_t>(pos_[static_cast<size_t>(core)]));
   PMC_CHECK_MSG(me.time < max_cycles_,
                 "simulation watchdog: core " << core << " passed "
                     << max_cycles_ << " cycles (deadlock?)");
@@ -229,7 +311,7 @@ void Scheduler::advance(int core, uint64_t delta) {
   if (next == core || next == -1) return;
   if (tracing()) trace_switch(core, next, /*from_done=*/false);
   current_ = next;
-  switch_to(fibers_[static_cast<size_t>(core)].ctx, next);
+  switch_to(fibers_[static_cast<size_t>(core)].sp, next);
 }
 
 void Scheduler::run(const std::function<void(int)>& body) {
@@ -245,6 +327,7 @@ void Scheduler::run(const std::function<void(int)>& body) {
   step_ = 0;
   frontier_ = 0;
   resume_core_ = -1;
+  rebuild_ready();
   init_fibers();
   tl_fiber_sched = this;
   // The pre-dispatch checkpoint (the root of a stateful search) runs on the
@@ -263,13 +346,6 @@ void Scheduler::run(const std::function<void(int)>& body) {
   drive();
 }
 
-bool Scheduler::all_done() const {
-  for (const Slot& s : slots_) {
-    if (!s.done) return false;
-  }
-  return true;
-}
-
 void Scheduler::fiber_entry() {
 #if defined(PMC_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
@@ -278,6 +354,8 @@ void Scheduler::fiber_entry() {
   // A fiber is only ever entered when it is the current core, so its own id
   // is exactly current_ at first dispatch.
   sched->fiber_main(sched->current_);
+  // Unreachable: fiber_main ends in a switch that never returns, and the
+  // hand-built first frame has no caller to return to.
 }
 
 void Scheduler::init_fibers() {
@@ -286,15 +364,29 @@ void Scheduler::init_fibers() {
     for (Fiber& f : fibers_) f.stack.reset(map_stack());
   }
   destroy_tsan_fibers();
+  // Fibers start with the host thread's FP control state (rounding mode,
+  // exception masks).
+  uint16_t x87_control = 0;
+  asm volatile("fnstcw %0" : "=m"(x87_control));
+  const uint64_t fp_control =
+      __builtin_ia32_stmxcsr() | uint64_t{x87_control} << 32;
   for (Fiber& f : fibers_) {
 #if defined(PMC_TSAN_FIBERS)
     f.tsan = __tsan_create_fiber(0);
 #endif
-    PMC_CHECK(getcontext(&f.ctx) == 0);
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = kFiberStackBytes;
-    f.ctx.uc_link = nullptr;  // fibers exit by explicit handoff, never return
-    makecontext(&f.ctx, &Scheduler::fiber_entry, 0);
+    // Frames of the previous run may have left ASan redzones poisoned, and
+    // only glibc's swapcontext interceptor would clear them.
+    unpoison(f.stack.get(), kFiberStackBytes);
+    // The frame pmc_fiber_switch pops, from the saved SP upward: the FP
+    // control slot, zeroed r15..r12/rbx/rbp, and a return address into
+    // fiber_entry, above which a null slot stands in for fiber_entry's own
+    // return address. The `ret` leaves SP at 8 mod 16, as after a call.
+    auto* top = reinterpret_cast<uint64_t*>(f.stack.get() + kFiberStackBytes);
+    uint64_t* sp = top - 9;
+    std::memset(sp, 0, 9 * sizeof(uint64_t));
+    sp[0] = fp_control;
+    sp[7] = reinterpret_cast<uint64_t>(&Scheduler::fiber_entry);
+    f.sp = sp;
   }
 }
 
@@ -307,9 +399,9 @@ void Scheduler::destroy_tsan_fibers() {
 #endif
 }
 
-void Scheduler::switch_to(FiberContext& from, int to, bool from_dies) {
-  FiberContext& target =
-      to >= 0 ? fibers_[static_cast<size_t>(to)].ctx : main_ctx_;
+void Scheduler::switch_to(void*& from_sp, int to, bool from_dies) {
+  void* const* const target_sp =
+      to >= 0 ? &fibers_[static_cast<size_t>(to)].sp : &main_sp_;
 #if defined(PMC_TSAN_FIBERS)
   __tsan_switch_to_fiber(
       to >= 0 ? fibers_[static_cast<size_t>(to)].tsan : main_tsan_, 0);
@@ -325,7 +417,7 @@ void Scheduler::switch_to(FiberContext& from, int to, bool from_dies) {
 #else
   (void)from_dies;
 #endif
-  swapcontext(&from, &target);
+  pmc_fiber_switch(&from_sp, target_sp);
 #if defined(PMC_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -333,11 +425,9 @@ void Scheduler::switch_to(FiberContext& from, int to, bool from_dies) {
 
 void Scheduler::maybe_checkpoint_yield(int core) {
   if (hook_ == nullptr) return;
-  int runnable = 0;
-  for (const Slot& s : slots_) runnable += s.done ? 0 : 1;
-  if (!hook_->wants_checkpoint(step_, runnable)) return;
+  if (!hook_->wants_checkpoint(step_, static_cast<int>(ready_.size()))) return;
   resume_core_ = core;
-  switch_to(fibers_[static_cast<size_t>(core)].ctx, /*to=*/-1);
+  switch_to(fibers_[static_cast<size_t>(core)].sp, /*to=*/-1);
   // Restored snapshots re-enter here — after the wants_checkpoint() test —
   // so the checkpoint that produced them is never re-offered.
   resume_core_ = -1;
@@ -350,6 +440,7 @@ void Scheduler::fiber_main(int core) {
     if (!error_) error_ = std::current_exception();
   }
   slots_[core].done = true;
+  remove_ready(core);
   // A core's completion is a decision point, and a checkpointable one
   // (children of an explored schedule may branch here). The consult is
   // guarded: a policy throw must not escape a fiber with no frame to unwind
@@ -364,7 +455,7 @@ void Scheduler::fiber_main(int core) {
   }
   if (tracing()) trace_switch(core, next, /*from_done=*/true);
   if (next != -1) current_ = next;
-  switch_to(fibers_[static_cast<size_t>(core)].ctx, next, /*from_dies=*/true);
+  switch_to(fibers_[static_cast<size_t>(core)].sp, next, /*from_dies=*/true);
   // Unreachable: a done fiber is never re-dispatched, and restore()
   // overwrites its context wholesale.
 }
@@ -374,7 +465,7 @@ void Scheduler::drive() {
   main_tsan_ = __tsan_get_current_fiber();
 #endif
   for (;;) {
-    switch_to(main_ctx_, current_);
+    switch_to(main_sp_, current_);
     if (all_done()) break;
     // A live fiber parked for a checkpoint: snapshot on this (main) context,
     // then hand control straight back to it.
@@ -416,16 +507,14 @@ Scheduler::Snapshot Scheduler::snapshot() const {
   s.fibers.reserve(fibers_.size());
   for (const Fiber& f : fibers_) {
     Snapshot::FiberImage img;
-    img.ctx = f.ctx;
+    img.sp = f.sp;
+    // The saved SP always lies inside the stack: init_fibers() sets it and
+    // every switch out of the fiber rewrites it.
     const uintptr_t base = reinterpret_cast<uintptr_t>(f.stack.get());
-    const uintptr_t top = base + kFiberStackBytes;
-    const uintptr_t sp = saved_sp(f.ctx);
-    // Unknown/degenerate SP: keep the whole stack (always safe).
-    const uintptr_t lo =
-        sp > base + kStackSliceMargin && sp <= top ? sp - kStackSliceMargin
-                                                   : base;
+    const uintptr_t sp = reinterpret_cast<uintptr_t>(f.sp);
+    const uintptr_t lo = std::max(sp - kStackSliceMargin, base);
     img.stack_off = static_cast<size_t>(lo - base);
-    img.dead_bytes = sp >= lo && sp <= top ? static_cast<size_t>(sp - lo) : 0;
+    img.dead_bytes = static_cast<size_t>(sp - lo);
     // Parked frames keep their ASan redzones poisoned; the copy reads them.
     unpoison(f.stack.get() + img.stack_off, kFiberStackBytes - img.stack_off);
     img.stack.assign(f.stack.get() + img.stack_off,
@@ -452,14 +541,14 @@ void Scheduler::restore(const Snapshot& s) {
   current_ = s.current;
   resume_core_ = s.resume_core;
   error_ = s.error;
+  rebuild_ready();
 #if defined(PMC_TSAN_FIBERS)
   void* const self = __tsan_get_current_fiber();
 #endif
   for (size_t i = 0; i < fibers_.size(); ++i) {
     Fiber& f = fibers_[i];
-    // Same-object restore keeps the glibc uc_mcontext.fpregs self-pointer
-    // (into this very ucontext_t) and the uc_stack base valid.
-    f.ctx = s.fibers[i].ctx;
+    // Same-object restore keeps the saved SP pointing into this very stack.
+    f.sp = s.fibers[i].sp;
     unpoison(f.stack.get(), kFiberStackBytes);
     std::memcpy(f.stack.get() + s.fibers[i].stack_off, s.fibers[i].stack.data(),
                 s.fibers[i].stack.size());

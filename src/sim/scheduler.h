@@ -1,10 +1,12 @@
 // Deterministic many-core scheduler.
 //
-// Each simulated core runs application code natively on its own ucontext
-// fiber, and every fiber of a scheduler runs on the host thread that called
-// run(). Exactly one core executes at any moment: the one with the smallest
-// (local_time, core_id). Every simulator call advances the caller's local
-// clock and is a potential handoff point (a direct fiber-to-fiber swap).
+// Each simulated core runs application code natively on its own fiber (a
+// private mmap'ed stack entered by a register-only x86-64 context switch),
+// and every fiber of a scheduler runs on the host thread that called run().
+// Exactly one core executes at any moment: the one with the smallest
+// (local_time, core_id), kept at the top of an indexed min-heap of runnable
+// cores. Every simulator call advances the caller's local clock and is a
+// potential handoff point (a direct fiber-to-fiber switch).
 // Consequences:
 //
 //  * all memory-system events are generated in nondecreasing global time
@@ -30,17 +32,14 @@
 #include <memory>
 #include <vector>
 
-#if !defined(__linux__)
-#error "sim::Scheduler runs cores as ucontext fibers and needs Linux"
+#if !defined(__linux__) || !defined(__x86_64__)
+#error "sim::Scheduler switches fibers with an x86-64 routine and needs Linux"
 #endif
-#include <ucontext.h>
 
 #include "obs/trace.h"
 #include "sim/footprint.h"
 
 namespace pmc::sim {
-
-using FiberContext = ::ucontext_t;
 
 /// One runnable core at a decision point.
 struct ScheduleCandidate {
@@ -142,10 +141,13 @@ class Scheduler {
   /// swapped between run()/resume() calls.
   void set_checkpoint_hook(CheckpointHook* hook) { hook_ = hook; }
 
-  /// Deep copy of all scheduler-owned mutable state, including each fiber's
-  /// machine context and the used slice of its stack. Restorable only into
-  /// the *same* Scheduler (fiber stacks and the glibc ucontext FPU-state
-  /// self-pointer are address-dependent). Callable from
+  /// Deep copy of all scheduler-owned mutable state: the per-core records
+  /// and, per fiber, its saved stack pointer and the used slice of its
+  /// stack (the switch keeps the callee-saved registers and the FP control
+  /// words on the stack, so the slice holds them too). Restorable only into
+  /// the *same* Scheduler: the saved stack pointers and the frames' pointers
+  /// into their own stacks are addresses. The ready queue is derived from
+  /// the records and is rebuilt, not copied. Callable from
   /// CheckpointHook::on_checkpoint, i.e. from the main context.
   struct Snapshot {
     struct SlotState {
@@ -156,7 +158,7 @@ class Scheduler {
       Footprint fp;
     };
     struct FiberImage {
-      FiberContext ctx{};
+      void* sp = nullptr;          // saved stack pointer
       size_t stack_off = 0;        // offset of the saved slice in the stack
       std::vector<uint8_t> stack;  // [stack_off, stack_off + stack.size())
       /// Bytes at the front of `stack` below the saved stack pointer: the
@@ -234,7 +236,7 @@ class Scheduler {
   };
 
   struct Fiber {
-    FiberContext ctx{};
+    void* sp = nullptr;  // saved stack pointer while the fiber is switched out
     std::unique_ptr<uint8_t, StackUnmap> stack;  // lowest usable byte
     void* tsan = nullptr;  // ThreadSanitizer fiber context (TSan builds)
   };
@@ -245,7 +247,8 @@ class Scheduler {
   /// finished core). Caller checks tracing().
   void trace_switch(int from, int to, bool from_done);
 
-  int pick_next() const;
+  /// Lowest (time, core) runnable core, -1 when all are done.
+  int pick_next() const { return ready_.empty() ? -1 : ready_[0]; }
   /// Consults the policy, warps the chosen core's clock to the frontier and
   /// advances the frontier; returns the chosen core or -1 when all done.
   int consult_policy(int yielding);
@@ -254,22 +257,40 @@ class Scheduler {
     return policy_ != nullptr ? consult_policy(yielding) : pick_next();
   }
 
+  // Ready queue: a binary min-heap of the runnable cores ordered by
+  // (time, core) — a strict order, so its top is exactly the core a linear
+  // scan for the minimum would pick. A core's clock only ever grows while
+  // it is queued, so advance() and the frontier warp sift it down.
+  bool ready_before(int a, int b) const {
+    const uint64_t ta = slots_[a].time, tb = slots_[b].time;
+    return ta != tb ? ta < tb : a < b;
+  }
+  void sift_up(size_t i);
+  void sift_down(size_t i);
+  void remove_ready(int core);
+  /// Refills the heap from the slots' done flags and clocks.
+  void rebuild_ready();
+
   // The decision is consulted *on* the yielding fiber and handoffs are direct
   // fiber-to-fiber swaps; the main context is entered only for checkpoints
   // and at run end, so checkpointing cannot perturb decision order.
   void init_fibers();
   void destroy_tsan_fibers();
-  /// Saves the running context into `from` and enters core `to` (-1: the
-  /// main context), with the sanitizer fiber annotations around the swap.
-  /// `from_dies` marks a fiber's final exit.
-  void switch_to(FiberContext& from, int to, bool from_dies = false);
+  /// Saves the running context's stack pointer into `from_sp` and enters
+  /// core `to` (-1: the main context), with the sanitizer fiber annotations
+  /// around the switch. `from_dies` marks a fiber's final exit.
+  void switch_to(void*& from_sp, int to, bool from_dies = false);
   void drive();
   void maybe_checkpoint_yield(int core);
   void fiber_main(int core);
-  bool all_done() const;
-  static void fiber_entry();  // makecontext target; dispatches via a TLS ptr
+  bool all_done() const { return ready_.empty(); }
+  /// First frame of every fiber; dispatches via a TLS pointer.
+  static void fiber_entry();
 
   std::vector<Slot> slots_;
+  std::vector<int> ready_;  // ready-queue heap of core ids
+  std::vector<int> pos_;    // per core: index in ready_, -1 once done
+  std::vector<ScheduleCandidate> cands_;  // consult_policy's reused list
   int current_ = 0;
   uint64_t max_cycles_;
   std::exception_ptr error_;
@@ -280,7 +301,7 @@ class Scheduler {
   uint64_t frontier_ = 0;  // latest dispatch time (policy runs only)
 
   std::vector<Fiber> fibers_;  // allocated on the first run()
-  FiberContext main_ctx_{};
+  void* main_sp_ = nullptr;    // the host context's SP while a fiber runs
   void* main_tsan_ = nullptr;  // the host thread's TSan fiber, set by drive()
   CheckpointHook* hook_ = nullptr;
   int resume_core_ = -1;  // fiber parked at the live checkpoint, -1 otherwise

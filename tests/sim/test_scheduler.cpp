@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfenv>
+#include <cstddef>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -253,6 +257,206 @@ TEST(Scheduler, ManyCoresFinishIndependently) {
   for (int c = 0; c < 16; ++c) {
     EXPECT_EQ(final_time[c], static_cast<uint64_t>(2 * (c + 1)));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Ready queue against a linear-scan reference
+// ---------------------------------------------------------------------------
+
+using Dispatch = std::pair<int, uint64_t>;  // (core, clock) at each step
+using Scripts = std::vector<std::vector<uint64_t>>;
+
+/// Seeded per-core delta scripts: zero deltas and tiny steps make equal-clock
+/// ties common, and empty or short scripts finish cores early.
+Scripts make_scripts(int cores, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  Scripts scripts(static_cast<size_t>(cores));
+  for (auto& script : scripts) {
+    const size_t len = rng() % 5 == 0 ? rng() % 3 : rng() % 24;
+    for (size_t i = 0; i < len; ++i) {
+      static constexpr uint64_t kDeltas[] = {0, 0, 1, 1, 2, 3, 5, 17};
+      script.push_back(kDeltas[rng() % std::size(kDeltas)]);
+    }
+  }
+  return scripts;
+}
+
+/// Runs each core through its script, logging (core, now) before every
+/// advance and once more as it finishes.
+std::vector<Dispatch> run_scripts(Scheduler& s, const Scripts& scripts) {
+  std::vector<Dispatch> log;
+  s.run([&](int core) {
+    for (const uint64_t delta : scripts[static_cast<size_t>(core)]) {
+      log.emplace_back(core, s.now(core));
+      s.advance(core, delta);
+    }
+    log.emplace_back(core, s.now(core));
+  });
+  return log;
+}
+
+/// Deterministic pseudo-random candidate index for decision `step`.
+size_t random_pick(uint64_t step, size_t n) {
+  uint64_t z = step * 0x9E3779B97F4A7C15ull + 0x632BE59BD9B4E5ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return static_cast<size_t>((z ^ (z >> 31)) % n);
+}
+
+/// Picks random_pick(step) and records every candidate list it is handed.
+class RandomPickPolicy : public SchedulePolicy {
+ public:
+  int pick(const YieldPoint& yp,
+           const std::vector<ScheduleCandidate>& cands) override {
+    std::vector<Dispatch> list;
+    for (const auto& c : cands) list.emplace_back(c.core, c.time);
+    seen.push_back(std::move(list));
+    return static_cast<int>(random_pick(yp.step, cands.size()));
+  }
+  std::vector<std::vector<Dispatch>> seen;
+};
+
+/// Reference dispatch order over `scripts`. Without `cand_lists` it takes
+/// the default pick by linear scan: the lowest (time, id) unfinished core.
+/// With it, it applies random_pick(step) to the sorted candidate list, warps
+/// the chosen core to the frontier, and records every list.
+std::vector<Dispatch> reference_run(
+    const Scripts& scripts,
+    std::vector<std::vector<Dispatch>>* cand_lists = nullptr) {
+  const size_t n = scripts.size();
+  std::vector<uint64_t> time(n, 0);
+  std::vector<size_t> next(n, 0);
+  std::vector<bool> done(n, false);
+  std::vector<Dispatch> log;
+  uint64_t frontier = 0;
+  for (uint64_t step = 0;; ++step) {
+    int best = -1;
+    if (cand_lists == nullptr) {
+      for (size_t c = 0; c < n; ++c) {
+        if (!done[c] &&
+            (best == -1 || time[c] < time[static_cast<size_t>(best)])) {
+          best = static_cast<int>(c);
+        }
+      }
+    } else {
+      std::vector<Dispatch> cands;
+      for (size_t c = 0; c < n; ++c) {
+        if (!done[c]) cands.emplace_back(static_cast<int>(c), time[c]);
+      }
+      std::sort(cands.begin(), cands.end(),
+                [](const Dispatch& a, const Dispatch& b) {
+                  return a.second != b.second ? a.second < b.second
+                                              : a.first < b.first;
+                });
+      if (!cands.empty()) {
+        best = cands[random_pick(step, cands.size())].first;
+        cand_lists->push_back(std::move(cands));
+      }
+    }
+    if (best == -1) return log;
+    const size_t c = static_cast<size_t>(best);
+    time[c] = std::max(time[c], frontier);
+    frontier = time[c];
+    log.emplace_back(best, time[c]);
+    if (next[c] < scripts[c].size()) {
+      time[c] += scripts[c][next[c]++];
+    } else {
+      done[c] = true;
+    }
+  }
+}
+
+TEST(Scheduler, ReadyQueueMatchesLinearScan) {
+  for (const int cores : {1, 2, 7, 64, 256}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << cores << " cores, seed " << seed);
+      const Scripts scripts = make_scripts(cores, seed * 1000 + cores);
+      Scheduler plain(cores);
+      EXPECT_EQ(run_scripts(plain, scripts), reference_run(scripts));
+
+      // A policy picking random indices warps clocks to the frontier; its
+      // candidate lists come from the ready queue and must stay sorted.
+      Scheduler hooked(cores);
+      RandomPickPolicy policy;
+      hooked.set_policy(&policy);
+      std::vector<std::vector<Dispatch>> want_cands;
+      const auto want = reference_run(scripts, &want_cands);
+      EXPECT_EQ(run_scripts(hooked, scripts), want);
+      EXPECT_EQ(policy.seen, want_cands);
+    }
+  }
+}
+
+TEST(Scheduler, FloatingPointControlStateIsPerFiber) {
+  // Rounding mode lives in MXCSR (SSE arithmetic) and the x87 control word
+  // (fegetround reads the latter); a fiber switch must carry both.
+  const auto third = [] {
+    volatile double one = 1.0, three = 3.0;
+    return one / three;
+  };
+  const double nearest = third();
+  Scheduler s(2);
+  int mode_core1 = -1, mode_core0_after = -1;
+  double third_core1 = 0, third_core0_after = 0;
+  s.run([&](int core) {
+    if (core == 0) {
+      fesetround(FE_UPWARD);
+      s.advance(0, 1);  // core 1 runs at time 0
+      mode_core0_after = fegetround();
+      third_core0_after = third();
+      fesetround(FE_TONEAREST);
+    } else {
+      mode_core1 = fegetround();
+      third_core1 = third();
+      s.advance(1, 2);  // core 0 resumes at time 1
+    }
+  });
+  EXPECT_EQ(mode_core1, FE_TONEAREST);
+  EXPECT_EQ(third_core1, nearest);
+  EXPECT_EQ(mode_core0_after, FE_UPWARD);
+  EXPECT_GT(third_core0_after, nearest);
+  EXPECT_EQ(fegetround(), FE_TONEAREST);
+}
+
+TEST(Scheduler, SnapshotRestoreRebuildsTheReadyQueue) {
+  // Parks the run at its k-th checkpoint offer and snapshots it there.
+  class OneShot : public CheckpointHook {
+   public:
+    OneShot(Scheduler& s, int k, const std::vector<Dispatch>& log)
+        : s_(s), k_(k), log_(log) {}
+    bool wants_checkpoint(uint64_t, int) override { return offers_++ == k_; }
+    void on_checkpoint(uint64_t) override {
+      snap = s_.snapshot();
+      log_size = log_.size();
+    }
+    Scheduler::Snapshot snap;
+    size_t log_size = 0;
+
+   private:
+    Scheduler& s_;
+    int k_;
+    int offers_ = 0;
+    const std::vector<Dispatch>& log_;
+  };
+  constexpr int kCores = 64;
+  Scheduler s(kCores);
+  std::vector<Dispatch> log;
+  OneShot hook(s, 1500, log);
+  s.set_checkpoint_hook(&hook);
+  s.run([&](int core) {
+    for (int i = 0; i < 40; ++i) {
+      log.emplace_back(core, s.now(core));
+      s.advance(core, static_cast<uint64_t>(1 + (core * 37 + i * 11) % 64));
+    }
+    log.emplace_back(core, s.now(core));
+  });
+  ASSERT_GT(hook.log_size, 0u) << "the checkpoint never fired";
+  const std::vector<Dispatch> full = log;
+  log.resize(hook.log_size);
+  s.set_checkpoint_hook(nullptr);
+  s.restore(hook.snap);
+  s.resume();
+  EXPECT_EQ(log, full);
 }
 
 /// Recurses `levels` deep; the volatile frame keeps every level real.
