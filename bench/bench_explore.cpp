@@ -5,11 +5,8 @@
 // on every simulated back-end under a fixed preemption bound and horizon,
 // reporting schedules/second and the pruning ratio, plus how many schedules
 // the seeded-bug mode needs before the injected missing-flush fault is
-// found. Under --engine-state=replay every schedule is a full program
-// re-execution, so schedules/sec tracks the whole sim+runtime+validator
-// stack; under the default snapshot engine schedules fork from machine
-// snapshots (DESIGN.md §10) and the stateful section below reports the
-// speedup that buys at a deep horizon.
+// found. Schedules fork from machine snapshots (DESIGN.md §10); the
+// stateful section below reports the snapshot counters at a deep horizon.
 // The scaling section re-runs the fig4_exclusive sweep (every registered
 // back-end) at --jobs ∈ {1, 2, 4, …} up to --jobs, checking that the totals stay
 // bit-identical while the wall clock drops. The DPOR section measures the
@@ -18,8 +15,7 @@
 // The apps section measures the apps-layer workload (MFifo + TaskCounter on
 // every back-end, reduced search) as `apps_schedules_per_sec`.
 //
-//   bench_explore [--preemptions=N] [--horizon=H] [--jobs=N]
-//                 [--engine-state=replay|snapshot] [--json[=PATH]]
+//   bench_explore [--preemptions=N] [--horizon=H] [--jobs=N] [--json[=PATH]]
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -51,27 +47,15 @@ int main(int argc, char** argv) {
 
   explore::SessionOptions sopts;
   sopts.explore = cfg;
-  if (const char* es = bench::flag_str(argc, argv, "engine-state", nullptr)) {
-    const auto state = explore::engine_state_from_string(es);
-    if (!state) {
-      std::fprintf(stderr,
-                   "unknown --engine-state '%s' (want replay|snapshot)\n", es);
-      return 2;
-    }
-    sopts.engine_state = *state;
-  }
 
   bench::JsonReport json("explore");
   json.add("preemptions", cfg.preemption_bound);
   json.add("horizon", cfg.horizon);
-  json.add("engine_state",
-           std::string(explore::to_string(sopts.engine_state)));
 
   std::printf("schedule exploration throughput (fig5_mp_annotated, "
-              "preemptions<=%d, horizon=%llu, engine-state=%s)\n\n",
+              "preemptions<=%d, horizon=%llu)\n\n",
               cfg.preemption_bound,
-              static_cast<unsigned long long>(cfg.horizon),
-              explore::to_string(sopts.engine_state));
+              static_cast<unsigned long long>(cfg.horizon));
   const explore::CheckSession session(sopts);
   util::Table table;
   table.add_row({"back-end", "explored", "pruned", "prune", "sched/s"});
@@ -253,79 +237,44 @@ int main(int argc, char** argv) {
                : static_cast<double>(dpor_explored[0]) /
                      static_cast<double>(dpor_explored[1]));
 
-  // Stateful exploration: replay vs snapshot engine over the annotatable
-  // suite at a deep horizon (snapshots amortize best when the pre-branch
-  // prefix being skipped is long — DESIGN.md §10). Both engines walk the
-  // identical schedule tree, so equal explored totals double as a cheap
-  // soundness check; only the wall clock may differ.
+  // Stateful exploration: the snapshot engine over the annotatable suite at
+  // a deep horizon (snapshots amortize best when the pre-branch prefix
+  // being skipped is long — DESIGN.md §10). It runs at jobs = 1, where the
+  // pool counters are a deterministic function of the bounds.
   {
     explore::ExploreConfig scfg = cfg;
     scfg.horizon = std::max<uint64_t>(cfg.horizon, 24);
     // DPOR off: the reduction shrinks the tree to a handful of schedules
-    // per target, leaving nothing for snapshots to amortize over — the
-    // speedup is a per-schedule-cost property, so measure it on the full
-    // bounded tree.
+    // per target, leaving nothing for snapshots to amortize over.
     scfg.dpor = explore::DporMode::kOff;
     std::printf("stateful exploration (annotatable suite, all back-ends, "
                 "horizon=%llu, dpor=off)\n\n",
                 static_cast<unsigned long long>(scfg.horizon));
-    const explore::EngineState states[2] = {explore::EngineState::kReplay,
-                                            explore::EngineState::kSnapshot};
-    double rates[2] = {0, 0};
-    uint64_t totals[2] = {0, 0};
+    const explore::CheckSession suite_session(scfg);
+    uint64_t explored = 0;
     uint64_t pool_hits = 0;
     uint64_t snapshots_taken = 0;
-    // Target construction enumerates the model-level allowed outcomes —
-    // engine-independent oracle work that would dilute both rates equally;
-    // build the targets once, outside the timed region.
-    std::vector<explore::LitmusTarget> suite_targets;
     for (rt::Target t : rt::sim_targets()) {
       for (const auto& test : explore::annotatable_tests()) {
-        suite_targets.emplace_back(test, t);
-      }
-    }
-    util::Table stateful;
-    stateful.add_row({"engine", "explored", "sched/s", "snapshots", "hits"});
-    for (int i = 0; i < 2; ++i) {
-      explore::SessionOptions eopts;
-      eopts.explore = scfg;
-      eopts.engine_state = states[i];
-      const explore::CheckSession engine_session(eopts);
-      const auto t0 = std::chrono::steady_clock::now();
-      for (const explore::LitmusTarget& target : suite_targets) {
-        const auto rep = engine_session.explore(target);
+        const explore::LitmusTarget target(test, t);
+        const auto rep = suite_session.explore(target);
         if (rep.failing != 0) {
-          std::fprintf(stderr, "!! %s engine=%s: %llu model-invalid "
-                       "schedule(s)\n",
-                       target.name().c_str(), explore::to_string(states[i]),
+          std::fprintf(stderr, "!! %s: %llu model-invalid schedule(s)\n",
+                       target.name().c_str(),
                        static_cast<unsigned long long>(rep.failing));
           return 1;
         }
-        totals[i] += rep.explored;
-        if (i == 1) {
-          pool_hits += rep.snapshot_hits;
-          snapshots_taken += rep.snapshots_taken;
-        }
+        explored += rep.explored;
+        pool_hits += rep.snapshot_hits;
+        snapshots_taken += rep.snapshots_taken;
       }
-      const double secs = seconds_since(t0);
-      rates[i] = secs > 0 ? static_cast<double>(totals[i]) / secs : 0.0;
-      stateful.add_row({explore::to_string(states[i]),
-                        bench::fmt_u64(totals[i]),
-                        bench::fmt_u64(static_cast<uint64_t>(rates[i])),
-                        bench::fmt_u64(i == 1 ? snapshots_taken : 0),
-                        bench::fmt_u64(i == 1 ? pool_hits : 0)});
     }
-    if (totals[0] != totals[1]) {
-      std::fprintf(stderr,
-                   "!! engines explored different totals (%llu vs %llu) — "
-                   "the snapshot engine diverged from replay\n",
-                   static_cast<unsigned long long>(totals[0]),
-                   static_cast<unsigned long long>(totals[1]));
-      return 1;
-    }
+    util::Table stateful;
+    stateful.add_row({"explored", "snapshots", "hits"});
+    stateful.add_row({bench::fmt_u64(explored),
+                      bench::fmt_u64(snapshots_taken),
+                      bench::fmt_u64(pool_hits)});
     std::printf("%s\n", stateful.render().c_str());
-    json.add("stateful_schedules_per_sec", rates[1]);
-    json.add("stateful_speedup", rates[0] > 0 ? rates[1] / rates[0] : 0.0);
     json.add("snapshot_pool_hits", pool_hits);
     json.add("snapshots_taken", snapshots_taken);
   }
@@ -339,7 +288,6 @@ int main(int argc, char** argv) {
     aopts.explore.preemption_bound = 1;
     aopts.explore.horizon = 14;
     aopts.explore.dpor = explore::DporMode::kSleepSet;
-    aopts.engine_state = sopts.engine_state;
     const explore::CheckSession apps_session(aopts);
     std::printf("apps-layer model checking (mfifo + taskcounter, "
                 "dpor=sleepset)\n\n");
@@ -410,21 +358,24 @@ int main(int argc, char** argv) {
 
   // Tracing overhead: a machine with no recorder attached must pay one
   // predictable branch per instrumentation point, and an attached-but-
-  // disarmed recorder two. Price it end-to-end: repeated replays of the
-  // default schedule through the stateless engine, detached vs disarmed.
+  // disarmed recorder two. Price it end-to-end: repeated stateless runs of
+  // the default schedule, detached vs disarmed — the same run_spec_once
+  // call on both sides, so nothing but the recorder differs.
   // The target is <2%; this host may be a loaded single vCPU, so the bench
   // records the number, warns past 2%, and only fails on a gross (>10%)
   // regression.
   {
-    explore::SessionOptions ropts = sopts;
-    ropts.jobs = 1;
-    ropts.engine_state = explore::EngineState::kReplay;
-    const explore::CheckSession replay_session(ropts);
     const explore::LitmusTarget target(model::litmus::fig5_mp_annotated(),
                                        rt::Target::kSWCC);
-    const explore::DecisionString default_schedule;
     obs::TraceRecorder rec;
     rec.disarm();
+    const auto run_default = [&](obs::TraceRecorder* recorder) {
+      explore::StatefulSpec spec = target.make_spec();
+      spec.opts.trace = recorder;
+      explore::ReplayPolicy policy({}, cfg.horizon,
+                                   /*record_footprints=*/false);
+      return explore::run_spec_once(spec, policy).ok;
+    };
     const int reps =
         static_cast<int>(bench::flag_int(argc, argv, "overhead-reps", 40));
     double detached = 1e300;
@@ -432,16 +383,12 @@ int main(int argc, char** argv) {
     for (int pass = 0; pass < 3; ++pass) {  // min-of-3 rejects host noise
       auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < reps; ++i) {
-        if (!replay_session.replay(target, default_schedule).ok) return 1;
+        if (!run_default(nullptr)) return 1;
       }
       detached = std::min(detached, seconds_since(t0));
       t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < reps; ++i) {
-        if (!replay_session
-                 .replay_traced(target, default_schedule, &rec)
-                 .ok) {
-          return 1;
-        }
+        if (!run_default(&rec)) return 1;
       }
       disarmed = std::min(disarmed, seconds_since(t0));
     }

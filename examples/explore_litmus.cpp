@@ -2,7 +2,7 @@
 // generated fuzz programs, and apps-layer kernels across interleavings.
 //
 // Every mode drives a CheckTarget through the CheckSession facade
-// (DESIGN.md §9): the session owns bounds, DPOR mode, engine selection
+// (DESIGN.md §9): the session owns bounds, DPOR mode, worker count
 // (--jobs), and failure minimization, so reports are deterministic at any
 // job count. Clean modes must find zero failures; --seed-bug injects the
 // per-back-end "missing flush" fault that only reordered schedules expose,
@@ -13,7 +13,6 @@
 //   explore_litmus --backend=dsm --test=fig4_exclusive --replay=3:1,4:1
 //   explore_litmus --app=mfifo --backend=all --dpor=sleepset
 //   explore_litmus --app=all --seed-bug --dpor=sleepset
-//   explore_litmus --engine-state=replay --backend=swcc  # stateless cross-check
 //   explore_litmus --fuzz=8 --jobs=2 --json
 //   explore_litmus --fuzz-seed=3 --backend=swcc --replay=2:1
 //   explore_litmus --progress --backend=swcc   # live schedules/s + ETA line
@@ -86,22 +85,6 @@ explore::DporMode parse_dpor(int argc, char** argv) {
   }
   return flag_set(argc, argv, "dpor") ? explore::DporMode::kSleepSet
                                       : explore::DporMode::kOff;
-}
-
-/// --engine-state=replay|snapshot selects how schedules execute: full
-/// re-execution from a fresh program (replay) or forking from machine
-/// snapshots (snapshot, the default — DESIGN.md §10). Reports are
-/// byte-identical either way; only the wall clock differs.
-explore::EngineState parse_engine_state(int argc, char** argv) {
-  const char* arg = flag_str(argc, argv, "engine-state", nullptr);
-  if (arg == nullptr) return explore::SessionOptions{}.engine_state;
-  const auto state = explore::engine_state_from_string(arg);
-  if (!state) {
-    std::fprintf(stderr, "unknown --engine-state '%s' (want replay|snapshot)\n",
-                 arg);
-    std::exit(2);
-  }
-  return *state;
 }
 
 /// Shape for --fuzz/--fuzz-seed: canonical per-seed shape, with optional
@@ -476,12 +459,6 @@ int run_main(int argc, char** argv) {
   cfg.prune_delay = !flag_set(argc, argv, "no-prune");
   cfg.dpor = parse_dpor(argc, argv);
   sopts.jobs = static_cast<int>(flag_int(argc, argv, "jobs", 1));
-  sopts.engine_state = parse_engine_state(argc, argv);
-  sopts.snapshot_stride = static_cast<uint64_t>(flag_int(
-      argc, argv, "snapshot-stride",
-      static_cast<int64_t>(sopts.snapshot_stride)));
-  sopts.snapshot_pool = static_cast<size_t>(flag_int(
-      argc, argv, "snapshot-pool", static_cast<int64_t>(sopts.snapshot_pool)));
   if (flag_set(argc, argv, "progress")) {
     // Telemetry-only live line on stderr: schedules/s plus the worst-case
     // ETA against the --max-schedules bound (the space usually exhausts
@@ -558,8 +535,6 @@ int run_main(int argc, char** argv) {
   bench::JsonReport json("explore_litmus");
   json.add("jobs", jobs);
   json.add("dpor", std::string(explore::to_string(cfg.dpor)));
-  json.add("engine_state",
-           std::string(explore::to_string(sopts.engine_state)));
 
   // -- Apps-layer mode --------------------------------------------------------
   if (app != nullptr) {

@@ -644,28 +644,9 @@ std::unique_ptr<CheckTarget> make_app_target(AppKind kind, rt::Target target,
 
 // -- CheckSession ------------------------------------------------------------
 
-const char* to_string(EngineState s) {
-  switch (s) {
-    case EngineState::kReplay: return "replay";
-    case EngineState::kSnapshot: return "snapshot";
-  }
-  return "?";
-}
-
-std::optional<EngineState> engine_state_from_string(std::string_view text) {
-  if (text == "replay") return EngineState::kReplay;
-  if (text == "snapshot") return EngineState::kSnapshot;
-  return std::nullopt;
-}
-
 CheckSession::CheckSession(SessionOptions opts) : opts_(std::move(opts)) {
   PMC_CHECK(opts_.explore.preemption_bound >= 0);
   if (opts_.jobs < 1) opts_.jobs = 1;
-}
-
-bool CheckSession::stateful(const CheckTarget& target) const {
-  return opts_.engine_state == EngineState::kSnapshot &&
-         target.stateful_capable();
 }
 
 namespace {
@@ -677,17 +658,16 @@ struct Executors {
   std::vector<std::shared_ptr<StatefulExecutor>> all;
 };
 
-/// The Explorer for `target` under `opts`. On the snapshot path every
-/// worker gets a private StatefulExecutor (each owns a Program and a pool,
-/// so the runners share nothing mutable — the same contract as stateless
-/// runners); otherwise the workers share the target's thread-safe run().
-Explorer explorer_for(const SessionOptions& opts, bool stateful,
-                      const CheckTarget& target, Executors* execs = nullptr) {
-  if (!stateful) return Explorer(target.runner(), opts.jobs);
+/// The Explorer for `target` under `opts`. A stateful_capable() target runs
+/// on the snapshot engine: every worker gets a private StatefulExecutor
+/// (each owns a Program and a pool, so the runners share nothing mutable —
+/// the same contract as stateless runners). Otherwise the workers share the
+/// target's thread-safe run().
+Explorer explorer_for(const SessionOptions& opts, const CheckTarget& target,
+                      Executors* execs = nullptr) {
+  if (!target.stateful_capable()) return Explorer(target.runner(), opts.jobs);
   StatefulOptions sopts;
-  sopts.checkpoint_stride = opts.snapshot_stride;
   sopts.horizon = opts.explore.horizon;
-  sopts.pool_capacity = opts.snapshot_pool;
   return Explorer(
       [&target, sopts, execs]() {
         auto e = std::make_shared<StatefulExecutor>(target.make_spec(), sopts);
@@ -704,7 +684,7 @@ Explorer explorer_for(const SessionOptions& opts, bool stateful,
 
 ExploreReport CheckSession::explore(const CheckTarget& target) const {
   Executors execs;
-  Explorer ex = explorer_for(opts_, stateful(target), target, &execs);
+  Explorer ex = explorer_for(opts_, target, &execs);
   ExploreReport rep = ex.explore(opts_.explore);
   for (const auto& e : execs.all) {
     rep.snapshots_taken += e->stats().snapshots_taken;
@@ -717,9 +697,9 @@ ExploreReport CheckSession::explore(const CheckTarget& target) const {
 RunOutcome CheckSession::replay(const CheckTarget& target,
                                 const DecisionString& schedule,
                                 bool* fully_applied) const {
-  // Replay is one run — a fresh executor costs the same as a stateless
-  // replay, and repeated replays (minimize) go through minimize() below.
-  return explorer_for(opts_, stateful(target), target)
+  // Replay is one run — a fresh executor costs a stateless run plus its
+  // root snapshot, and repeated replays (minimize) go through minimize().
+  return explorer_for(opts_, target)
       .replay(schedule, opts_.explore.horizon, fully_applied);
 }
 
@@ -748,7 +728,7 @@ RunOutcome CheckSession::replay_traced(const CheckTarget& target,
 
 DecisionString CheckSession::minimize(const CheckTarget& target,
                                       DecisionString failing) const {
-  return explorer_for(opts_, stateful(target), target)
+  return explorer_for(opts_, target)
       .minimize(std::move(failing), opts_.explore.horizon);
 }
 

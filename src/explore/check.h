@@ -12,13 +12,15 @@
 // schedule" into a generic session step.
 //
 // A CheckSession owns the knobs every caller used to wire by hand — the
-// ExploreConfig bounds, DPOR mode, worker count (--jobs) and engine state —
-// and produces one canonical CheckReport per target: totals, the
-// lexicographically least failing schedule, the shrunk target, and the
-// minimized schedule on it. Every field of a CheckReport is a pure function
-// of (target, SessionOptions); engine state and job count never leak in
-// (absent truncation), so reports are byte-identical across both — the
-// determinism contract tests/explore/ locks.
+// ExploreConfig bounds, DPOR mode and worker count (--jobs) — and produces
+// one canonical CheckReport per target: totals, the lexicographically least
+// failing schedule, the shrunk target, and the minimized schedule on it.
+// Targets with a StatefulSpec run on the snapshot engine (DESIGN.md §10);
+// the rest re-execute every schedule from scratch. Every field of a
+// CheckReport is a pure function of (target, SessionOptions); the job count
+// never leaks in (absent truncation), and a stateless replay of the same
+// target produces the same bytes — the determinism contract tests/explore/
+// locks.
 #pragma once
 
 #include <memory>
@@ -78,15 +80,15 @@ struct StatefulSpec {
   std::function<void(rt::Program&, RunOutcome&)> judge;
 };
 
-/// The verdict of one completed run of `spec`, shared by both engines:
+/// The verdict of one completed run of `spec`, shared by both paths:
 /// spec.judge, then the Definition 12 rule — a validator violation fails
 /// the run and its message replaces the target's own oracle verdict.
 void judge_run(const StatefulSpec& spec, rt::Program& prog, RunOutcome& out);
 
 /// Executes one schedule of `spec` the stateless way: fresh Program, full
-/// run, judge_run — converting exceptions into failing outcomes. This is the
-/// replay engine's (and CheckTarget::run's default) execution path, so both
-/// engines run literally the same code and differ only in how the machine
+/// run, judge_run — converting exceptions into failing outcomes. This is
+/// CheckTarget::run's default, so the stateless path and the snapshot
+/// engine run literally the same code and differ only in how the machine
 /// state at a decision point is reproduced.
 RunOutcome run_spec_once(const StatefulSpec& spec, ReplayPolicy& policy);
 
@@ -114,8 +116,8 @@ class CheckTarget {
   // -- Stateful exploration ---------------------------------------------------
   /// True when make_spec() describes run(), i.e. the target's run
   /// decomposes into the StatefulSpec phases and its body honors the
-  /// fiber-safety contract. Only FnTarget says no; the snapshot engine
-  /// silently falls back to replay for it.
+  /// fiber-safety contract. Selects the session's path: the snapshot engine
+  /// when true, stateless replay of run() otherwise (FnTarget).
   virtual bool stateful_capable() const { return true; }
   /// The stateful decomposition of run(); only valid when stateful_capable().
   /// Every call allocates fresh oracle state, so concurrent executors built
@@ -138,8 +140,8 @@ class CheckTarget {
 };
 
 /// Ad-hoc target wrapping a ScheduleRunner (raw-machine test programs). The
-/// runner judges its own runs and has no StatefulSpec, so it always runs on
-/// the replay engine.
+/// runner judges its own runs and has no StatefulSpec, so every schedule
+/// re-executes it from scratch.
 class FnTarget final : public CheckTarget {
  public:
   FnTarget(std::string name, ScheduleRunner fn)
@@ -273,49 +275,26 @@ std::unique_ptr<CheckTarget> make_app_target(AppKind kind, rt::Target target,
 
 // -- The session facade ------------------------------------------------------
 
-/// How the machine state at each explored decision point is reproduced.
-/// kReplay re-executes the whole decision prefix from a fresh Program
-/// (stateless, CHESS-style); kSnapshot checkpoints the live machine at
-/// branch points and forks restored continuations (stateful, DESIGN.md
-/// §10). The schedule tree — and therefore every CheckReport field — is
-/// identical either way; kSnapshot only changes how fast a schedule runs.
-/// kSnapshot silently falls back to replay for targets that are not
-/// stateful_capable().
-enum class EngineState { kReplay, kSnapshot };
-
-const char* to_string(EngineState s);
-/// "replay" | "snapshot"; nullopt on anything else.
-std::optional<EngineState> engine_state_from_string(std::string_view text);
-
 struct SessionOptions {
   ExploreConfig explore;
   /// Exploration workers (the caller's thread plus jobs − 1 helpers); < 1
   /// is clamped to 1. Every CheckReport field is job-count-invariant
   /// (absent truncation); at jobs = 1 the telemetry is deterministic too.
   int jobs = 1;
-  EngineState engine_state = EngineState::kSnapshot;
-  /// Snapshot engine: checkpoint every `snapshot_stride`-th decision step
-  /// below the horizon, keeping at most `snapshot_pool` non-root snapshots
-  /// (LRU-evicted; the root snapshot is pinned — restoring it replaces the
-  /// stateless engine's from-scratch re-execution). Stride 8 is the
-  /// measured sweet spot on the litmus suite: snapshots are ~10× the cost
-  /// of resuming one, so checkpointing every decision step spends more on
-  /// captures than the restored prefixes save.
-  uint64_t snapshot_stride = 8;
-  size_t snapshot_pool = 128;
 };
 
 /// Wall-clock and engine observability of one check() call. Everything in
-/// here is telemetry: timing-, engine-state-, and job-count-dependent, and
+/// here is telemetry: timing-, path-, and job-count-dependent, and
 /// therefore excluded from CheckReport::to_text (which stays byte-identical
-/// across engine states and job counts). to_json() carries it for
-/// dashboards and bench harnesses.
+/// across job counts and against stateless replay). to_json() carries it
+/// for dashboards and bench harnesses.
 struct SessionTelemetry {
   double explore_seconds = 0;
   double schedules_per_sec = 0;
   /// Accepted single-step target reductions during shrinking.
   uint64_t shrink_rounds = 0;
-  // Snapshot-engine counters (ExploreReport passthrough).
+  // Snapshot-engine counters (ExploreReport passthrough); all zero for
+  // targets that are not stateful_capable().
   uint64_t snapshots_taken = 0;
   uint64_t snapshot_hits = 0;
   uint64_t snapshot_misses = 0;
@@ -359,27 +338,26 @@ struct CheckReport {
   /// Every distinct hb-class hash of the explored space, sorted ascending
   /// (only when SessionOptions::explore.collect_trace_hashes). Deterministic
   /// for (target, options) like the other non-telemetry fields — the fixed
-  /// schedule tree visits the same classes at every engine state and job
-  /// count —
-  /// but excluded from to_text(), whose byte layout predates the field.
+  /// schedule tree visits the same classes at every job count and under
+  /// stateless replay — but excluded from to_text(), whose byte layout
+  /// predates the field.
   std::vector<uint64_t> trace_hashes;
 
   /// Session observability; the only non-deterministic field.
   SessionTelemetry telemetry;
 
-  /// Canonical multi-line rendering; byte-identical across engine states
-  /// and job counts (absent truncation) — what the determinism suites
-  /// compare.
-  /// Excludes `telemetry` entirely.
+  /// Canonical multi-line rendering; byte-identical across job counts and
+  /// against stateless replay (absent truncation) — what the determinism
+  /// suites compare. Excludes `telemetry` entirely.
   std::string to_text() const;
   /// One-line JSON rendering of the deterministic fields plus a
   /// "telemetry" block, built on the obs::MetricsRegistry export.
   std::string to_json() const;
 };
 
-/// Owns the bounds, DPOR mode, worker count, engine state, and failure
-/// minimization — the one front door to the exploration stack. Cheap to
-/// construct; check() borrows the target only for the duration of the call.
+/// Owns the bounds, DPOR mode, worker count, and failure minimization — the
+/// one front door to the exploration stack. Cheap to construct; check()
+/// borrows the target only for the duration of the call.
 class CheckSession {
  public:
   explicit CheckSession(SessionOptions opts);
@@ -387,10 +365,6 @@ class CheckSession {
       : CheckSession(SessionOptions{cfg, jobs}) {}
 
   const SessionOptions& options() const { return opts_; }
-  /// True when this session drives `target` through the snapshot engine
-  /// (engine_state == kSnapshot and the target is stateful_capable); false
-  /// means the stateless replay path.
-  bool stateful(const CheckTarget& target) const;
 
   /// The full pipeline: explore the bounded space; on failure canonicalize
   /// (lexicographic minimum), shrink the target program-then-schedule where
@@ -409,9 +383,8 @@ class CheckSession {
   /// execution). Needs the target's make_spec() to reach ProgramOptions, so
   /// targets that are not stateful_capable() run untraced — the verdict is
   /// still correct, the recorder just stays empty. The recorded events are
-  /// a pure function of (target, schedule): byte-identical across engine
-  /// states and job counts, which tests/explore/test_trace_determinism.cpp
-  /// locks.
+  /// a pure function of (target, schedule): byte-identical across job
+  /// counts, which tests/explore/test_trace_determinism.cpp locks.
   RunOutcome replay_traced(const CheckTarget& target,
                            const DecisionString& schedule,
                            obs::TraceRecorder* recorder,

@@ -30,6 +30,9 @@ std::optional<DporMode> dpor_mode_from_string(std::string_view text) {
 
 namespace {
 
+/// Completed schedules between two ExploreConfig::progress callbacks.
+constexpr uint64_t kProgressStride = 64;
+
 bool asleep(const SleepSet& sleep, int core) {
   for (const SleepEntry& e : sleep) {
     if (e.core == core) return true;
@@ -230,7 +233,6 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
   // of the per-worker sets merged at the end. One lock per schedule, each
   // amortized by a full program re-execution.
   const bool live_traces = cfg.sample_hb_curve || cfg.progress != nullptr;
-  const uint64_t stride = cfg.progress_stride == 0 ? 1 : cfg.progress_stride;
   std::mutex live_mu;
   std::unordered_set<uint64_t> live_set;
   std::vector<uint64_t> curve;  // indexed by log2(explored) sample slot
@@ -292,7 +294,7 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
             curve[idx] = distinct;
           }
         }
-        if (cfg.progress && done % stride == 0) {
+        if (cfg.progress && done % kProgressStride == 0) {
           cfg.progress({done, pruned.load(), dpor_pruned.load(),
                         failing.load(), distinct, cfg.max_schedules});
         }

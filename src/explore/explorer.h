@@ -92,13 +92,12 @@ struct ExploreConfig {
   /// Collect every failing decision string into the report (sorted
   /// lexicographically). Off by default to bound memory on huge spaces.
   bool collect_failing = false;
-  /// Telemetry-only progress callback, invoked every `progress_stride`
-  /// completed schedules plus once when the space is exhausted. It runs on
+  /// Telemetry-only progress callback, invoked every 64 completed
+  /// schedules plus once when the space is exhausted. It runs on
   /// whichever worker crosses the stride, so with jobs > 1 the callback
   /// must be thread-safe; it never affects the explored tree.
   using ProgressFn = std::function<void(const ProgressUpdate&)>;
   ProgressFn progress;
-  uint64_t progress_stride = 64;
   /// Sample the hb-class discovery curve into ExploreReport::hb_curve:
   /// cumulative distinct trace hashes after 1, 2, 4, ... explored
   /// schedules. Costs one locked shared-set insertion per schedule, so off
@@ -107,7 +106,7 @@ struct ExploreConfig {
   /// Export the full set of distinct trace hashes into
   /// ExploreReport::trace_hashes (sorted ascending). The schedule tree is a
   /// fixed function of (program, bounds), so the exported set is identical
-  /// across engine states and job counts: the coverage signal the fuzzing
+  /// across job counts and execution paths: the coverage signal the fuzzing
   /// farm's corpus keys on (DESIGN.md §14). Off by default to avoid
   /// materializing huge spaces.
   bool collect_trace_hashes = false;
@@ -147,12 +146,12 @@ struct ExploreReport {
   /// Every failing decision string, sorted by lex_less (only when
   /// ExploreConfig::collect_failing; empty otherwise).
   std::vector<DecisionString> failing_schedules;
-  /// Snapshot-engine observability (all zero under the replay engine):
-  /// checkpoints captured, schedules forked from a mid-run snapshot, and
-  /// schedules that fell back to the pinned root snapshot or a fresh run.
-  /// Deterministic at jobs = 1. Deliberately excluded from
-  /// CheckReport::to_text — reports stay byte-identical across engine
-  /// states.
+  /// Snapshot-engine observability, filled in by CheckSession::explore
+  /// (all zero for targets that are not stateful_capable()): checkpoints
+  /// captured, schedules forked from a mid-run snapshot, and schedules that
+  /// fell back to the pinned root snapshot. Deterministic at jobs = 1.
+  /// Deliberately excluded from CheckReport::to_text — reports stay
+  /// byte-identical to a stateless replay of the same target.
   uint64_t snapshots_taken = 0;
   uint64_t snapshot_hits = 0;
   uint64_t snapshot_misses = 0;
@@ -164,7 +163,7 @@ struct ExploreReport {
   std::vector<uint64_t> hb_curve;
   /// Every distinct hb-class hash seen, sorted ascending (only when
   /// ExploreConfig::collect_trace_hashes; empty otherwise). Deterministic
-  /// across engine states and job counts (absent truncation) — the
+  /// across job counts and execution paths (absent truncation) — the
   /// contract tests/explore/test_hb_stability.cpp locks.
   std::vector<uint64_t> trace_hashes;
   /// Successful steals per worker (one entry per job). Telemetry-only.

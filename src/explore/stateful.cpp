@@ -104,7 +104,7 @@ RunOutcome StatefulExecutor::run(ReplayPolicy& policy) {
     if (prog_ == nullptr || pool_.empty()) {
       // First schedule — or a prior first schedule died before the root
       // checkpoint (program construction / setup failure): build the world
-      // afresh, exactly like the replay engine would.
+      // afresh, exactly like stateless replay would.
       prog_.reset();
       rt::ProgramOptions opts = spec_.opts;
       opts.schedule_policy = &policy;

@@ -1,7 +1,8 @@
 // The CheckTarget/CheckSession front door (DESIGN.md §9): apps-layer
 // targets model-checked on every back-end, byte-identical reports across
-// engine states and job counts, seeded-fault discovery with minimization,
-// and the generic target-shrinking contract.
+// job counts and against stateless replay, the target-driven engine choice,
+// seeded-fault discovery with minimization, and the generic
+// target-shrinking contract.
 #include "explore/check.h"
 
 #include <gtest/gtest.h>
@@ -9,18 +10,19 @@
 #include "explore/litmus_driver.h"
 #include "explore/program_gen.h"
 #include "model/litmus_library.h"
+#include "../support/replay_reference.h"
 
 namespace pmc::explore {
 namespace {
 
-SessionOptions app_opts(DporMode dpor = DporMode::kSleepSet, int jobs = 1,
-                        EngineState state = EngineState::kSnapshot) {
+using test_support::ReplayReference;
+
+SessionOptions app_opts(DporMode dpor = DporMode::kSleepSet, int jobs = 1) {
   SessionOptions opts;
   opts.explore.preemption_bound = 1;
   opts.explore.horizon = 14;
   opts.explore.dpor = dpor;
   opts.jobs = jobs;
-  opts.engine_state = state;
   return opts;
 }
 
@@ -64,25 +66,36 @@ RunOutcome own_verdict(const CheckTarget& target, const DecisionString& ds,
 TEST(CheckSession, Definition12VerdictBeatsTheTargetsOwnOracle) {
   // With the seeded SWCC fault, a reader pops a stale slot: the validator
   // rejects the read and the broadcast oracle rejects the element. The
-  // validator's verdict must win on both engines.
+  // validator's verdict must win.
   const MFifoTarget target(rt::Target::kSWCC, MFifoShape{},
                            seeded_fault(rt::Target::kSWCC));
-  for (const EngineState state :
-       {EngineState::kReplay, EngineState::kSnapshot}) {
-    const SessionOptions opts = app_opts(DporMode::kSleepSet, 1, state);
-    const CheckReport rep = CheckSession(opts).check(target);
-    ASSERT_FALSE(rep.ok) << to_string(state);
-    const RunOutcome own =
-        own_verdict(target, rep.first_failing, opts.explore.horizon);
-    EXPECT_FALSE(own.ok) << to_string(state);
-    EXPECT_FALSE(own.message.starts_with("Definition 12 violation: "))
-        << own.message;
-    EXPECT_TRUE(
-        rep.first_failing_message.starts_with("Definition 12 violation: "))
-        << to_string(state) << ": " << rep.first_failing_message;
-    EXPECT_TRUE(rep.minimized_message.starts_with("Definition 12 violation: "))
-        << to_string(state) << ": " << rep.minimized_message;
-  }
+  const SessionOptions opts = app_opts(DporMode::kSleepSet, 1);
+  const CheckReport rep = CheckSession(opts).check(target);
+  ASSERT_FALSE(rep.ok);
+  const RunOutcome own =
+      own_verdict(target, rep.first_failing, opts.explore.horizon);
+  EXPECT_FALSE(own.ok);
+  EXPECT_FALSE(own.message.starts_with("Definition 12 violation: "))
+      << own.message;
+  EXPECT_TRUE(
+      rep.first_failing_message.starts_with("Definition 12 violation: "))
+      << rep.first_failing_message;
+  EXPECT_TRUE(rep.minimized_message.starts_with("Definition 12 violation: "))
+      << rep.minimized_message;
+}
+
+TEST(CheckSession, EngineFollowsTheTarget) {
+  // The session's only engine choice is stateful_capable(): a target with
+  // a StatefulSpec forks schedules from snapshots, everything else — the
+  // ReplayReference decorator included — re-executes from scratch.
+  const LitmusTarget target(model::litmus::fig5_mp_annotated(),
+                            rt::Target::kSWCC);
+  const FnTarget fn("always-ok", [](ReplayPolicy&) { return RunOutcome{}; });
+  const CheckSession session(app_opts(DporMode::kOff));
+  EXPECT_GT(session.check(target).telemetry.snapshots_taken, 0u);
+  EXPECT_EQ(session.check(ReplayReference(target)).telemetry.snapshots_taken,
+            0u);
+  EXPECT_EQ(session.check(fn).telemetry.snapshots_taken, 0u);
 }
 
 TEST(FnTarget, WrapsAdHocRunners) {
@@ -144,15 +157,14 @@ TEST(AppCheck, ReportsAreByteIdenticalAcrossEnginesAndJobs) {
     const CheckReport ref =
         CheckSession(app_opts(DporMode::kSleepSet, 1)).check(*target);
     ASSERT_GT(ref.failing, 0u) << to_string(kind);
-    for (const EngineState state :
-         {EngineState::kReplay, EngineState::kSnapshot}) {
-      for (int jobs : {1, 2, 8}) {
-        const CheckReport rep =
-            CheckSession(app_opts(DporMode::kSleepSet, jobs, state))
-                .check(*target);
-        EXPECT_EQ(rep.to_text(), ref.to_text())
-            << to_string(kind) << " " << to_string(state) << " jobs=" << jobs;
-      }
+    const ReplayReference replay(*target);
+    for (int jobs : {1, 2, 8}) {
+      const CheckSession session(app_opts(DporMode::kSleepSet, jobs));
+      EXPECT_EQ(session.check(*target).to_text(), ref.to_text())
+          << to_string(kind) << " jobs=" << jobs;
+      // jobs > 1 here runs the shared-runner path FnTargets take.
+      EXPECT_EQ(session.check(replay).to_text(), ref.to_text())
+          << to_string(kind) << " replay jobs=" << jobs;
     }
   }
 }

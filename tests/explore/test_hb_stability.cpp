@@ -1,8 +1,8 @@
 // hb_trace_hash stability (ISSUE satellite): the farm's entire coverage
 // signal is the set of hb-class hashes an exploration reports, so that set
-// must be a pure function of (target, bounds) — identical across the replay
-// and snapshot engines and across job counts, on every back-end. A drift
-// here would silently corrupt every persisted corpus.
+// must be a pure function of (target, bounds) — identical between stateless
+// replay and the snapshot engine and across job counts, on every back-end. A
+// drift here would silently corrupt every persisted corpus.
 #include <algorithm>
 #include <string>
 
@@ -11,6 +11,7 @@
 #include "explore/check.h"
 #include "explore/litmus_driver.h"
 #include "runtime/program.h"
+#include "../support/replay_reference.h"
 
 namespace pmc::explore {
 namespace {
@@ -22,7 +23,6 @@ SessionOptions base_options() {
   s.explore.dpor = DporMode::kSleepSet;
   s.explore.collect_trace_hashes = true;
   s.jobs = 1;
-  s.engine_state = EngineState::kReplay;
   return s;
 }
 
@@ -33,8 +33,8 @@ TEST_P(HbStability, ClassSetIsEngineAndJobInvariant) {
   for (const model::LitmusTest& test : annotatable_tests()) {
     const LitmusTarget lt(test, target);
 
-    SessionOptions ref_opts = base_options();
-    const CheckReport ref = CheckSession(ref_opts).check(lt);
+    const CheckReport ref = CheckSession(base_options())
+                                .check(test_support::ReplayReference(lt));
     ASSERT_FALSE(ref.truncated) << lt.name();
     EXPECT_FALSE(ref.trace_hashes.empty()) << lt.name();
     EXPECT_EQ(static_cast<uint64_t>(ref.trace_hashes.size()),
@@ -44,19 +44,13 @@ TEST_P(HbStability, ClassSetIsEngineAndJobInvariant) {
                                ref.trace_hashes.end()))
         << lt.name();
 
-    for (const EngineState state :
-         {EngineState::kReplay, EngineState::kSnapshot}) {
-      for (const int jobs : {1, 2, 8}) {
-        if (state == EngineState::kReplay && jobs == 1) continue;  // == ref
-        SessionOptions opts = base_options();
-        opts.engine_state = state;
-        opts.jobs = jobs;
-        const CheckReport rep = CheckSession(opts).check(lt);
-        EXPECT_EQ(rep.trace_hashes, ref.trace_hashes)
-            << lt.name() << " on " << rt::to_string(target) << ": "
-            << to_string(state) << " jobs=" << jobs
-            << " drifted from replay jobs=1";
-      }
+    for (const int jobs : {1, 2, 8}) {
+      SessionOptions opts = base_options();
+      opts.jobs = jobs;
+      const CheckReport rep = CheckSession(opts).check(lt);
+      EXPECT_EQ(rep.trace_hashes, ref.trace_hashes)
+          << lt.name() << " on " << rt::to_string(target) << ": jobs=" << jobs
+          << " drifted from replay jobs=1";
     }
   }
 }

@@ -1,11 +1,11 @@
 // Stateful exploration (DESIGN.md §10). The snapshot engine's whole claim
 // is observational equivalence: forking schedules from machine snapshots
-// must produce byte-identical CheckReports to full stateless replay, over
-// every target family, DPOR mode, job count, and fault seed. These suites
-// pin that claim (the differential grid), the snapshot/restore round-trip
-// properties underneath it, the bounded-pool fallback, and the
-// ReplayPolicy recording contract that keeps scheduler state outside the
-// machine from tearing on restore.
+// must produce byte-identical CheckReports to full stateless replay (the
+// ReplayReference decorator), over every target family, DPOR mode, job
+// count, and fault seed. These suites pin that claim (the differential
+// grid), the snapshot/restore round-trip properties underneath it, the
+// bounded-pool fallback, and the ReplayPolicy recording contract that keeps
+// scheduler state outside the machine from tearing on restore.
 #include "explore/stateful.h"
 
 #include <gtest/gtest.h>
@@ -20,19 +20,20 @@
 #include "sim/machine.h"
 #include "sim/scheduler.h"
 #include "util/check.h"
+#include "../support/replay_reference.h"
 
 namespace pmc::explore {
 namespace {
 
-SessionOptions grid_opts(EngineState state, DporMode dpor = DporMode::kOff,
-                         int jobs = 1, uint64_t horizon = 12,
-                         int preemptions = 2) {
+using test_support::ReplayReference;
+
+SessionOptions grid_opts(DporMode dpor = DporMode::kOff, int jobs = 1,
+                         uint64_t horizon = 12, int preemptions = 2) {
   SessionOptions opts;
   opts.explore.preemption_bound = preemptions;
   opts.explore.horizon = horizon;
   opts.explore.dpor = dpor;
   opts.jobs = jobs;
-  opts.engine_state = state;
   return opts;
 }
 
@@ -40,16 +41,22 @@ std::string check_text(const CheckTarget& target, const SessionOptions& opts) {
   return CheckSession(opts).check(target).to_text();
 }
 
+/// The stateless-replay report of `target`: the byte-equality reference.
+std::string replay_text(const CheckTarget& target,
+                        const SessionOptions& opts) {
+  return check_text(ReplayReference(target), opts);
+}
+
 // -- The differential grid: snapshot must match replay byte-for-byte ---------
 
 class LitmusDifferential : public ::testing::TestWithParam<rt::Target> {};
 
 TEST_P(LitmusDifferential, EveryAnnotatableTestMatchesReplay) {
+  // The CLI's default litmus grid bounds (preemptions 2, horizon 16).
+  const SessionOptions opts = grid_opts(DporMode::kOff, 1, 16);
   for (const auto& test : annotatable_tests()) {
     const LitmusTarget target(test, GetParam());
-    const std::string ref =
-        check_text(target, grid_opts(EngineState::kReplay));
-    EXPECT_EQ(check_text(target, grid_opts(EngineState::kSnapshot)), ref)
+    EXPECT_EQ(check_text(target, opts), replay_text(target, opts))
         << target.name();
   }
 }
@@ -69,12 +76,9 @@ TEST(StatefulDifferential, DporModesAndJobCountsMatchReplay) {
        }) {
     for (const DporMode dpor :
          {DporMode::kOff, DporMode::kSleepSet}) {
-      const std::string ref =
-          check_text(*target, grid_opts(EngineState::kReplay, dpor));
+      const std::string ref = replay_text(*target, grid_opts(dpor));
       for (const int jobs : {1, 2, 8}) {
-        EXPECT_EQ(check_text(*target,
-                             grid_opts(EngineState::kSnapshot, dpor, jobs)),
-                  ref)
+        EXPECT_EQ(check_text(*target, grid_opts(dpor, jobs)), ref)
             << target->name() << " dpor=" << to_string(dpor)
             << " jobs=" << jobs;
       }
@@ -88,12 +92,8 @@ TEST(StatefulDifferential, AppTargetsMatchReplayOnEveryBackend) {
   for (const rt::Target t : rt::sim_targets()) {
     for (const AppKind kind : all_app_kinds()) {
       const auto target = make_app_target(kind, t);
-      const std::string ref = check_text(
-          *target,
-          grid_opts(EngineState::kReplay, DporMode::kSleepSet, 1, 14, 1));
-      EXPECT_EQ(check_text(*target, grid_opts(EngineState::kSnapshot,
-                                              DporMode::kSleepSet, 1, 14, 1)),
-                ref)
+      const SessionOptions opts = grid_opts(DporMode::kSleepSet, 1, 14, 1);
+      EXPECT_EQ(check_text(*target, opts), replay_text(*target, opts))
           << target->name();
     }
   }
@@ -104,11 +104,8 @@ TEST(StatefulDifferential, FuzzProgramsMatchReplay) {
     const GenProgram prog = generate_program(shape_for_seed(seed));
     for (const rt::Target t : {rt::Target::kNoCC, rt::Target::kSWCC}) {
       const GenProgramTarget target(prog, t);
-      const std::string ref = check_text(
-          target, grid_opts(EngineState::kReplay, DporMode::kOff, 1, 10, 1));
-      EXPECT_EQ(check_text(target, grid_opts(EngineState::kSnapshot,
-                                             DporMode::kOff, 1, 10, 1)),
-                ref)
+      const SessionOptions opts = grid_opts(DporMode::kOff, 1, 10, 1);
+      EXPECT_EQ(check_text(target, opts), replay_text(target, opts))
           << target.name();
     }
   }
@@ -119,12 +116,11 @@ TEST(StatefulDifferential, SeededFaultReportsMatchReplayIncludingMinimization) {
   // minimization, replay confirmation — so byte-equality here covers the
   // minimized schedule/message set, not just the totals.
   const LitmusTarget litmus = seeded_bug_check(rt::Target::kSWCC);
-  const std::string litmus_ref = check_text(
-      litmus, grid_opts(EngineState::kReplay, DporMode::kOff, 1, 16));
+  const std::string litmus_ref =
+      replay_text(litmus, grid_opts(DporMode::kOff, 1, 16));
   ASSERT_NE(litmus_ref.find("failing"), std::string::npos);
   for (const int jobs : {1, 2}) {
-    EXPECT_EQ(check_text(litmus, grid_opts(EngineState::kSnapshot,
-                                           DporMode::kOff, jobs, 16)),
+    EXPECT_EQ(check_text(litmus, grid_opts(DporMode::kOff, jobs, 16)),
               litmus_ref)
         << "jobs=" << jobs;
   }
@@ -132,16 +128,14 @@ TEST(StatefulDifferential, SeededFaultReportsMatchReplayIncludingMinimization) {
   for (const AppKind kind : all_app_kinds()) {
     const auto target =
         make_app_target(kind, rt::Target::kSWCC, all_seeded_faults());
-    const CheckReport ref = CheckSession(grid_opts(EngineState::kReplay,
-                                                   DporMode::kSleepSet, 1, 14,
-                                                   1))
-                                .check(*target);
+    const CheckReport ref =
+        CheckSession(grid_opts(DporMode::kSleepSet, 1, 14, 1))
+            .check(ReplayReference(*target));
     ASSERT_GT(ref.failing, 0u) << target->name();
     for (const int jobs : {1, 2}) {
-      EXPECT_EQ(check_text(*target, grid_opts(EngineState::kSnapshot,
-                                              DporMode::kSleepSet, jobs, 14,
-                                              1)),
-                ref.to_text())
+      EXPECT_EQ(
+          check_text(*target, grid_opts(DporMode::kSleepSet, jobs, 14, 1)),
+          ref.to_text())
           << target->name() << " jobs=" << jobs;
     }
   }
@@ -150,14 +144,26 @@ TEST(StatefulDifferential, SeededFaultReportsMatchReplayIncludingMinimization) {
 // -- Bounded pool: eviction pressure only costs time, never changes reports --
 
 TEST(SnapshotPool, RootOnlyPoolStillMatchesReplay) {
-  const LitmusTarget target(model::litmus::fig5_mp_annotated(),
-                            rt::Target::kSWCC);
-  const std::string ref = check_text(target, grid_opts(EngineState::kReplay));
+  // A failing target, so the least failing schedule is compared too.
+  const LitmusTarget target = seeded_bug_check(rt::Target::kSWCC);
+  ExploreConfig cfg;
+  cfg.preemption_bound = 2;
+  cfg.horizon = 16;
+  cfg.collect_trace_hashes = true;
+  const ExploreReport ref = CheckSession(cfg).explore(ReplayReference(target));
+  ASSERT_GT(ref.failing, 0u);
   for (const size_t pool : {size_t{0}, size_t{2}}) {
-    SessionOptions opts = grid_opts(EngineState::kSnapshot);
-    opts.snapshot_pool = pool;
-    opts.snapshot_stride = 4;
-    EXPECT_EQ(check_text(target, opts), ref) << "pool=" << pool;
+    StatefulOptions sopts;
+    sopts.horizon = cfg.horizon;
+    sopts.checkpoint_stride = 4;
+    sopts.pool_capacity = pool;
+    StatefulExecutor exec(target.make_spec(), sopts);
+    const ExploreReport rep = Explorer(exec.runner()).explore(cfg);
+    EXPECT_EQ(rep.explored, ref.explored) << "pool=" << pool;
+    EXPECT_EQ(rep.failing, ref.failing) << "pool=" << pool;
+    EXPECT_EQ(to_string(rep.first_failing), to_string(ref.first_failing))
+        << "pool=" << pool;
+    EXPECT_EQ(rep.trace_hashes, ref.trace_hashes) << "pool=" << pool;
   }
 }
 

@@ -1,8 +1,8 @@
 // The trace byte-equality contract (DESIGN.md §11): replaying one
 // (target, schedule) pair with a recorder attached produces byte-identical
-// Chrome trace documents on every engine state and job count, a disarmed
-// recorder is observationally invisible, and CheckReport::to_json carries
-// the session telemetry as valid JSON.
+// Chrome trace documents at every job count, a disarmed recorder is
+// observationally invisible, and CheckReport::to_json carries the session
+// telemetry as valid JSON.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,16 +12,16 @@
 #include "model/litmus_library.h"
 #include "obs/trace.h"
 #include "../support/mini_json.h"
+#include "../support/replay_reference.h"
 
 namespace pmc::explore {
 namespace {
 
-SessionOptions opts_for(EngineState state, int jobs) {
+SessionOptions opts_for(int jobs) {
   SessionOptions o;
   o.explore.preemption_bound = 2;
   o.explore.horizon = 24;
   o.jobs = jobs;
-  o.engine_state = state;
   return o;
 }
 
@@ -34,26 +34,22 @@ TEST(TraceDeterminism, ByteIdenticalAcrossEngineStatesAndJobs) {
 
   std::string ref_doc;
   uint64_t ref_hash = 0;
-  for (const EngineState state :
-       {EngineState::kReplay, EngineState::kSnapshot}) {
-    for (const int jobs : {1, 2, 8}) {
-      const CheckSession session(opts_for(state, jobs));
-      obs::TraceRecorder rec;
-      bool applied = false;
-      const RunOutcome out = session.replay_traced(target, ds, &rec, &applied);
-      EXPECT_TRUE(out.ok) << out.message;
-      EXPECT_TRUE(applied);
-      ASSERT_FALSE(rec.empty());
-      const std::string doc = obs::chrome_trace_json(rec);
-      if (ref_doc.empty()) {
-        ref_doc = doc;
-        ref_hash = out.trace_hash;
-        EXPECT_TRUE(test_support::json_valid(doc)) << doc;
-      } else {
-        EXPECT_EQ(doc, ref_doc)
-            << to_string(state) << " jobs=" << jobs << " diverged";
-        EXPECT_EQ(out.trace_hash, ref_hash);
-      }
+  for (const int jobs : {1, 2, 8}) {
+    const CheckSession session(opts_for(jobs));
+    obs::TraceRecorder rec;
+    bool applied = false;
+    const RunOutcome out = session.replay_traced(target, ds, &rec, &applied);
+    EXPECT_TRUE(out.ok) << out.message;
+    EXPECT_TRUE(applied);
+    ASSERT_FALSE(rec.empty());
+    const std::string doc = obs::chrome_trace_json(rec);
+    if (ref_doc.empty()) {
+      ref_doc = doc;
+      ref_hash = out.trace_hash;
+      EXPECT_TRUE(test_support::json_valid(doc)) << doc;
+    } else {
+      EXPECT_EQ(doc, ref_doc) << "jobs=" << jobs << " diverged";
+      EXPECT_EQ(out.trace_hash, ref_hash);
     }
   }
 }
@@ -61,7 +57,7 @@ TEST(TraceDeterminism, ByteIdenticalAcrossEngineStatesAndJobs) {
 TEST(TraceDeterminism, DifferentSchedulesProduceDifferentTraces) {
   const LitmusTarget target(model::litmus::fig4_exclusive(),
                             rt::Target::kSWCC);
-  const CheckSession session(opts_for(EngineState::kReplay, 1));
+  const CheckSession session(opts_for(1));
   obs::TraceRecorder default_rec, reordered_rec;
   ASSERT_TRUE(session.replay_traced(target, {}, &default_rec).ok);
   ASSERT_TRUE(session
@@ -76,8 +72,11 @@ TEST(TraceDeterminism, AttachedRecorderDoesNotPerturbTheRun) {
   const LitmusTarget target(model::litmus::fig5_mp_annotated(),
                             rt::Target::kSWCC);
   const DecisionString ds = parse_decision_string("0:1");
-  const CheckSession session(opts_for(EngineState::kReplay, 1));
-  const RunOutcome plain = session.replay(target, ds);
+  const CheckSession session(opts_for(1));
+  // The never-attached baseline runs the same stateless path as
+  // replay_traced.
+  const RunOutcome plain =
+      session.replay(test_support::ReplayReference(target), ds);
 
   // Disarmed: the run must be bit-for-bit the never-attached one and the
   // recorder must stay empty (the "attached but off" zero-cost state).
@@ -104,7 +103,7 @@ TEST(TraceDeterminism, NonStatefulTargetsRunUntraced) {
     out.trace_hash = 7;
     return out;
   });
-  const CheckSession session(opts_for(EngineState::kReplay, 1));
+  const CheckSession session(opts_for(1));
   obs::TraceRecorder rec;
   const RunOutcome out = session.replay_traced(target, {}, &rec);
   EXPECT_TRUE(out.ok);
@@ -115,7 +114,7 @@ TEST(TraceDeterminism, NonStatefulTargetsRunUntraced) {
 TEST(CheckReportJson, ParsesAndCarriesTelemetry) {
   const LitmusTarget target(model::litmus::fig4_exclusive(),
                             rt::Target::kSWCC);
-  SessionOptions o = opts_for(EngineState::kReplay, 2);
+  SessionOptions o = opts_for(2);
   o.explore.sample_hb_curve = true;
   const CheckReport rep = CheckSession(o).check(target);
   EXPECT_TRUE(rep.ok) << rep.to_text();
@@ -139,7 +138,7 @@ TEST(CheckReportJson, ParsesAndCarriesTelemetry) {
 
 TEST(CheckReportJson, FailingReportCarriesSchedules) {
   const LitmusTarget target = seeded_bug_check(rt::Target::kSWCC);
-  SessionOptions o = opts_for(EngineState::kReplay, 1);
+  SessionOptions o = opts_for(1);
   const CheckReport rep = CheckSession(o).check(target);
   ASSERT_GT(rep.failing, 0u);
   const std::string json = rep.to_json();
