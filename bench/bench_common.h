@@ -91,8 +91,8 @@ inline std::string fmt_u64(uint64_t v) {
 /// maybe_write() at the end of main. With `--json` (or `--json=PATH`) on the
 /// command line the metrics are written as one flat JSON object to
 /// BENCH_<name>.json in the working directory (or PATH); without the flag
-/// nothing is emitted, so default output is unchanged. Keys are stable
-/// across PRs — CI and future sessions diff these files run over run.
+/// nothing is emitted, so default output is unchanged. The `golden` ctest
+/// label compares the deterministic harnesses' files with bench/baselines/.
 class JsonReport {
  public:
   explicit JsonReport(std::string name) : name_(std::move(name)) {}

@@ -99,8 +99,8 @@ class TraceRecorder {
   explicit TraceRecorder(size_t capacity = kDefaultCapacity);
 
   /// Armed ⇒ instrumentation points record. A disarmed recorder is the
-  /// "attached but off" state bench_explore prices as trace_overhead_pct:
-  /// every instrumentation point is guarded by
+  /// "attached but off" state bench_trace_overhead prices against a
+  /// detached machine: every instrumentation point is guarded by
   /// `trace != nullptr && trace->armed()` before any event is built.
   bool armed() const { return armed_; }
   void arm() { armed_ = true; }

@@ -52,12 +52,17 @@ std::string replay_text(const CheckTarget& target,
 class LitmusDifferential : public ::testing::TestWithParam<rt::Target> {};
 
 TEST_P(LitmusDifferential, EveryAnnotatableTestMatchesReplay) {
-  // The CLI's default litmus grid bounds (preemptions 2, horizon 16).
-  const SessionOptions opts = grid_opts(DporMode::kOff, 1, 16);
+  // The CLI's default litmus grid bounds (preemptions 2, horizon 16), with
+  // the unreduced tree sharded over 1 and 4 workers: the report, explored
+  // count included, must not depend on the job count.
   for (const auto& test : annotatable_tests()) {
     const LitmusTarget target(test, GetParam());
-    EXPECT_EQ(check_text(target, opts), replay_text(target, opts))
-        << target.name();
+    const std::string ref =
+        replay_text(target, grid_opts(DporMode::kOff, 1, 16));
+    for (const int jobs : {1, 4}) {
+      EXPECT_EQ(check_text(target, grid_opts(DporMode::kOff, jobs, 16)), ref)
+          << target.name() << " jobs=" << jobs;
+    }
   }
 }
 

@@ -9,9 +9,9 @@
 
 #include "explore/check.h"
 #include "explore/litmus_driver.h"
+#include "fuzz/json_read.h"
 #include "model/litmus_library.h"
 #include "obs/trace.h"
-#include "../support/mini_json.h"
 #include "../support/replay_reference.h"
 
 namespace pmc::explore {
@@ -46,7 +46,7 @@ TEST(TraceDeterminism, ByteIdenticalAcrossEngineStatesAndJobs) {
     if (ref_doc.empty()) {
       ref_doc = doc;
       ref_hash = out.trace_hash;
-      EXPECT_TRUE(test_support::json_valid(doc)) << doc;
+      EXPECT_NO_THROW(fuzz::json_parse(doc, "chrome_trace")) << doc;
     } else {
       EXPECT_EQ(doc, ref_doc) << "jobs=" << jobs << " diverged";
       EXPECT_EQ(out.trace_hash, ref_hash);
@@ -120,7 +120,7 @@ TEST(CheckReportJson, ParsesAndCarriesTelemetry) {
   EXPECT_TRUE(rep.ok) << rep.to_text();
 
   const std::string json = rep.to_json();
-  EXPECT_TRUE(test_support::json_valid(json)) << json;
+  EXPECT_NO_THROW(fuzz::json_parse(json, "check_report")) << json;
   EXPECT_NE(json.find("\"target\":\"fig4_exclusive@swcc\""),
             std::string::npos);
   EXPECT_NE(json.find("\"explored\":"), std::string::npos);
@@ -142,7 +142,7 @@ TEST(CheckReportJson, FailingReportCarriesSchedules) {
   const CheckReport rep = CheckSession(o).check(target);
   ASSERT_GT(rep.failing, 0u);
   const std::string json = rep.to_json();
-  EXPECT_TRUE(test_support::json_valid(json)) << json;
+  EXPECT_NO_THROW(fuzz::json_parse(json, "check_report")) << json;
   EXPECT_NE(json.find("\"first_failing\":"), std::string::npos);
   EXPECT_NE(json.find("\"repro_schedule\":"), std::string::npos);
   EXPECT_NE(json.find("\"failing\":"), std::string::npos);

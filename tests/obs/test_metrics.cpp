@@ -6,7 +6,7 @@
 
 #include <string>
 
-#include "../support/mini_json.h"
+#include "fuzz/json_read.h"
 
 namespace pmc::obs {
 namespace {
@@ -134,7 +134,7 @@ TEST(MetricsRegistry, JsonExportIsValidKeyOrderedAndDeterministic) {
   m.set_gauge("speed", 1.25);
   m.observe("lat", 3);
   const std::string json = m.to_json();
-  EXPECT_TRUE(test_support::json_valid(json)) << json;
+  EXPECT_NO_THROW(fuzz::json_parse(json, "metrics")) << json;
   // std::map storage ⇒ key-sorted members, independent of insertion order.
   EXPECT_LT(json.find("\"alpha\""), json.find("\"zeta\""));
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
@@ -152,7 +152,7 @@ TEST(MetricsRegistry, JsonExportIsValidKeyOrderedAndDeterministic) {
 
 TEST(MetricsRegistry, EmptyRegistryExportsEmptySections) {
   const std::string json = MetricsRegistry().to_json();
-  EXPECT_TRUE(test_support::json_valid(json)) << json;
+  EXPECT_NO_THROW(fuzz::json_parse(json, "metrics")) << json;
   EXPECT_EQ(json, "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
 }
 
@@ -161,7 +161,7 @@ TEST(MetricsRegistry, JsonEscapesKeysAndElidesTrailingEmptyBuckets) {
   m.inc("weird \"key\"\n", 1);
   m.observe("h", 2);  // bucket 2 is the last non-empty one
   const std::string json = m.to_json();
-  EXPECT_TRUE(test_support::json_valid(json)) << json;
+  EXPECT_NO_THROW(fuzz::json_parse(json, "metrics")) << json;
   EXPECT_NE(json.find("\\\"key\\\"\\n"), std::string::npos);
   EXPECT_NE(json.find("\"buckets\":[0,0,1]"), std::string::npos);
 }

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "../support/mini_json.h"
+#include "fuzz/json_read.h"
 
 namespace pmc::obs {
 namespace {
@@ -177,7 +177,7 @@ TEST(TraceRecorder, RestoreAfterWrapKeepsCompactedOrder) {
 
 TEST(ChromeTrace, DocumentIsValidJsonWithAllTrackKinds) {
   const std::string doc = chrome_trace_json(sample_events(), /*dropped=*/0);
-  EXPECT_TRUE(test_support::json_valid(doc)) << doc;
+  EXPECT_NO_THROW(fuzz::json_parse(doc, "chrome_trace")) << doc;
   // Track metadata for both cores.
   EXPECT_NE(doc.find("\"name\":\"core 0\""), std::string::npos);
   EXPECT_NE(doc.find("\"name\":\"core 1\""), std::string::npos);
@@ -198,13 +198,13 @@ TEST(ChromeTrace, DocumentIsValidJsonWithAllTrackKinds) {
 
 TEST(ChromeTrace, EmptyBufferIsStillAValidDocument) {
   const std::string doc = chrome_trace_json({}, 0);
-  EXPECT_TRUE(test_support::json_valid(doc)) << doc;
+  EXPECT_NO_THROW(fuzz::json_parse(doc, "chrome_trace")) << doc;
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
 }
 
 TEST(ChromeTrace, SurfacesDroppedCount) {
   const std::string doc = chrome_trace_json(sample_events(), /*dropped=*/17);
-  EXPECT_TRUE(test_support::json_valid(doc));
+  EXPECT_NO_THROW(fuzz::json_parse(doc, "chrome_trace"));
   EXPECT_NE(doc.find("\"dropped_events\":17"), std::string::npos);
 }
 
