@@ -118,6 +118,16 @@ void BM_LitmusExploreWeakIssue(benchmark::State& state) {
 }
 BENCHMARK(BM_LitmusExploreWeakIssue);
 
+// wrc_locked is nearly all of a LitmusTarget's set-up: its program-order
+// enumeration is the oracle every back-end of the annotatable suite loads.
+void BM_LitmusExploreWrcLocked(benchmark::State& state) {
+  const auto test = litmus::wrc_locked();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(explore(test));
+  }
+}
+BENCHMARK(BM_LitmusExploreWrcLocked)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -172,7 +172,8 @@ LitmusTarget::LitmusTarget(model::LitmusTest test, rt::Target target,
   // The in-order simulated cores issue in program order, so the
   // program-order enumeration is the exact end-to-end oracle.
   allowed_ = model::explore(test_).outcomes;
-  PMC_CHECK_MSG(!allowed_.empty(), test_.name << " has no completed path");
+  PMC_CHECK_MSG(!allowed_.empty(),
+                test_.name << " reaches no final state in the model");
 }
 
 std::string LitmusTarget::name() const {

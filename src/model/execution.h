@@ -111,6 +111,16 @@ class Execution {
   /// are listed by source op, then in insertion order.
   std::string to_dot() const;
 
+  /// Appends to `key` an exact encoding of everything later issues and
+  /// queries read, with op `id` renamed to `name[id]` (DESIGN.md §4): the
+  /// ops in name order with their kinds, values, read sources and sorted
+  /// in-edges, each location's release frontier, and the per-process
+  /// bookkeeping. A name must determine its op's process and location, and
+  /// the process count must be below 255. Issue-order indices (the order of
+  /// a location's writes, the write chain) are left out: every query answers
+  /// from them what the general scan answers.
+  void append_canonical(std::span<const uint16_t> name, std::string& key) const;
+
  private:
   struct ProcLocState {
     OpId last_write = kNoOp;    // latest (w, p, v, ·) — starts at the init op

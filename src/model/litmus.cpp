@@ -1,6 +1,8 @@
 #include "model/litmus.h"
 
 #include <algorithm>
+#include <string>
+#include <unordered_set>
 
 #include "model/execution.h"
 #include "model/table1.h"
@@ -37,6 +39,10 @@ struct State {
   std::vector<ThreadState> threads;
   std::vector<int> holder;  // per location: thread holding the lock, or -1
   Outcome regs;
+  /// Per op id: the op's issue-order-free name. Location v's initial op is
+  /// named v; op j of thread t is named base[t] + j, so names sort by
+  /// (thread + 1, program index).
+  std::vector<uint16_t> names;
 
   State(const LitmusTest& t)
       : exec(static_cast<int>(t.threads.size()), t.num_locs,
@@ -48,13 +54,24 @@ struct State {
     for (size_t i = 0; i < t.threads.size(); ++i) {
       threads[i].issued.assign(t.threads[i].ops.size(), 0);
     }
+    // The initial ops are ops 0..num_locs-1, in location order.
+    for (LocId v = 0; v < t.num_locs; ++v) {
+      names.push_back(static_cast<uint16_t>(v));
+    }
   }
 };
 
 class Explorer {
  public:
   Explorer(const LitmusTest& test, const ExploreOptions& opts)
-      : test_(test), opts_(opts) {}
+      : test_(test), opts_(opts) {
+    size_t next = static_cast<size_t>(test.num_locs);
+    for (const auto& th : test.threads) {
+      base_.push_back(static_cast<uint16_t>(next));
+      next += th.ops.size();
+    }
+    base_.push_back(static_cast<uint16_t>(next));
+  }
 
   ExploreResult run() {
     State init(test_);
@@ -92,7 +109,9 @@ class Explorer {
     return out;
   }
 
+  /// Records that op j of thread t was just issued as the newest op.
   void mark_issued(State& st, size_t t, size_t j) const {
+    st.names.push_back(static_cast<uint16_t>(base_[t] + j));
     auto& ts = st.threads[t];
     ts.issued[j] = 1;
     while (ts.frontier < ts.issued.size() && ts.issued[ts.frontier]) {
@@ -106,8 +125,40 @@ class Explorer {
     }
   }
 
+  /// The exact key of `st`: the renamed graph, then each thread's issue
+  /// sequence, the registers and lock holders. The sequence is there because
+  /// Execution compares a process's own ops by issue id and weak issue need
+  /// not follow program order (DESIGN.md §4 says why it may be redundant).
+  void encode(const State& st, std::string& key) const {
+    const auto put_varint = [&](uint64_t x) {
+      for (; x >= 0x80; x >>= 7) key.push_back(static_cast<char>(x | 0x80));
+      key.push_back(static_cast<char>(x));
+    };
+    key.clear();
+    st.exec.append_canonical(st.names, key);
+    for (size_t t = 0; t < st.threads.size(); ++t) {
+      const auto ours = [&](uint16_t n) {
+        return n >= base_[t] && n < base_[t + 1];
+      };
+      put_varint(static_cast<uint64_t>(
+          std::count_if(st.names.begin(), st.names.end(), ours)));
+      for (uint16_t n : st.names) {
+        if (ours(n)) put_varint(static_cast<uint64_t>(n - base_[t]));
+      }
+    }
+    for (uint64_t r : st.regs) put_varint(r);
+    for (int h : st.holder) key.push_back(static_cast<char>(h + 1));
+  }
+
   void dfs(State& st) {
     if (result_.truncated) return;
+    encode(st, key_);
+    if (!visited_.insert(key_).second) return;
+    if (result_.states == opts_.max_states) {
+      result_.truncated = true;
+      return;
+    }
+    ++result_.states;
     bool all_done = true;
     bool advanced = false;
     for (size_t t = 0; t < st.threads.size(); ++t) {
@@ -189,20 +240,26 @@ class Explorer {
     }
     if (all_done) {
       result_.outcomes.insert(st.regs);
-      if (++result_.paths >= opts_.max_paths) result_.truncated = true;
     } else if (!advanced) {
-      ++result_.stuck_paths;
+      result_.stuck = true;
     }
   }
 
   const LitmusTest& test_;
   const ExploreOptions& opts_;
+  std::vector<uint16_t> base_;  // per thread: name of its op 0; then the end
+  std::unordered_set<std::string> visited_;  // keys of expanded states
+  std::string key_;
   ExploreResult result_;
 };
 
 }  // namespace
 
 ExploreResult explore(const LitmusTest& test, const ExploreOptions& opts) {
+  size_t num_ops = static_cast<size_t>(test.num_locs);
+  for (const auto& th : test.threads) num_ops += th.ops.size();
+  PMC_CHECK_MSG(test.threads.size() < 255 && num_ops < 0xFFFF,
+                "litmus test too large for 16-bit op names: " << test.name);
   for (const auto& th : test.threads) {
     for (const auto& op : th.ops) {
       PMC_CHECK_MSG(op.kind == LitmusOp::Kind::kFence ||

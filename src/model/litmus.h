@@ -5,6 +5,12 @@
 // reordering Table I permits) and every legal read value per Definition 12,
 // returning the set of reachable final register states.
 //
+// The search is memoized (DESIGN.md §4): interleavings that reach the same
+// state, up to renaming ops by (thread, program index) instead of issue
+// order, are expanded once. The visited set is local to one explore() call
+// and is freed when it returns. tests/support/litmus_reference.h keeps the
+// unreduced path-by-path search that the tests compare it with.
+//
 // Weak-issue mode models what the paper's annotations are *for*: a compiler
 // or out-of-order processor may issue an instruction early unless Table I
 // orders it behind a pending earlier instruction. The classic demonstration
@@ -65,8 +71,8 @@ struct ExploreOptions {
   IssueMode mode = IssueMode::kProgramOrder;
   /// Lookahead window for weak-issue reordering.
   int weak_window = 3;
-  /// Abort exploration after this many completed paths.
-  size_t max_paths = 5'000'000;
+  /// Stop after expanding this many distinct states (sets `truncated`).
+  size_t max_states = 5'000'000;
 };
 
 /// A final register state, indexed by LitmusOp::reg.
@@ -74,9 +80,9 @@ using Outcome = std::vector<uint64_t>;
 
 struct ExploreResult {
   std::set<Outcome> outcomes;
-  size_t paths = 0;        // completed executions explored
-  size_t stuck_paths = 0;  // paths where a poll loop could never succeed
-  bool truncated = false;  // max_paths hit
+  size_t states = 0;       // distinct states expanded
+  bool stuck = false;      // some state can issue nothing but is not done
+  bool truncated = false;  // max_states hit
   bool race_observed = false;  // some read had |W_o| > 1 on some path
 };
 

@@ -1,10 +1,16 @@
-// Litmus-test outcome checks: the paper's figures as executable claims.
+// Litmus-test outcome checks: the paper's figures as executable claims,
+// and the memoized enumerator against the unreduced reference search.
 #include "model/litmus.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "../support/litmus_reference.h"
 #include "model/litmus_library.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace pmc::model {
 namespace {
@@ -148,6 +154,18 @@ TEST(Litmus, AllLibraryTestsExploreCleanly) {
   }
 }
 
+TEST(Litmus, PollThatCanNeverSucceedIsStuck) {
+  LitmusTest t;
+  t.name = "dead_poll";
+  t.num_locs = 1;
+  t.num_regs = 0;
+  t.threads = {{{LitmusOp::load_until(0, 1)}}};
+  const auto res = explore(t, program_order());
+  EXPECT_TRUE(res.stuck);
+  EXPECT_TRUE(res.outcomes.empty());
+  EXPECT_FALSE(explore(litmus::fig5_mp_annotated(), program_order()).stuck);
+}
+
 TEST(Litmus, MalformedReleaseIsRejected) {
   LitmusTest t;
   t.name = "bad_release";
@@ -164,6 +182,153 @@ TEST(Litmus, LocationBoundsAreValidated) {
   t.num_regs = 1;
   t.threads = {{{LitmusOp::load(3, 0)}}};
   EXPECT_THROW(explore(t, program_order()), util::CheckFailure);
+}
+
+// -- Memoized enumeration vs the unreduced reference (DESIGN.md §4) ---------
+
+std::vector<ExploreOptions> weak_windows() {
+  return {{IssueMode::kWeakIssue, 3, 5'000'000},
+          {IssueMode::kWeakIssue, 4, 5'000'000}};
+}
+
+std::string describe(const ExploreOptions& opts) {
+  return opts.mode == IssueMode::kProgramOrder
+             ? std::string("program order")
+             : "weak issue, window " + std::to_string(opts.weak_window);
+}
+
+/// Outcome set, race, stuckness and truncation agree with the path-by-path
+/// search.
+void expect_matches_reference(const LitmusTest& test,
+                              const ExploreOptions& opts) {
+  const ExploreResult got = explore(test, opts);
+  const test_support::ReferenceResult ref =
+      test_support::explore_reference(test, opts);
+  const std::string where = test.name + ", " + describe(opts);
+  EXPECT_EQ(got.outcomes, ref.outcomes) << where;
+  EXPECT_EQ(got.race_observed, ref.race_observed) << where;
+  EXPECT_EQ(got.stuck, ref.stuck_paths > 0) << where;
+  EXPECT_EQ(got.truncated, ref.truncated) << where;
+}
+
+TEST(LitmusMemo, LibraryMatchesReferenceInProgramOrder) {
+  for (const auto& test : litmus::all_tests()) {
+    expect_matches_reference(test, program_order());
+  }
+}
+
+TEST(LitmusMemo, LibraryMatchesReferenceUnderWeakIssue) {
+  for (const auto& opts : weak_windows()) {
+    for (const auto& test : litmus::all_tests()) {
+      expect_matches_reference(test, opts);
+    }
+  }
+}
+
+/// A random well-formed program: 2–3 threads of at most 5 ops over at most
+/// 3 locations, with properly nested lock sections, stores of 1 or 2 (so
+/// equal values come from different writes), loads, polls for 0–2 (some
+/// never succeed) and fences. Threads that nest sections in opposite orders
+/// can deadlock. At most 9 ops in all: the path-by-path reference takes
+/// seconds per program at 12–13 ops under weak issue.
+LitmusTest random_litmus(uint64_t seed) {
+  util::Rng rng(seed);
+  LitmusTest t;
+  t.name = "random_" + std::to_string(seed);
+  t.num_locs = 1 + static_cast<int>(rng.next_below(3));
+  t.threads.resize(2 + rng.next_below(2));
+  size_t budget = 9;
+  for (size_t i = 0; i < t.threads.size(); ++i) {
+    auto& th = t.threads[i];
+    const size_t later = t.threads.size() - i - 1;
+    const size_t len = 1 + rng.next_below(std::min<size_t>(5, budget - later));
+    budget -= len;
+    std::vector<LocId> held;  // innermost last
+    while (th.ops.size() < len) {
+      const size_t room = len - th.ops.size();
+      const LocId v = static_cast<LocId>(rng.next_below(t.num_locs));
+      const uint64_t choice = rng.next_below(6);
+      if (room == held.size() || (choice == 0 && !held.empty())) {
+        th.ops.push_back(LitmusOp::release(held.back()));
+        held.pop_back();
+      } else if (choice == 1 && room >= held.size() + 2 &&
+                 std::find(held.begin(), held.end(), v) == held.end()) {
+        th.ops.push_back(LitmusOp::acquire(v));
+        held.push_back(v);
+      } else if (choice == 2) {
+        th.ops.push_back(LitmusOp::store(v, 1 + rng.next_below(2)));
+      } else if (choice == 3) {
+        th.ops.push_back(LitmusOp::load(v, t.num_regs++));
+      } else if (choice == 4) {
+        th.ops.push_back(LitmusOp::load_until(v, rng.next_below(3)));
+      } else if (choice == 5) {
+        th.ops.push_back(LitmusOp::fence());
+      }
+    }
+  }
+  return t;
+}
+
+constexpr uint64_t kRandomPrograms = 200;
+
+void expect_random_programs_match(const ExploreOptions& opts) {
+  for (uint64_t seed = 1; seed <= kRandomPrograms; ++seed) {
+    expect_matches_reference(random_litmus(seed), opts);
+  }
+}
+
+TEST(LitmusMemo, RandomProgramsMatchReferenceInProgramOrder) {
+  expect_random_programs_match(program_order());
+}
+
+TEST(LitmusMemo, RandomProgramsMatchReferenceUnderWeakIssueWindow3) {
+  expect_random_programs_match(weak_windows()[0]);
+}
+
+TEST(LitmusMemo, RandomProgramsMatchReferenceUnderWeakIssueWindow4) {
+  expect_random_programs_match(weak_windows()[1]);
+}
+
+TEST(LitmusMemo, ReadsOfEqualValuesFromDifferentWritesStayApart) {
+  // r0 = 1 from P1's first write lets r1 read P1's later 2; r0 = 1 from
+  // P0's write does not (read monotonicity). The two states differ only in
+  // the read's source, and the search meets P0's source first, so merging
+  // them loses (1, 2).
+  using Op = LitmusOp;
+  LitmusTest t;
+  t.name = "equal_values_two_sources";
+  t.num_locs = 2;
+  t.num_regs = 2;
+  t.threads = {
+      {{Op::store(litmus::kX, 1), Op::store(litmus::kF, 1)}},
+      {{Op::store(litmus::kX, 1), Op::store(litmus::kX, 2)}},
+      {{Op::load_until(litmus::kF, 1), Op::load(litmus::kX, 0),
+        Op::load(litmus::kX, 1)}},
+  };
+  const auto res = explore(t, program_order());
+  EXPECT_TRUE(res.outcomes.count({1, 2}));
+  expect_matches_reference(t, program_order());
+}
+
+TEST(LitmusMemo, InterleavingsReachingOneStateMerge) {
+  const LitmusTest test = litmus::sb_locked();
+  const auto memo = explore(test, program_order());
+  const auto ref = test_support::explore_reference(test, program_order());
+  EXPECT_LT(memo.states * 10, ref.paths)
+      << memo.states << " states vs " << ref.paths << " paths";
+}
+
+TEST(LitmusMemo, MaxStatesTruncates) {
+  const LitmusTest test = litmus::wrc_locked();
+  const auto full = explore(test, program_order());
+  ASSERT_FALSE(full.truncated);
+  ExploreOptions opts = program_order();
+  opts.max_states = full.states;
+  EXPECT_FALSE(explore(test, opts).truncated);
+  opts.max_states = 10;
+  const auto cut = explore(test, opts);
+  EXPECT_TRUE(cut.truncated);
+  EXPECT_EQ(cut.states, 10u);
 }
 
 }  // namespace
