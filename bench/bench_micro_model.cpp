@@ -1,13 +1,11 @@
 // Microbenchmarks of the memory-model engine (google-benchmark).
 //
-// Quantifies the closure-preserving edge reduction of Execution against the
-// literal Table I implementation (NaiveExecution), reachability queries, and
-// litmus exploration cost.
+// Measures Execution's edge insertion, reachability queries, and litmus
+// exploration cost.
 #include <benchmark/benchmark.h>
 
 #include "model/execution.h"
 #include "model/litmus_library.h"
-#include "model/naive.h"
 #include "util/rng.h"
 
 namespace {
@@ -15,9 +13,8 @@ namespace {
 using namespace pmc;
 using namespace pmc::model;
 
-/// Issues a fixed random well-formed program into any execution type.
-template <typename E>
-void drive(E& e, int procs, int locs, int steps, uint64_t seed) {
+/// Issues a fixed random well-formed program into `e`.
+void drive(Execution& e, int procs, int locs, int steps, uint64_t seed) {
   util::Rng rng(seed);
   std::vector<int> holder(static_cast<size_t>(locs), -1);
   for (int i = 0; i < steps; ++i) {
@@ -60,17 +57,6 @@ void BM_ExecutionIssueReduced(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * steps);
 }
 BENCHMARK(BM_ExecutionIssueReduced)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_ExecutionIssueNaive(benchmark::State& state) {
-  const int steps = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    NaiveExecution e(4, 8);
-    drive(e, 4, 8, steps, 42);
-    benchmark::DoNotOptimize(e.num_edges());
-  }
-  state.SetItemsProcessed(state.iterations() * steps);
-}
-BENCHMARK(BM_ExecutionIssueNaive)->Arg(64)->Arg(256);
 
 void BM_HbGlobalQuery(benchmark::State& state) {
   Execution e(4, 8);

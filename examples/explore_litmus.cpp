@@ -417,9 +417,6 @@ int run_outcomes() {
 
 int run_dot() {
   // Rebuild the Fig. 5 execution in its depicted interleaving and dump it.
-  // (The legacy litmus_explorer passed a hard-coded OpId for the data
-  // read's source, which had drifted from the op numbering and aborted;
-  // capturing the writes' ids keeps the graph correct by construction.)
   model::Execution e(2, 2, {0, 0});
   e.acquire(0, 0);
   const model::OpId wx = e.write(0, 0, 42);

@@ -2,10 +2,12 @@
 // happens-before dynamic partial-order reduction (DESIGN.md §8).
 //
 // The Explorer enumerates interleavings of one deterministic simulated
-// program by stateless re-execution: each schedule is a decision string, the
-// runner re-runs the whole program under a ReplayPolicy, and the recorded
-// candidate counts of the parent run (identical prefix ⇒ identical decisions)
-// let the Explorer enumerate all child schedules exactly, without snapshots.
+// program: each schedule is a decision string, the runner executes it under
+// a ReplayPolicy, and the recorded candidate counts of the parent run
+// (identical prefix ⇒ identical decisions) let the Explorer enumerate all
+// child schedules exactly. The Explorer is agnostic to how the runner
+// reproduces a prefix: a stateful target's runner forks it from machine
+// snapshots (DESIGN.md §10), a stateless one re-runs the whole program.
 // The search is bounded by a preemption budget (max overrides per schedule)
 // and a horizon (only the first H decision points may branch), in the style
 // of CHESS-like systematic concurrency testing; delay-segment pruning skips

@@ -482,22 +482,16 @@ std::vector<std::pair<OpId, OpId>> Execution::unordered_write_pairs(
 }
 
 namespace {
-void put8(std::string& key, uint8_t x) { key.push_back(static_cast<char>(x)); }
 void put16(std::string& key, uint16_t x) {
-  put8(key, static_cast<uint8_t>(x));
-  put8(key, static_cast<uint8_t>(x >> 8));
-}
-/// LEB128: small values take one byte, ⊥ takes ten.
-void put_varint(std::string& key, uint64_t x) {
-  for (; x >= 0x80; x >>= 7) put8(key, static_cast<uint8_t>(x | 0x80));
-  put8(key, static_cast<uint8_t>(x));
+  key.push_back(static_cast<char>(x));
+  key.push_back(static_cast<char>(x >> 8));
 }
 }  // namespace
 
 void Execution::append_canonical(std::span<const uint16_t> name,
                                  std::string& key) const {
   PMC_CHECK(name.size() == ops_.size());
-  PMC_CHECK(num_procs_ < 255 && ops_.size() < 0xFFFF);
+  PMC_CHECK(ops_.size() < 0xFFFF);
   const auto nm = [&](OpId id) -> uint16_t {
     return id == kNoOp ? 0xFFFF : name[id];
   };
@@ -506,33 +500,14 @@ void Execution::append_canonical(std::span<const uint16_t> name,
   std::sort(by_name.begin(), by_name.end(),
             [&](OpId a, OpId b) { return name[a] < name[b]; });
   put16(key, static_cast<uint16_t>(ops_.size()));
-  std::vector<uint32_t> sorted;  // packed (from-name, kind, owner) or names
+  std::vector<uint16_t> sorted;  // in-edge source names, or locations
   for (OpId id : by_name) {
-    const Operation& o = ops_[id];
     put16(key, name[id]);
-    put8(key, o.kinds);
-    put_varint(key, o.value);
-    put16(key, nm(o.source));
     sorted.clear();
-    for (const Edge& e : in_edges(id)) {
-      sorted.push_back(uint32_t{name[e.from]} << 16 |
-                       uint32_t{static_cast<uint8_t>(e.kind)} << 8 |
-                       static_cast<uint8_t>(e.owner));
-    }
+    for (const Edge& e : in_edges(id)) sorted.push_back(name[e.from]);
     std::sort(sorted.begin(), sorted.end());
     put16(key, static_cast<uint16_t>(sorted.size()));
-    for (uint32_t e : sorted) {
-      put16(key, static_cast<uint16_t>(e >> 16));
-      put8(key, static_cast<uint8_t>(e >> 8));
-      put8(key, static_cast<uint8_t>(e));
-    }
-  }
-  for (const auto& frontier : release_frontier_) {
-    sorted.clear();
-    for (OpId id : frontier) sorted.push_back(name[id]);
-    std::sort(sorted.begin(), sorted.end());
-    put16(key, static_cast<uint16_t>(sorted.size()));
-    for (uint32_t n : sorted) put16(key, static_cast<uint16_t>(n));
+    for (uint16_t n : sorted) put16(key, n);
   }
   for (const ProcLocState& s : pls_) {
     for (OpId id : {s.last_write, s.last_acquire, s.last_read, s.last_sync,
@@ -545,7 +520,7 @@ void Execution::append_canonical(std::span<const uint16_t> name,
     sorted.assign(ps.dirty_since_fence.begin(), ps.dirty_since_fence.end());
     std::sort(sorted.begin(), sorted.end());
     put16(key, static_cast<uint16_t>(sorted.size()));
-    for (uint32_t v : sorted) put16(key, static_cast<uint16_t>(v));
+    for (uint16_t v : sorted) put16(key, v);
   }
 }
 

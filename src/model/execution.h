@@ -8,7 +8,8 @@
 //
 // Edge insertion uses a closure-preserving reduction (only non-dominated
 // predecessors receive explicit edges); `tests/model/test_naive_equivalence`
-// property-checks it against the unreduced NaiveExecution on random programs.
+// property-checks it against the unreduced NaiveExecution
+// (`tests/support/naive_reference.h`) on random programs.
 //
 // Storage (DESIGN.md §4): every in-edge of an op is added when the op is
 // issued, so all edges live in one vector grouped by target op. Per
@@ -111,14 +112,17 @@ class Execution {
   /// are listed by source op, then in insertion order.
   std::string to_dot() const;
 
-  /// Appends to `key` an exact encoding of everything later issues and
-  /// queries read, with op `id` renamed to `name[id]` (DESIGN.md §4): the
-  /// ops in name order with their kinds, values, read sources and sorted
-  /// in-edges, each location's release frontier, and the per-process
-  /// bookkeeping. A name must determine its op's process and location, and
-  /// the process count must be below 255. Issue-order indices (the order of
-  /// a location's writes, the write chain) are left out: every query answers
-  /// from them what the general scan answers.
+  /// Appends to `key` an exact encoding of everything later issues and the
+  /// Definition 11/12 queries read, with op `id` renamed to `name[id]`
+  /// (DESIGN.md §4): the op names, each op's sorted in-edge source names,
+  /// and the per-process bookkeeping. A name must determine its op's
+  /// process, location and kinds and a write's value; edge kinds and owners,
+  /// the release frontier and the issue order of a process's ops follow from
+  /// those and the graph. A read's value and source are left out: later
+  /// issues read only the newest source per process and location, which the
+  /// bookkeeping holds. Issue-order indices (the order of a location's
+  /// writes, the write chain) are left out: every query answers from them
+  /// what the general scan answers.
   void append_canonical(std::span<const uint16_t> name, std::string& key) const;
 
  private:

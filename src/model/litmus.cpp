@@ -70,7 +70,6 @@ class Explorer {
       base_.push_back(static_cast<uint16_t>(next));
       next += th.ops.size();
     }
-    base_.push_back(static_cast<uint16_t>(next));
   }
 
   ExploreResult run() {
@@ -125,29 +124,17 @@ class Explorer {
     }
   }
 
-  /// The exact key of `st`: the renamed graph, then each thread's issue
-  /// sequence, the registers and lock holders. The sequence is there because
-  /// Execution compares a process's own ops by issue id and weak issue need
-  /// not follow program order (DESIGN.md §4 says why it may be redundant).
+  /// The exact key of `st`: the renamed graph, then the registers (LEB128).
+  /// The names fix which ops are issued, hence the lock holders, and the
+  /// graph fixes the issue order of every pair Execution compares
+  /// (DESIGN.md §4).
   void encode(const State& st, std::string& key) const {
-    const auto put_varint = [&](uint64_t x) {
-      for (; x >= 0x80; x >>= 7) key.push_back(static_cast<char>(x | 0x80));
-      key.push_back(static_cast<char>(x));
-    };
     key.clear();
     st.exec.append_canonical(st.names, key);
-    for (size_t t = 0; t < st.threads.size(); ++t) {
-      const auto ours = [&](uint16_t n) {
-        return n >= base_[t] && n < base_[t + 1];
-      };
-      put_varint(static_cast<uint64_t>(
-          std::count_if(st.names.begin(), st.names.end(), ours)));
-      for (uint16_t n : st.names) {
-        if (ours(n)) put_varint(static_cast<uint64_t>(n - base_[t]));
-      }
+    for (uint64_t r : st.regs) {
+      for (; r >= 0x80; r >>= 7) key.push_back(static_cast<char>(r | 0x80));
+      key.push_back(static_cast<char>(r));
     }
-    for (uint64_t r : st.regs) put_varint(r);
-    for (int h : st.holder) key.push_back(static_cast<char>(h + 1));
   }
 
   void dfs(State& st) {
@@ -247,7 +234,7 @@ class Explorer {
 
   const LitmusTest& test_;
   const ExploreOptions& opts_;
-  std::vector<uint16_t> base_;  // per thread: name of its op 0; then the end
+  std::vector<uint16_t> base_;  // per thread: name of its op 0
   std::unordered_set<std::string> visited_;  // keys of expanded states
   std::string key_;
   ExploreResult result_;

@@ -206,6 +206,51 @@ TEST(SnapshotPool, DefaultPoolForksMostSchedulesMidRun) {
   EXPECT_GT(exec.stats().pool_hits, exec.stats().pool_misses);
 }
 
+TEST(SnapshotPool, EntryUnderALongerPrefixIsNotForked) {
+  // Explorer::minimize keeps worker 0's runner, and its pool, across rounds,
+  // so a later round can run {a} after an earlier one captured entries under
+  // {a, b}. An entry parked past b is a state of {a, b}'s execution, not of
+  // {a}'s: its captured prefix must match the overrides in full.
+  const LitmusTarget target = seeded_bug_check(rt::Target::kSWCC);
+  const ReplayReference reference(target);
+  constexpr uint64_t kHorizon = 24;
+  const auto replay = [&](const DecisionString& ds) {
+    ReplayPolicy p(ds, kHorizon);
+    const RunOutcome out = reference.run(p);
+    return std::make_pair(out, std::move(p));
+  };
+  // The first branches a, then b after it, such that overriding b as well
+  // changes what {a} observes.
+  std::optional<Decision> a, b;
+  RunOutcome only_a;
+  const ReplayPolicy plain = replay({}).second;
+  for (uint64_t pa = 0; pa < kHorizon && !b; ++pa) {
+    if (plain.candidates_at(pa) < 2) continue;
+    a = Decision{pa, 1};
+    const auto [out_a, policy_a] = replay({*a});
+    only_a = out_a;
+    for (uint64_t pb = pa + 1; pb < kHorizon && !b; ++pb) {
+      if (policy_a.candidates_at(pb) > 1 &&
+          replay({*a, {pb, 1}}).first.trace_hash != only_a.trace_hash) {
+        b = Decision{pb, 1};
+      }
+    }
+  }
+  ASSERT_TRUE(b.has_value()) << "no pair of branches changes the trace";
+
+  StatefulOptions sopts;
+  sopts.horizon = kHorizon;
+  sopts.checkpoint_stride = 1;
+  StatefulExecutor exec(target.make_spec(), sopts);
+  ReplayPolicy longer({*a, *b}, kHorizon);
+  exec.run(longer);
+  ReplayPolicy shorter({*a}, kHorizon);
+  const RunOutcome got = exec.run(shorter);
+  EXPECT_EQ(got.ok, only_a.ok);
+  EXPECT_EQ(got.message, only_a.message);
+  EXPECT_EQ(got.trace_hash, only_a.trace_hash);
+}
+
 // -- Snapshot/restore round-trip properties ----------------------------------
 
 // Captures one (machine snapshot, policy recording) pair at a fixed

@@ -318,6 +318,47 @@ TEST(LitmusMemo, InterleavingsReachingOneStateMerge) {
       << memo.states << " states vs " << ref.paths << " paths";
 }
 
+TEST(LitmusMemo, IssueOrderDoesNotSplitStates) {
+  // w→r on different locations is blank in Table I, so weak issue runs the
+  // load before or after the store. Both orders give the same renamed graph
+  // (init x → store, init y → load) and the same registers, so the states
+  // are {}, {store}, {load} and {store, load}: four, not five.
+  LitmusTest t;
+  t.name = "store_then_independent_load";
+  t.num_locs = 2;
+  t.num_regs = 1;
+  t.threads = {{{LitmusOp::store(litmus::kX, 1),
+                 LitmusOp::load(litmus::kF, 0)}}};
+  const ExploreOptions weak = weak_windows()[0];
+  const auto res = explore(t, weak);
+  EXPECT_EQ(res.states, 4u);
+  EXPECT_EQ(res.outcomes, std::set<Outcome>{{0}});
+  expect_matches_reference(t, weak);
+}
+
+TEST(LitmusMemo, LockOrderStaysInTheKey) {
+  // Under weak issue P0's acquire may hoist above its store (w→A is blank),
+  // so both lock sections can end with the same ops issued and the same
+  // bookkeeping, apart from which section synchronized with the other. Only
+  // if P1's section went first is P0's store p1-after P1's, so that P1's
+  // load can read 1. A key without the ≺S edges merges the two and loses
+  // that outcome.
+  using Op = LitmusOp;
+  LitmusTest t;
+  t.name = "lock_order_decides_a_read";
+  t.num_locs = 1;
+  t.num_regs = 1;
+  t.threads = {
+      {{Op::store(litmus::kX, 1), Op::acquire(litmus::kX),
+        Op::release(litmus::kX)}},
+      {{Op::acquire(litmus::kX), Op::store(litmus::kX, 2),
+        Op::release(litmus::kX), Op::load(litmus::kX, 0)}},
+  };
+  const ExploreOptions weak = weak_windows()[0];
+  EXPECT_EQ(explore(t, weak).outcomes, (std::set<Outcome>{{1}, {2}}));
+  expect_matches_reference(t, weak);
+}
+
 TEST(LitmusMemo, MaxStatesTruncates) {
   const LitmusTest test = litmus::wrc_locked();
   const auto full = explore(test, program_order());

@@ -12,11 +12,13 @@
 #include <string>
 
 #include "model/execution.h"
-#include "model/naive.h"
 #include "util/rng.h"
+#include "../support/naive_reference.h"
 
 namespace pmc::model {
 namespace {
+
+using test_support::NaiveExecution;
 
 struct ProgramMirror {
   Execution fast;

@@ -7,6 +7,7 @@
 #include <cfenv>
 #include <cstddef>
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -384,6 +385,57 @@ TEST(Scheduler, ReadyQueueMatchesLinearScan) {
       EXPECT_EQ(run_scripts(hooked, scripts), want);
       EXPECT_EQ(policy.seen, want_cands);
     }
+  }
+}
+
+TEST(Scheduler, PolicyFailureFallsBackToMinimumTimeOrder) {
+  // The policy picks the latest candidate, warping the chosen clocks up to
+  // the frontier, and throws from step kFail on. The core whose advance()
+  // hit the throw ends; each core after it resumes, logs, and ends at its
+  // own next advance(), and every handoff in between comes from the guarded
+  // pick_next() fallback in the finishing fiber. So the cores after the
+  // failure run once each, by (time, id) over the warped clocks.
+  constexpr uint64_t kFail = 6;
+  constexpr int kCores = 4;
+  std::vector<Dispatch> log;
+  class WarpThenFail : public SchedulePolicy {
+   public:
+    explicit WarpThenFail(const std::vector<Dispatch>& log) : log_(log) {}
+    int pick(const YieldPoint& yp,
+             const std::vector<ScheduleCandidate>& cands) override {
+      if (yp.step >= kFail) {
+        if (failed_at == 0) failed_at = log_.size();
+        throw std::runtime_error("policy failed");
+      }
+      warped |= cands.back().time > cands.front().time;
+      return static_cast<int>(cands.size()) - 1;
+    }
+    size_t failed_at = 0;
+    bool warped = false;
+
+   private:
+    const std::vector<Dispatch>& log_;
+  };
+  WarpThenFail policy(log);
+  Scheduler s(kCores);
+  s.set_policy(&policy);
+  EXPECT_THROW(s.run([&](int core) {
+                 for (int i = 0; i < 6; ++i) {
+                   log.emplace_back(core, s.now(core));
+                   s.advance(core, static_cast<uint64_t>(1 + 3 * core));
+                 }
+               }),
+               std::runtime_error);
+  EXPECT_TRUE(s.failed());
+  ASSERT_TRUE(policy.warped) << "no dispatch before the failure warped";
+  ASSERT_GT(policy.failed_at, 0u);
+  const std::vector<Dispatch> after(
+      log.begin() + static_cast<std::ptrdiff_t>(policy.failed_at), log.end());
+  ASSERT_EQ(after.size(), static_cast<size_t>(kCores - 1));
+  for (size_t i = 1; i < after.size(); ++i) {
+    EXPECT_LT(std::make_pair(after[i - 1].second, after[i - 1].first),
+              std::make_pair(after[i].second, after[i].first))
+        << "fallback dispatch " << i;
   }
 }
 
