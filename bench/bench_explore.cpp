@@ -233,7 +233,6 @@ int main(int argc, char** argv) {
   {
     explore::SessionOptions hopts = sopts;
     hopts.explore.dpor = explore::DporMode::kOff;
-    hopts.explore.sample_hb_curve = true;
     const explore::CheckSession hb_session(hopts);
     const explore::LitmusTarget target(model::litmus::fig4_exclusive(),
                                        rt::Target::kSWCC);

@@ -135,9 +135,8 @@ int run_replay(const explore::CheckSession& session,
   }
   bool applied = false;
   obs::TraceRecorder rec;
-  const auto out = trace_out != nullptr
-                       ? session.replay_traced(target, ds, &rec, &applied)
-                       : session.replay(target, ds, &applied);
+  const auto out = session.replay(target, ds, &applied,
+                                  trace_out != nullptr ? &rec : nullptr);
   if (!applied) {
     std::fprintf(stderr,
                  "schedule \"%s\" does not match this program: some "
@@ -177,8 +176,14 @@ int run_seed_bug(rt::Target target, const explore::CheckSession& session,
     return 1;
   }
   // Confirm the minimized schedule with an explicit replay verdict rather
-  // than inferring it from message emptiness.
-  const auto confirm = session.replay(check, rep.minimized_schedule);
+  // than inferring it from message emptiness. With --trace-out the same
+  // replay runs with the cycle recorder armed: the exported timeline shows
+  // the protocol fault the search found (e.g. the skipped flush) as it
+  // unfolds across the cores.
+  obs::TraceRecorder rec;
+  const auto confirm =
+      session.replay(check, rep.minimized_schedule, nullptr,
+                     trace_out != nullptr ? &rec : nullptr);
   std::printf(
       "%-6s seeded fault: %llu of %llu explored schedules failing\n"
       "       canonical failing schedule: \"%s\" (lexicographic minimum)\n"
@@ -193,14 +198,7 @@ int run_seed_bug(rt::Target target, const explore::CheckSession& session,
   const std::string key = std::string("seedbug_") + rt::to_string(target);
   json.add(key + "_failing", rep.failing);
   json.add(key + "_explored", rep.explored);
-  if (trace_out != nullptr) {
-    // Re-run the minimized failing schedule with the cycle recorder armed:
-    // the exported timeline shows the protocol fault the fuzzer found
-    // (e.g. the skipped flush) as it unfolds across the cores.
-    obs::TraceRecorder rec;
-    session.replay_traced(check, rep.minimized_schedule, &rec);
-    if (!write_trace(rec, trace_out)) return 1;
-  }
+  if (trace_out != nullptr && !write_trace(rec, trace_out)) return 1;
   return confirm.ok ? 1 : 0;
 }
 

@@ -697,30 +697,22 @@ ExploreReport CheckSession::explore(const CheckTarget& target) const {
 
 RunOutcome CheckSession::replay(const CheckTarget& target,
                                 const DecisionString& schedule,
-                                bool* fully_applied) const {
-  // Replay is one run — a fresh executor costs a stateless run plus its
-  // root snapshot, and repeated replays (minimize) go through minimize().
-  return explorer_for(opts_, target)
-      .replay(schedule, opts_.explore.horizon, fully_applied);
-}
-
-RunOutcome CheckSession::replay_traced(const CheckTarget& target,
-                                       const DecisionString& schedule,
-                                       obs::TraceRecorder* recorder,
-                                       bool* fully_applied) const {
-  PMC_CHECK(recorder != nullptr);
+                                bool* fully_applied,
+                                obs::TraceRecorder* recorder) const {
   // Replays only consume the verdict, never the DPOR recording.
   ReplayPolicy policy(schedule, opts_.explore.horizon,
                       /*record_footprints=*/false);
   RunOutcome out;
-  if (target.stateful_capable()) {
+  if (recorder != nullptr && target.stateful_capable()) {
     StatefulSpec spec = target.make_spec();
     spec.opts.trace = recorder;
     out = run_spec_once(spec, policy);
   } else {
-    // No ProgramOptions to attach the recorder to: run untraced.
     out = target.run(policy);
   }
+  // An override whose choice no longer matches the candidate count aborts
+  // the run mid-way (unconsumed as well), so unused_overrides() == 0 is
+  // exactly "this outcome belongs to the requested schedule".
   if (fully_applied != nullptr) {
     *fully_applied = policy.unused_overrides() == 0;
   }

@@ -300,7 +300,7 @@ struct SessionTelemetry {
   uint64_t snapshot_misses = 0;
   /// Successful steals per worker (one entry per job).
   std::vector<uint64_t> worker_steals;
-  /// hb-class discovery curve (only when explore.sample_hb_curve).
+  /// hb-class discovery curve (ExploreReport::hb_curve passthrough).
   std::vector<uint64_t> hb_curve;
 };
 
@@ -335,9 +335,8 @@ struct CheckReport {
   DecisionString minimized_schedule;
   std::string minimized_message;
 
-  /// Every distinct hb-class hash of the explored space, sorted ascending
-  /// (only when SessionOptions::explore.collect_trace_hashes). Deterministic
-  /// for (target, options) like the other non-telemetry fields — the fixed
+  /// Every distinct hb-class hash of the explored space, sorted ascending.
+  /// Deterministic for (target, options) like the other non-telemetry fields — the fixed
   /// schedule tree visits the same classes at every job count and under
   /// stateless replay — but excluded from to_text(), whose byte layout
   /// predates the field.
@@ -376,19 +375,19 @@ class CheckSession {
   // -- Building blocks (the only sanctioned route to the Explorer) -----------
   // Raw-machine runners reach them wrapped in an FnTarget.
   ExploreReport explore(const CheckTarget& target) const;
+  /// Runs one schedule once, from a fresh Program and without snapshots.
+  /// When `fully_applied` is non-null it reports whether every override
+  /// matched a decision step — false means the string is stale (wrong
+  /// program/back-end/horizon, or shifted steps) and the outcome describes
+  /// some other schedule. A non-null `recorder` is attached to the machine
+  /// through the target's make_spec(), so targets that are not
+  /// stateful_capable() run untraced — the verdict is still correct, the
+  /// recorder just stays empty. The recorded events are a pure function of
+  /// (target, schedule): byte-identical across job counts, which
+  /// tests/explore/test_trace_determinism.cpp locks.
   RunOutcome replay(const CheckTarget& target, const DecisionString& schedule,
-                    bool* fully_applied = nullptr) const;
-  /// Replays one schedule with a cycle recorder attached to the machine
-  /// (always the stateless path: tracing wants one uninterrupted
-  /// execution). Needs the target's make_spec() to reach ProgramOptions, so
-  /// targets that are not stateful_capable() run untraced — the verdict is
-  /// still correct, the recorder just stays empty. The recorded events are
-  /// a pure function of (target, schedule): byte-identical across job
-  /// counts, which tests/explore/test_trace_determinism.cpp locks.
-  RunOutcome replay_traced(const CheckTarget& target,
-                           const DecisionString& schedule,
-                           obs::TraceRecorder* recorder,
-                           bool* fully_applied = nullptr) const;
+                    bool* fully_applied = nullptr,
+                    obs::TraceRecorder* recorder = nullptr) const;
   DecisionString minimize(const CheckTarget& target,
                           DecisionString failing) const;
 

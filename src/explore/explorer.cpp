@@ -33,6 +33,29 @@ namespace {
 /// Completed schedules between two ExploreConfig::progress callbacks.
 constexpr uint64_t kProgressStride = 64;
 
+/// One sleeping alternative: core `core`'s pending segment (footprint `fp`)
+/// was already explored from a commuting sibling branch; do not branch it
+/// again until a dependent segment wakes it (or the core runs by default).
+struct SleepEntry {
+  int core = -1;
+  sim::Footprint fp;
+};
+using SleepSet = std::vector<SleepEntry>;
+
+/// A frontier node of the (possibly reduced) schedule tree: the decision
+/// prefix to replay plus the sleep set inherited from its parent. A stolen
+/// entry carries its sleep set, so the reduced tree — and with it every
+/// total — stays job-count-invariant.
+struct FrontierNode {
+  DecisionString prefix;
+  SleepSet sleep;
+};
+
+struct ExpandStats {
+  uint64_t delay_pruned = 0;
+  uint64_t dpor_pruned = 0;
+};
+
 bool asleep(const SleepSet& sleep, int core) {
   for (const SleepEntry& e : sleep) {
     if (e.core == core) return true;
@@ -64,7 +87,9 @@ struct Shard {
   std::deque<FrontierNode> dq;
 };
 
-/// Runs `schedule` once on `runner`; see Explorer::replay.
+/// Runs `schedule` once on `runner`. When `fully_applied` is non-null it
+/// reports whether every override matched a decision step — false means the
+/// string is stale and the outcome describes some other schedule.
 RunOutcome replay_on(const ScheduleRunner& runner,
                      const DecisionString& schedule, uint64_t horizon,
                      bool* fully_applied) {
@@ -80,8 +105,9 @@ RunOutcome replay_on(const ScheduleRunner& runner,
   return out;
 }
 
-}  // namespace
-
+/// Enumerates the children of `node` from its completed run `policy`.
+/// Pure function of (node, the run's recording, cfg), which is what makes
+/// the tree identical on every worker, whoever expands a node.
 void expand_node(const FrontierNode& node, const ReplayPolicy& policy,
                  const ExploreConfig& cfg, std::vector<FrontierNode>* children,
                  ExpandStats* stats) {
@@ -185,6 +211,8 @@ void expand_node(const FrontierNode& node, const ReplayPolicy& policy,
   }
 }
 
+}  // namespace
+
 Explorer::Explorer(RunnerFactory factory, int jobs)
     : factory_(std::move(factory)), jobs_(jobs < 1 ? 1 : jobs) {}
 
@@ -209,8 +237,10 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
   std::atomic<uint64_t> max_points{0};
   std::atomic<bool> truncated{false};
 
-  // Canonical failure: lexicographic minimum over everything seen so far.
+  // Canonical failure: lexicographic minimum over everything seen so far,
+  // plus every failing string (sorted after the join).
   std::mutex best_mu;
+  std::vector<DecisionString> fails;
   DecisionString best;
   std::string best_message;
   bool have_best = false;
@@ -223,24 +253,17 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
   std::mutex idle_mu;
   std::condition_variable idle_cv;
 
-  std::vector<std::unordered_set<uint64_t>> traces(
-      static_cast<size_t>(jobs));
-  std::vector<std::vector<DecisionString>> fails(static_cast<size_t>(jobs));
   std::vector<uint64_t> steals(static_cast<size_t>(jobs), 0);
 
-  // Telemetry needing a *live* distinct-trace count (the discovery curve,
-  // progress callbacks) funnels every hash through one shared set instead
-  // of the per-worker sets merged at the end. One lock per schedule, each
+  // One distinct-trace set shared by all workers, so the curve and the
+  // progress stream read a live count. One lock per schedule, each
   // amortized by a full program re-execution.
-  const bool live_traces = cfg.sample_hb_curve || cfg.progress != nullptr;
-  std::mutex live_mu;
-  std::unordered_set<uint64_t> live_set;
+  std::mutex traces_mu;
+  std::unordered_set<uint64_t> traces;
   std::vector<uint64_t> curve;  // indexed by log2(explored) sample slot
 
   auto worker = [&](int self) {
     Shard& own = shards[static_cast<size_t>(self)];
-    auto& local_traces = traces[static_cast<size_t>(self)];
-    auto& local_fails = fails[static_cast<size_t>(self)];
     const ScheduleRunner runner = factory_();
     while (in_flight.load() != 0) {
       std::optional<FrontierNode> task;
@@ -278,28 +301,23 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
                           /*record_footprints=*/cfg.dpor != DporMode::kOff);
       const RunOutcome out = runner(policy);
       const uint64_t done = explored.fetch_add(1) + 1;
-      if (live_traces) {
-        uint64_t distinct = 0;
-        {
-          std::lock_guard<std::mutex> lk(live_mu);
-          live_set.insert(out.trace_hash);
-          distinct = live_set.size();
-          // Power-of-two samples make the discovery curve O(log n)
-          // regardless of the space size, which is what a saturation plot
-          // needs.
-          if (cfg.sample_hb_curve && (done & (done - 1)) == 0) {
-            size_t idx = 0;
-            for (uint64_t d = done; d >>= 1;) ++idx;
-            if (curve.size() <= idx) curve.resize(idx + 1, 0);
-            curve[idx] = distinct;
-          }
+      uint64_t distinct = 0;
+      {
+        std::lock_guard<std::mutex> lk(traces_mu);
+        traces.insert(out.trace_hash);
+        distinct = traces.size();
+        // Power-of-two samples make the discovery curve O(log n) regardless
+        // of the space size, which is what a saturation plot needs.
+        if ((done & (done - 1)) == 0) {
+          size_t idx = 0;
+          for (uint64_t d = done; d >>= 1;) ++idx;
+          if (curve.size() <= idx) curve.resize(idx + 1, 0);
+          curve[idx] = distinct;
         }
-        if (cfg.progress && done % kProgressStride == 0) {
-          cfg.progress({done, pruned.load(), dpor_pruned.load(),
-                        failing.load(), distinct, cfg.max_schedules});
-        }
-      } else {
-        local_traces.insert(out.trace_hash);
+      }
+      if (cfg.progress && done % kProgressStride == 0) {
+        cfg.progress({done, pruned.load(), dpor_pruned.load(), failing.load(),
+                      distinct});
       }
       uint64_t prev = max_points.load();
       while (prev < policy.decision_points() &&
@@ -307,10 +325,10 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
       }
       if (!out.ok) {
         if (failing.fetch_add(1) == 0) first_fail_at.store(done);
-        if (cfg.collect_failing) local_fails.push_back(task->prefix);
         // Canonicalize to the lexicographic minimum, so the reported
         // failure is a property of the space, not of the traversal order.
         std::lock_guard<std::mutex> lk(best_mu);
+        fails.push_back(task->prefix);
         if (!have_best || lex_less(task->prefix, best)) {
           best = task->prefix;
           best_message = out.message;
@@ -356,45 +374,27 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
   rep.first_failing_message = std::move(best_message);
   rep.schedules_to_first_failure = first_fail_at.load();
   rep.max_decision_points = max_points.load();
-  // Fold the per-worker sets into worker 0's (no copy at jobs = 1).
-  std::unordered_set<uint64_t>* seen = &live_set;
-  if (!live_traces) {
-    for (size_t w = 1; w < traces.size(); ++w) {
-      traces[0].insert(traces[w].begin(), traces[w].end());
-    }
-    seen = &traces[0];
-  }
-  rep.distinct_traces = seen->size();
-  if (cfg.collect_trace_hashes) {
-    // The tree is the same at any job count, so the sorted set is too.
-    rep.trace_hashes.assign(seen->begin(), seen->end());
-    std::sort(rep.trace_hashes.begin(), rep.trace_hashes.end());
-  }
-  // Close the curve and the progress stream on the final totals.
-  if (cfg.sample_hb_curve) {
-    rep.hb_curve = std::move(curve);
-    if (rep.explored > 0 && (rep.explored & (rep.explored - 1)) != 0) {
-      rep.hb_curve.push_back(rep.distinct_traces);
-    }
+  rep.distinct_traces = traces.size();
+  // The tree is the same at any job count, so the sorted set is too.
+  rep.trace_hashes.assign(traces.begin(), traces.end());
+  std::sort(rep.trace_hashes.begin(), rep.trace_hashes.end());
+  // Close the curve and the progress stream on the final totals. With
+  // jobs > 1 the sample at `explored` can predate the insert of a worker
+  // still holding a smaller count, so the last point is set, not sampled.
+  rep.hb_curve = std::move(curve);
+  if (rep.explored > 0) {
+    if ((rep.explored & (rep.explored - 1)) != 0) rep.hb_curve.push_back(0);
+    rep.hb_curve.back() = rep.distinct_traces;
   }
   if (cfg.progress) {
     cfg.progress({rep.explored, rep.pruned, rep.dpor_pruned, rep.failing,
-                  rep.distinct_traces, cfg.max_schedules});
+                  rep.distinct_traces});
   }
   rep.worker_steals = std::move(steals);
-  for (auto& f : fails) {
-    rep.failing_schedules.insert(rep.failing_schedules.end(),
-                                 std::make_move_iterator(f.begin()),
-                                 std::make_move_iterator(f.end()));
-  }
+  rep.failing_schedules = std::move(fails);
   std::sort(rep.failing_schedules.begin(), rep.failing_schedules.end(),
             lex_less);
   return rep;
-}
-
-RunOutcome Explorer::replay(const DecisionString& schedule, uint64_t horizon,
-                            bool* fully_applied) {
-  return replay_on(factory_(), schedule, horizon, fully_applied);
 }
 
 DecisionString Explorer::minimize(DecisionString failing, uint64_t horizon) {

@@ -68,9 +68,6 @@ struct ProgressUpdate {
   uint64_t dpor_pruned = 0;
   uint64_t failing = 0;
   uint64_t distinct_traces = 0;
-  /// The session's schedule budget (ExploreConfig::max_schedules), so a
-  /// consumer can render "explored / bound" without plumbing the config.
-  uint64_t max_schedules = 0;
 };
 
 struct ExploreConfig {
@@ -91,27 +88,12 @@ struct ExploreConfig {
   /// explored ones, so counts shrink while the set of distinct failures
   /// (after minimization) stays the same.
   DporMode dpor = DporMode::kOff;
-  /// Collect every failing decision string into the report (sorted
-  /// lexicographically). Off by default to bound memory on huge spaces.
-  bool collect_failing = false;
   /// Telemetry-only progress callback, invoked every 64 completed
   /// schedules plus once when the space is exhausted. It runs on
   /// whichever worker crosses the stride, so with jobs > 1 the callback
   /// must be thread-safe; it never affects the explored tree.
   using ProgressFn = std::function<void(const ProgressUpdate&)>;
   ProgressFn progress;
-  /// Sample the hb-class discovery curve into ExploreReport::hb_curve:
-  /// cumulative distinct trace hashes after 1, 2, 4, ... explored
-  /// schedules. Costs one locked shared-set insertion per schedule, so off
-  /// by default.
-  bool sample_hb_curve = false;
-  /// Export the full set of distinct trace hashes into
-  /// ExploreReport::trace_hashes (sorted ascending). The schedule tree is a
-  /// fixed function of (program, bounds), so the exported set is identical
-  /// across job counts and execution paths: the coverage signal the fuzzing
-  /// farm's corpus keys on (DESIGN.md §14). Off by default to avoid
-  /// materializing huge spaces.
-  bool collect_trace_hashes = false;
 };
 
 /// Verdict of one schedule, produced by the runner.
@@ -145,8 +127,7 @@ struct ExploreReport {
   /// jobs = 1; with more workers it depends on thread timing.
   uint64_t schedules_to_first_failure = 0;
   uint64_t max_decision_points = 0;  // longest run observed
-  /// Every failing decision string, sorted by lex_less (only when
-  /// ExploreConfig::collect_failing; empty otherwise).
+  /// Every failing decision string, sorted by lex_less.
   std::vector<DecisionString> failing_schedules;
   /// Snapshot-engine observability, filled in by CheckSession::explore
   /// (all zero for targets that are not stateful_capable()): checkpoints
@@ -157,50 +138,21 @@ struct ExploreReport {
   uint64_t snapshots_taken = 0;
   uint64_t snapshot_hits = 0;
   uint64_t snapshot_misses = 0;
-  /// hb-class discovery curve (only when ExploreConfig::sample_hb_curve):
-  /// distinct trace hashes seen after 1, 2, 4, ... explored schedules, plus
-  /// a final sample. Deterministic at jobs = 1; with more workers it depends
-  /// on the traversal order, hence on thread timing. Telemetry-only,
-  /// excluded from CheckReport::to_text like the snapshot counters.
+  /// hb-class discovery curve: distinct trace hashes seen after 1, 2, 4,
+  /// ... explored schedules, closed on `distinct_traces`. Deterministic at
+  /// jobs = 1; with more workers the inner samples depend on the traversal
+  /// order, hence on thread timing. Telemetry-only, excluded from
+  /// CheckReport::to_text like the snapshot counters.
   std::vector<uint64_t> hb_curve;
-  /// Every distinct hb-class hash seen, sorted ascending (only when
-  /// ExploreConfig::collect_trace_hashes; empty otherwise). Deterministic
-  /// across job counts and execution paths (absent truncation) — the
-  /// contract tests/explore/test_hb_stability.cpp locks.
+  /// Every distinct hb-class hash seen, sorted ascending. The schedule tree
+  /// is a fixed function of (program, bounds), so the set is identical
+  /// across job counts and execution paths (absent truncation): the
+  /// coverage signal the fuzzing farm's corpus keys on (DESIGN.md §14), and
+  /// the contract tests/explore/test_hb_stability.cpp locks.
   std::vector<uint64_t> trace_hashes;
   /// Successful steals per worker (one entry per job). Telemetry-only.
   std::vector<uint64_t> worker_steals;
 };
-
-/// One sleeping alternative: core `core`'s pending segment (footprint `fp`)
-/// was already explored from a commuting sibling branch; do not branch it
-/// again until a dependent segment wakes it (or the core runs by default).
-struct SleepEntry {
-  int core = -1;
-  sim::Footprint fp;
-};
-using SleepSet = std::vector<SleepEntry>;
-
-/// A frontier node of the (possibly reduced) schedule tree: the decision
-/// prefix to replay plus the sleep set inherited from its parent. A stolen
-/// entry carries its sleep set, so the reduced tree — and with it every
-/// total — stays job-count-invariant.
-struct FrontierNode {
-  DecisionString prefix;
-  SleepSet sleep;
-};
-
-struct ExpandStats {
-  uint64_t delay_pruned = 0;
-  uint64_t dpor_pruned = 0;
-};
-
-/// Enumerates the children of `node` from its completed run `policy`.
-/// Pure function of (node, the run's recording, cfg), which is what makes
-/// the tree identical on every worker, whoever expands a node.
-void expand_node(const FrontierNode& node, const ReplayPolicy& policy,
-                 const ExploreConfig& cfg, std::vector<FrontierNode>* children,
-                 ExpandStats* stats);
 
 class Explorer {
  public:
@@ -229,13 +181,6 @@ class Explorer {
   /// canonical failing string do not); when truncated, *which* schedules
   /// ran does too, so only explored (== max_schedules) is meaningful.
   ExploreReport explore(const ExploreConfig& cfg);
-
-  /// Replays one schedule. When `fully_applied` is non-null it reports
-  /// whether every override matched a decision step — false means the
-  /// string is stale (wrong program/back-end/horizon, or shifted steps) and
-  /// the outcome describes some other schedule, not the requested one.
-  RunOutcome replay(const DecisionString& schedule, uint64_t horizon,
-                    bool* fully_applied = nullptr);
 
   /// Greedy 1-minimal reduction of a failing schedule: repeatedly drops the
   /// lowest-index single override whose removal keeps the failure, until

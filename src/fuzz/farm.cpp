@@ -50,7 +50,6 @@ explore::SessionOptions default_farm_session() {
   s.explore.horizon = 12;
   s.explore.max_schedules = 192;
   s.explore.dpor = explore::DporMode::kSleepSet;
-  s.explore.collect_trace_hashes = true;
   s.jobs = 1;
   return s;
 }
@@ -309,7 +308,6 @@ FarmResult Farm::run() {
       const auto t0 = Clock::now();
       explore::SessionOptions s = opts_.session;
       s.jobs = 1;
-      s.explore.collect_trace_hashes = true;
       s.explore.max_schedules = round[i].budget;
       const explore::CheckSession session(s);
       const explore::GenProgramTarget target(round[i].program,

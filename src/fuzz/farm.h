@@ -1,8 +1,8 @@
 // The long-running coverage-guided fuzzing farm (DESIGN.md §14).
 //
 // The unit of work is one *exec*: one GenProgram model-checked on one
-// back-end through the full CheckSession pipeline, with hb-class export on
-// (ExploreConfig::collect_trace_hashes). The farm drains a deterministic
+// back-end through the full CheckSession pipeline, whose report carries the
+// exec's hb-class set (CheckReport::trace_hashes). The farm drains a deterministic
 // work queue of such jobs against a persistent Corpus:
 //
 //  * every corpus entry is scanned across the whole back-end roster when it

@@ -292,6 +292,10 @@ int Scheduler::consult_policy(int yielding) {
       trace_->record(e);
     }
     chosen.time = frontier_;
+    // No read of the heap can tell: the warped core runs next and its
+    // advance() or remove_ready() re-sifts it first. Kept so the heap is
+    // valid at every instant rather than by that invariant, which the
+    // pick_next() fallback and any future reader would silently depend on.
     sift_down(static_cast<size_t>(pos_[static_cast<size_t>(chosen_core)]));
   }
   frontier_ = chosen.time;

@@ -272,7 +272,6 @@ TEST_P(DporSeeded, FailingSetsAreIdenticalAcrossDporModes) {
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 16;
-  cfg.collect_failing = true;
 
   cfg.dpor = DporMode::kOff;
   const CheckSession s_off(cfg);

@@ -121,7 +121,6 @@ TEST(CheckSession, TruncatedRunReportsLexLeastAmongExplored) {
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 16;
-  cfg.collect_failing = true;
   const auto full = CheckSession(cfg).explore(target);
   ASSERT_FALSE(full.truncated);
   ASSERT_GT(full.failing, 0u);

@@ -1,10 +1,14 @@
-// hb_trace_hash stability (ISSUE satellite): the farm's entire coverage
-// signal is the set of hb-class hashes an exploration reports, so that set
-// must be a pure function of (target, bounds) — identical between stateless
-// replay and the snapshot engine and across job counts, on every back-end. A
-// drift here would silently corrupt every persisted corpus.
+// hb_trace_hash stability: the farm's entire coverage signal is the set of
+// hb-class hashes an exploration reports, so that set must be a pure
+// function of (target, bounds) — identical between stateless replay and the
+// snapshot engine and across job counts, on every back-end. A drift here
+// would silently corrupt every persisted corpus. The one shared trace set
+// also closes the discovery curve and lists every failing schedule, so the
+// sweep checks those against the totals at every job count.
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,7 +25,6 @@ SessionOptions base_options() {
   s.explore.preemption_bound = 1;
   s.explore.horizon = 10;
   s.explore.dpor = DporMode::kSleepSet;
-  s.explore.collect_trace_hashes = true;
   s.jobs = 1;
   return s;
 }
@@ -30,12 +33,22 @@ class HbStability : public ::testing::TestWithParam<rt::Target> {};
 
 TEST_P(HbStability, ClassSetIsEngineAndJobInvariant) {
   const rt::Target target = GetParam();
+  // Every annotatable test, plus the seeded-bug target where the back-end
+  // has a fault to seed, so the failing-schedule list is swept too.
+  std::vector<std::pair<LitmusTarget, bool>> inputs;  // (target, seeded)
   for (const model::LitmusTest& test : annotatable_tests()) {
-    const LitmusTarget lt(test, target);
-
+    inputs.emplace_back(LitmusTarget(test, target), false);
+  }
+  if (has_seeded_fault(target)) {
+    inputs.emplace_back(seeded_bug_check(target), true);
+  }
+  for (const auto& [lt, seeded] : inputs) {
     const CheckReport ref = CheckSession(base_options())
                                 .check(test_support::ReplayReference(lt));
     ASSERT_FALSE(ref.truncated) << lt.name();
+    if (seeded) {
+      ASSERT_GT(ref.failing, 0u) << lt.name();
+    }
     EXPECT_FALSE(ref.trace_hashes.empty()) << lt.name();
     EXPECT_EQ(static_cast<uint64_t>(ref.trace_hashes.size()),
               ref.distinct_traces)
@@ -47,10 +60,19 @@ TEST_P(HbStability, ClassSetIsEngineAndJobInvariant) {
     for (const int jobs : {1, 2, 8}) {
       SessionOptions opts = base_options();
       opts.jobs = jobs;
-      const CheckReport rep = CheckSession(opts).check(lt);
+      const ExploreReport rep = CheckSession(opts).explore(lt);
+      const std::string where = lt.name() + " jobs=" + std::to_string(jobs);
       EXPECT_EQ(rep.trace_hashes, ref.trace_hashes)
-          << lt.name() << " on " << rt::to_string(target) << ": jobs=" << jobs
-          << " drifted from replay jobs=1";
+          << where << " drifted from replay jobs=1";
+      EXPECT_EQ(static_cast<uint64_t>(rep.trace_hashes.size()),
+                rep.distinct_traces)
+          << where;
+      ASSERT_FALSE(rep.hb_curve.empty()) << where;
+      EXPECT_EQ(rep.hb_curve.back(), rep.distinct_traces) << where;
+      EXPECT_EQ(static_cast<uint64_t>(rep.failing_schedules.size()),
+                rep.failing)
+          << where;
+      EXPECT_EQ(rep.failing, ref.failing) << where;
     }
   }
 }

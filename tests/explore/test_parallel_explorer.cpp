@@ -117,7 +117,6 @@ TEST(ParallelEngine, SingleJobTelemetryIsDeterministic) {
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 16;
-  cfg.sample_hb_curve = true;
   const auto a = session_for(cfg, 1).explore(target);
   const auto b = session_for(cfg, 1).explore(target);
   ASSERT_GT(a.failing, 0u);
@@ -178,7 +177,6 @@ TEST(ParallelEngine, MinimizeAgreesWithSequentialMinimize) {
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 16;
-  cfg.collect_failing = true;
   const auto rep = session_for(cfg, 1).explore(target);
   ASSERT_GT(rep.failing, 0u);
   for (const DecisionString& f : rep.failing_schedules) {
@@ -199,7 +197,6 @@ TEST(ParallelEngine, SingleJobMinimizeReplaysLikeAFirstAcceptScan) {
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 16;
-  cfg.collect_failing = true;
   const CheckSession session = session_for(cfg, 1);
   const auto rep = session.explore(target);
   ASSERT_GT(rep.failing, 0u);

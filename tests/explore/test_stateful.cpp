@@ -154,7 +154,6 @@ TEST(SnapshotPool, RootOnlyPoolStillMatchesReplay) {
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 16;
-  cfg.collect_trace_hashes = true;
   const ExploreReport ref = CheckSession(cfg).explore(ReplayReference(target));
   ASSERT_GT(ref.failing, 0u);
   for (const size_t pool : {size_t{0}, size_t{2}}) {

@@ -12,7 +12,6 @@
 #include "fuzz/json_read.h"
 #include "model/litmus_library.h"
 #include "obs/trace.h"
-#include "../support/replay_reference.h"
 
 namespace pmc::explore {
 namespace {
@@ -38,7 +37,7 @@ TEST(TraceDeterminism, ByteIdenticalAcrossEngineStatesAndJobs) {
     const CheckSession session(opts_for(jobs));
     obs::TraceRecorder rec;
     bool applied = false;
-    const RunOutcome out = session.replay_traced(target, ds, &rec, &applied);
+    const RunOutcome out = session.replay(target, ds, &applied, &rec);
     EXPECT_TRUE(out.ok) << out.message;
     EXPECT_TRUE(applied);
     ASSERT_FALSE(rec.empty());
@@ -59,10 +58,10 @@ TEST(TraceDeterminism, DifferentSchedulesProduceDifferentTraces) {
                             rt::Target::kSWCC);
   const CheckSession session(opts_for(1));
   obs::TraceRecorder default_rec, reordered_rec;
-  ASSERT_TRUE(session.replay_traced(target, {}, &default_rec).ok);
+  ASSERT_TRUE(session.replay(target, {}, nullptr, &default_rec).ok);
   ASSERT_TRUE(session
-                  .replay_traced(target, parse_decision_string("0:1,1:1"),
-                                 &reordered_rec)
+                  .replay(target, parse_decision_string("0:1,1:1"), nullptr,
+                          &reordered_rec)
                   .ok);
   EXPECT_NE(obs::chrome_trace_json(default_rec),
             obs::chrome_trace_json(reordered_rec));
@@ -73,16 +72,15 @@ TEST(TraceDeterminism, AttachedRecorderDoesNotPerturbTheRun) {
                             rt::Target::kSWCC);
   const DecisionString ds = parse_decision_string("0:1");
   const CheckSession session(opts_for(1));
-  // The never-attached baseline runs the same stateless path as
-  // replay_traced.
-  const RunOutcome plain =
-      session.replay(test_support::ReplayReference(target), ds);
+  // The never-attached baseline: the same single stateless run, no
+  // recorder.
+  const RunOutcome plain = session.replay(target, ds);
 
   // Disarmed: the run must be bit-for-bit the never-attached one and the
   // recorder must stay empty (the "attached but off" zero-cost state).
   obs::TraceRecorder disarmed;
   disarmed.disarm();
-  const RunOutcome off = session.replay_traced(target, ds, &disarmed);
+  const RunOutcome off = session.replay(target, ds, nullptr, &disarmed);
   EXPECT_TRUE(disarmed.empty());
   EXPECT_EQ(off.ok, plain.ok);
   EXPECT_EQ(off.trace_hash, plain.trace_hash);
@@ -91,7 +89,7 @@ TEST(TraceDeterminism, AttachedRecorderDoesNotPerturbTheRun) {
   // Armed: tracing records events but never changes the verdict or the
   // behavior fingerprint — events carry simulated time only.
   obs::TraceRecorder armed;
-  const RunOutcome on = session.replay_traced(target, ds, &armed);
+  const RunOutcome on = session.replay(target, ds, nullptr, &armed);
   EXPECT_FALSE(armed.empty());
   EXPECT_EQ(on.ok, plain.ok);
   EXPECT_EQ(on.trace_hash, plain.trace_hash);
@@ -105,7 +103,7 @@ TEST(TraceDeterminism, NonStatefulTargetsRunUntraced) {
   });
   const CheckSession session(opts_for(1));
   obs::TraceRecorder rec;
-  const RunOutcome out = session.replay_traced(target, {}, &rec);
+  const RunOutcome out = session.replay(target, {}, nullptr, &rec);
   EXPECT_TRUE(out.ok);
   EXPECT_EQ(out.trace_hash, 7u);
   EXPECT_TRUE(rec.empty());  // no ProgramOptions to attach through
@@ -114,9 +112,7 @@ TEST(TraceDeterminism, NonStatefulTargetsRunUntraced) {
 TEST(CheckReportJson, ParsesAndCarriesTelemetry) {
   const LitmusTarget target(model::litmus::fig4_exclusive(),
                             rt::Target::kSWCC);
-  SessionOptions o = opts_for(2);
-  o.explore.sample_hb_curve = true;
-  const CheckReport rep = CheckSession(o).check(target);
+  const CheckReport rep = CheckSession(opts_for(2)).check(target);
   EXPECT_TRUE(rep.ok) << rep.to_text();
 
   const std::string json = rep.to_json();
