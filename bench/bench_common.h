@@ -1,11 +1,14 @@
 // Shared helpers for the figure-regeneration harnesses.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -70,6 +73,26 @@ inline bool flag_set(int argc, char** argv, const char* name) {
     if (f == argv[i]) return true;
   }
   return false;
+}
+
+/// Throws util::CheckFailure naming the first argument that is not in
+/// `known`. An entry is a flag's form: "name=" takes a value (--name=value,
+/// the value may be empty), "name" is bare (--name); a flag with both forms
+/// is listed twice. A CLI calls this before reading any flag, so a typo or
+/// a flag in the wrong form fails instead of falling back to a default.
+inline void require_known_flags(int argc, char** argv,
+                                std::initializer_list<std::string_view> known) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string_view form =
+        arg.starts_with("--")
+            ? arg.substr(2, eq == std::string_view::npos ? eq : eq - 1)
+            : "";
+    if (std::find(known.begin(), known.end(), form) == known.end()) {
+      throw util::CheckFailure("unknown flag '" + std::string(arg) + "'");
+    }
+  }
 }
 
 /// Percentage string with one decimal.

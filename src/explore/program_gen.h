@@ -100,8 +100,8 @@ std::string to_string(const GenOp& op);
 /// reports of minimized programs.
 std::string to_string(const GenProgram& prog);
 
-/// The canonical shape the fuzz suites and `explore_litmus --fuzz` derive
-/// from a bare seed: small core/step counts vary with the seed so the
+/// The canonical shape the fuzz suites, the blind `fuzz_farm` scan and
+/// `explore_litmus --fuzz-seed` derive from a bare seed: small core/step counts vary with the seed so the
 /// schedule space stays explorable, densities stay at their defaults.
 ProgramShape shape_for_seed(uint64_t seed);
 

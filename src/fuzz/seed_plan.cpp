@@ -21,9 +21,8 @@ std::vector<uint64_t> SeedPlan::seeds() const {
   return out;
 }
 
-SeedPlan SeedPlan::resolve(int def, int64_t flag_count, uint64_t base) {
+SeedPlan SeedPlan::resolve(int def, int64_t flag_count) {
   SeedPlan plan;
-  plan.base = base;
   if (flag_count >= 0) {
     plan.count = clamp_width(flag_count);
     plan.source = Source::kFlag;

@@ -1,11 +1,10 @@
 // One resolver for every seed-width knob of the fuzzing stack.
 //
-// Before PR 10 the test suites read PMC_FUZZ_SEEDS (program_gen's
-// fuzz_seeds) while the CLI read --fuzz=N, with no defined relationship.
-// SeedPlan is the single helper both route through, with one documented
-// precedence order:
+// The test suites read PMC_FUZZ_SEEDS and `fuzz_farm --seeds=N` sets the
+// farm's width. SeedPlan is the single helper both route through, with one
+// documented precedence order:
 //
-//   1. an explicit count from the caller (--fuzz=N, FarmOptions::seeds) —
+//   1. an explicit count from the caller (fuzz_farm --seeds=N) —
 //      a flag the user typed always wins;
 //   2. the PMC_FUZZ_SEEDS environment variable — the CI/nightly widening
 //      knob, honored whenever the caller passed no explicit count;
@@ -38,10 +37,10 @@ struct SeedPlan {
   /// base, base+1, ..., base+count-1.
   std::vector<uint64_t> seeds() const;
 
-  /// Resolves the precedence above. `flag_count` < 0 means "no explicit
-  /// count given"; 0 or negative-after-clamp inputs resolve to 1.
-  static SeedPlan resolve(int def, int64_t flag_count = -1,
-                          uint64_t base = 0);
+  /// Resolves the precedence above, from seed 0. `flag_count` < 0 means
+  /// "no explicit count given"; 0 or negative-after-clamp inputs resolve
+  /// to 1.
+  static SeedPlan resolve(int def, int64_t flag_count = -1);
 };
 
 const char* to_string(SeedPlan::Source source);

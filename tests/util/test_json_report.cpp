@@ -104,5 +104,32 @@ TEST(FlagInt, ParsesWholeIntegersAndRejectsEverythingElse) {
   EXPECT_THROW(flag_int(3, bad, "fuzz", 0), util::CheckFailure);
 }
 
+TEST(RequireKnownFlags, AcceptsBareAndValuedFormsAndNamesTheFirstUnknown) {
+  char prog[] = "test";
+  char bare[] = "--dpor";
+  char valued[] = "--dpor=off";
+  char jobs[] = "--jobs=2";
+  char empty[] = "--replay=";
+  char* good[] = {prog, bare, valued, jobs, empty};
+  EXPECT_NO_THROW(
+      require_known_flags(5, good, {"dpor", "dpor=", "jobs=", "replay="}));
+
+  char typo[] = "--preemption=2";
+  char positional[] = "preemptions=2";
+  char bare_valued[] = "--fuzz-seed";
+  char valued_bare[] = "--no-mutate=1";
+  for (char* arg : {typo, positional, bare, bare_valued, valued_bare}) {
+    char* argv[] = {prog, jobs, arg};
+    try {
+      require_known_flags(
+          3, argv, {"jobs=", "preemptions=", "fuzz-seed=", "no-mutate"});
+      ADD_FAILURE() << arg << " accepted";
+    } catch (const util::CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(arg), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pmc::bench
