@@ -67,6 +67,7 @@ uint64_t dsm_handoff_cycles(int cores, uint32_t obj_bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!known_flags_only(argc, argv, {"cores=", "json", "json="})) return 2;
   const int cores = static_cast<int>(flag_int(argc, argv, "cores", 8));
   std::printf("== parameter ablations ==\n\n");
 

@@ -95,6 +95,20 @@ inline void require_known_flags(int argc, char** argv,
   }
 }
 
+/// require_known_flags for a harness main: prints the offending argument to
+/// stderr and returns false instead of throwing, so the harness can exit 2
+/// before running anything.
+inline bool known_flags_only(int argc, char** argv,
+                             std::initializer_list<std::string_view> known) {
+  try {
+    require_known_flags(argc, argv, known);
+    return true;
+  } catch (const util::CheckFailure& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
+}
+
 /// Percentage string with one decimal.
 inline std::string pc(double num, double den) {
   char buf[32];

@@ -31,6 +31,11 @@
 using namespace pmc;
 
 int main(int argc, char** argv) {
+  if (!bench::known_flags_only(argc, argv,
+                               {"preemptions=", "horizon=", "fuzz-execs=",
+                                "json", "json="})) {
+    return 2;
+  }
   explore::ExploreConfig cfg;
   cfg.preemption_bound =
       static_cast<int>(bench::flag_int(argc, argv, "preemptions", 2));

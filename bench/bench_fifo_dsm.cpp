@@ -77,6 +77,9 @@ FifoRun run_fifo(rt::Target target, int readers, int writers, uint32_t items,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!known_flags_only(argc, argv, {"items=", "readers=", "json", "json="})) {
+    return 2;
+  }
   const uint32_t items =
       static_cast<uint32_t>(flag_int(argc, argv, "items", 96));
   const int readers = static_cast<int>(flag_int(argc, argv, "readers", 2));

@@ -86,6 +86,9 @@ uint32_t run_annotated() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!known_flags_only(argc, argv, {"delay-sweep", "json", "json="})) {
+    return 2;
+  }
   std::printf("== Fig. 1: the motivating example on a two-memory machine ==\n\n");
   const uint32_t raw = run_raw(0);
   std::printf("unannotated program: process 2 printed X = %u  %s\n", raw,

@@ -85,6 +85,11 @@ const char* kNames[3] = {"RADIOSITY-like", "RAYTRACE-like", "VOLREND-like"};
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!known_flags_only(argc, argv,
+                        {"cores=", "scale=", "validate", "config=", "json",
+                         "json="})) {
+    return 2;
+  }
   const int cores = static_cast<int>(flag_int(argc, argv, "cores", 32));
   const int64_t scale = flag_int(argc, argv, "scale", 1000);
   const bool validate = flag_set(argc, argv, "validate");

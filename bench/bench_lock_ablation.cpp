@@ -87,6 +87,10 @@ sim::MachineConfig preset_config(int cores) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!known_flags_only(argc, argv,
+                        {"cores=", "rounds=", "config=", "json", "json="})) {
+    return 2;
+  }
   const int cores = static_cast<int>(flag_int(argc, argv, "cores", 16));
   const int rounds = static_cast<int>(flag_int(argc, argv, "rounds", 40));
   const char* config_list = flag_str(argc, argv, "config", nullptr);

@@ -38,6 +38,7 @@ uint64_t run_motion(rt::Target target, int cores, const MotionConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!known_flags_only(argc, argv, {"cores=", "json", "json="})) return 2;
   const int cores = static_cast<int>(flag_int(argc, argv, "cores", 8));
   std::printf("== Fig. 10 case study: motion estimation on SPM (%d cores) ==\n\n",
               cores);

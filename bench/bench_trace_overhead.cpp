@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "bench/bench_common.h"
 #include "explore/check.h"
 #include "model/litmus_library.h"
 #include "obs/trace.h"
@@ -29,7 +30,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: every number is fixed, and no JSON report is written.
+  if (!bench::known_flags_only(argc, argv, {})) return 2;
   const uint64_t horizon = 16;
   const int reps = 40;  // runs per side and pass
   const explore::LitmusTarget target(model::litmus::fig5_mp_annotated(),

@@ -24,6 +24,7 @@
 //   explore_litmus --dot               # Fig. 5 execution graph as Graphviz
 //   explore_litmus --config=bench/configs/mesh64.cfg --backend=swcc
 //       --preemptions=1                # explore on a described machine
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,6 +32,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "examples/cli_common.h"
@@ -317,6 +320,58 @@ int run_dot() {
   return 0;
 }
 
+/// Flags that only some modes read: passing one to a mode that ignores it is
+/// a usage error, not a silent no-op. The exploration bounds and --backend
+/// are shared knobs and are not listed.
+constexpr std::string_view kModeFlags[] = {
+    "dot", "outcomes", "app", "fuzz-seed", "fuzz-cores", "fuzz-objects",
+    "fuzz-steps", "seed-bug", "replay", "test", "trace-out", "config",
+    "json"};
+
+/// The first mode-specific flag the selected mode would ignore, as a usage
+/// message; empty when every given flag is read. Modes are matched in
+/// run_main's dispatch order; the litmus sweep is the fallback.
+std::string mode_conflict(int argc, char** argv) {
+  const auto given = [&](std::string_view f) {
+    const std::string name(f);
+    return flag_set(argc, argv, name.c_str()) ||
+           flag_str(argc, argv, name.c_str(), nullptr) != nullptr;
+  };
+  struct Mode {
+    std::string_view flag;  // empty: the litmus sweep
+    std::vector<std::string_view> reads;
+  };
+  const Mode modes[] = {
+      {"dot", {}},
+      {"outcomes", {}},
+      {"app", {"seed-bug", "json"}},
+      {"fuzz-seed",
+       {"fuzz-cores", "fuzz-objects", "fuzz-steps", "seed-bug", "replay",
+        "trace-out"}},
+      {"seed-bug", {"trace-out", "json"}},
+      {"replay", {"test", "config", "trace-out"}},
+      {"", {"test", "config", "json"}},
+  };
+  const Mode* mode = &modes[std::size(modes) - 1];
+  for (const Mode& m : modes) {
+    if (!m.flag.empty() && given(m.flag)) {
+      mode = &m;
+      break;
+    }
+  }
+  for (const std::string_view f : kModeFlags) {
+    if (f == mode->flag || !given(f) ||
+        std::find(mode->reads.begin(), mode->reads.end(), f) !=
+            mode->reads.end()) {
+      continue;
+    }
+    return "--" + std::string(f) + " has no effect " +
+           (mode->flag.empty() ? std::string("on a litmus sweep")
+                               : "with --" + std::string(mode->flag));
+  }
+  return "";
+}
+
 int run_main(int argc, char** argv) {
   bench::require_known_flags(
       argc, argv,
@@ -325,6 +380,11 @@ int run_main(int argc, char** argv) {
        "replay=", "trace-out=", "app=", "seed-bug", "fuzz-seed=",
        "fuzz-cores=", "fuzz-objects=", "fuzz-steps=", "config=", "json",
        "json="});
+  if (const std::string conflict = mode_conflict(argc, argv);
+      !conflict.empty()) {
+    std::fprintf(stderr, "%s\n", conflict.c_str());
+    return 2;
+  }
   if (flag_set(argc, argv, "dot")) return run_dot();
   if (flag_set(argc, argv, "outcomes")) return run_outcomes();
 

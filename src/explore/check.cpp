@@ -109,11 +109,18 @@ uint64_t hb_trace_hash(const std::vector<model::TraceEvent>& trace) {
 // -- Stateful decomposition --------------------------------------------------
 
 void judge_run(const StatefulSpec& spec, rt::Program& prog, RunOutcome& out) {
+  rt::TraceMemo::Entry* memo = prog.memo_entry();
+  if (memo == nullptr) {
+    out.trace_hash = hb_trace_hash(prog.trace());
+  } else {
+    if (!memo->hb_hash) memo->hb_hash = hb_trace_hash(prog.trace());
+    out.trace_hash = *memo->hb_hash;
+  }
   spec.judge(prog, out);
-  const model::TraceValidator* v = prog.validator();
-  if (v != nullptr && !v->ok()) {
+  const model::TraceVerdict* v = prog.verdict();
+  if (v != nullptr && !v->ok) {
     out.ok = false;
-    out.message = "Definition 12 violation: " + v->first_violation();
+    out.message = "Definition 12 violation: " + v->first_violation;
   }
 }
 
@@ -281,10 +288,9 @@ StatefulSpec LitmusTarget::make_spec() const {
     }
   };
 
-  spec.judge = [this, st](rt::Program& prog, RunOutcome& out) {
-    uint64_t h = hb_trace_hash(prog.trace());
+  spec.judge = [this, st](rt::Program&, RunOutcome& out) {
+    uint64_t& h = out.trace_hash;
     for (const uint64_t r : st->regs) h = util::hash_combine(h, r);
-    out.trace_hash = h;
 
     if (allowed_.find(st->regs) == allowed_.end()) {
       out.ok = false;
@@ -346,12 +352,11 @@ StatefulSpec GenProgramTarget::make_spec() const {
   spec.body = [this, st](rt::Env& env) { run_ops(prog_, env, st->objs); };
 
   spec.judge = [this, st](rt::Program& p, RunOutcome& out) {
-    uint64_t h = hb_trace_hash(p.trace());
+    uint64_t& h = out.trace_hash;
     for (int i = 0; i < prog_.shape.objects; ++i) {
       h = util::hash_combine(h,
                              p.result<uint32_t>(st->objs[static_cast<size_t>(i)]));
     }
-    out.trace_hash = h;
 
     for (int i = 0; i < prog_.shape.objects; ++i) {
       const uint32_t got = p.result<uint32_t>(st->objs[static_cast<size_t>(i)]);
@@ -477,15 +482,14 @@ StatefulSpec MFifoTarget::make_spec() const {
     }
   };
 
-  spec.judge = [this, st](rt::Program& prog, RunOutcome& out) {
-    uint64_t h = hb_trace_hash(prog.trace());
+  spec.judge = [this, st](rt::Program&, RunOutcome& out) {
+    uint64_t& h = out.trace_hash;
     for (int r = 0; r < shape_.readers; ++r) {
       const size_t base = static_cast<size_t>(r) * shape_.items;
       for (uint32_t i = 0; i < st->counts[static_cast<size_t>(r)]; ++i) {
         h = util::hash_combine(h, st->got[base + i]);
       }
     }
-    out.trace_hash = h;
 
     // Broadcast delivery: every reader received every element, in push
     // order (a single writer makes the global slot order the push order).
@@ -564,8 +568,8 @@ StatefulSpec TaskCounterTarget::make_spec() const {
     }
   };
 
-  spec.judge = [this, st, cap](rt::Program& prog, RunOutcome& out) {
-    uint64_t h = hb_trace_hash(prog.trace());
+  spec.judge = [this, st, cap](rt::Program&, RunOutcome& out) {
+    uint64_t& h = out.trace_hash;
     for (int core = 0; core < shape_.cores; ++core) {
       const size_t base = static_cast<size_t>(core) * cap;
       for (uint32_t i = 0; i < st->counts[static_cast<size_t>(core)]; ++i) {
@@ -573,7 +577,6 @@ StatefulSpec TaskCounterTarget::make_spec() const {
         h = util::hash_combine(h, st->chunks[base + i].end);
       }
     }
-    out.trace_hash = h;
 
     // Exact chunk partition: the grabbed chunks tile [0, total) with no
     // gap, no overlap, and no chunk larger than the grab size.
@@ -691,6 +694,8 @@ ExploreReport CheckSession::explore(const CheckTarget& target) const {
     rep.snapshots_taken += e->stats().snapshots_taken;
     rep.snapshot_hits += e->stats().pool_hits;
     rep.snapshot_misses += e->stats().pool_misses;
+    rep.judge_memo_hits += e->stats().judge_memo_hits;
+    rep.judge_memo_misses += e->stats().judge_memo_misses;
   }
   return rep;
 }
@@ -740,6 +745,8 @@ CheckReport CheckSession::check(const CheckTarget& target) const {
   rep.telemetry.snapshots_taken = r.snapshots_taken;
   rep.telemetry.snapshot_hits = r.snapshot_hits;
   rep.telemetry.snapshot_misses = r.snapshot_misses;
+  rep.telemetry.judge_memo_hits = r.judge_memo_hits;
+  rep.telemetry.judge_memo_misses = r.judge_memo_misses;
   rep.telemetry.worker_steals = r.worker_steals;
   rep.telemetry.hb_curve = r.hb_curve;
   rep.explored = r.explored;
@@ -850,6 +857,8 @@ std::string CheckReport::to_json() const {
   m.inc("snapshots_taken", telemetry.snapshots_taken);
   m.inc("snapshot_hits", telemetry.snapshot_hits);
   m.inc("snapshot_misses", telemetry.snapshot_misses);
+  m.inc("judge_memo_hits", telemetry.judge_memo_hits);
+  m.inc("judge_memo_misses", telemetry.judge_memo_misses);
   for (size_t w = 0; w < telemetry.worker_steals.size(); ++w) {
     m.inc("steals_worker_" + std::to_string(w), telemetry.worker_steals[w]);
   }

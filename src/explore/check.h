@@ -74,15 +74,18 @@ struct StatefulSpec {
   std::function<void(rt::Program&)> setup;
   /// The per-core workload; same contract as Program::run's body.
   std::function<void(rt::Env&)> body;
-  /// Judges one completed run: the trace hash and the target's own oracle
+  /// Judges one completed run: folds the target's observable results onto
+  /// the preset hb hash in `out.trace_hash` and applies its own oracle
   /// (judge_run adds the Definition 12 verdict). Called after every
   /// completed run or resume; must be repeatable.
   std::function<void(rt::Program&, RunOutcome&)> judge;
 };
 
-/// The verdict of one completed run of `spec`, shared by both paths:
-/// spec.judge, then the Definition 12 rule — a validator violation fails
-/// the run and its message replaces the target's own oracle verdict.
+/// The verdict of one completed run of `spec`, shared by both paths: presets
+/// `out.trace_hash` to the run's hb_trace_hash (memoized per exact trace
+/// when the Program has a TraceMemo), calls spec.judge, then applies the
+/// Definition 12 rule — a validator violation fails the run and its message
+/// replaces the target's own oracle verdict.
 void judge_run(const StatefulSpec& spec, rt::Program& prog, RunOutcome& out);
 
 /// Executes one schedule of `spec` the stateless way: fresh Program, full
@@ -298,6 +301,9 @@ struct SessionTelemetry {
   uint64_t snapshots_taken = 0;
   uint64_t snapshot_hits = 0;
   uint64_t snapshot_misses = 0;
+  // Exact-trace judge memo counters (ExploreReport passthrough).
+  uint64_t judge_memo_hits = 0;
+  uint64_t judge_memo_misses = 0;
   /// Successful steals per worker (one entry per job).
   std::vector<uint64_t> worker_steals;
   /// hb-class discovery curve (ExploreReport::hb_curve passthrough).

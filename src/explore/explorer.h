@@ -138,6 +138,12 @@ struct ExploreReport {
   uint64_t snapshots_taken = 0;
   uint64_t snapshot_hits = 0;
   uint64_t snapshot_misses = 0;
+  /// Judge-memo observability, filled in like the snapshot counters:
+  /// schedules whose exact trace an executor had already judged, and
+  /// schedules it validated afresh. Deterministic at jobs = 1; per-worker
+  /// memos make both depend on the job count.
+  uint64_t judge_memo_hits = 0;
+  uint64_t judge_memo_misses = 0;
   /// hb-class discovery curve: distinct trace hashes seen after 1, 2, 4,
   /// ... explored schedules, closed on `distinct_traces`. Deterministic at
   /// jobs = 1; with more workers the inner samples depend on the traversal

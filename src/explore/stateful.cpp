@@ -110,6 +110,7 @@ RunOutcome StatefulExecutor::run(ReplayPolicy& policy) {
       opts.schedule_policy = &policy;
       prog_ = std::make_unique<rt::Program>(opts);
       prog_->set_checkpoint_hook(this);
+      prog_->set_trace_memo(&memo_);
       spec_.setup(*prog_);
       prog_->run(spec_.body);
     } else {
@@ -130,6 +131,8 @@ RunOutcome StatefulExecutor::run(ReplayPolicy& policy) {
     out.ok = false;
     out.message = ex.what();
   }
+  stats_.judge_memo_hits = memo_.hits();
+  stats_.judge_memo_misses = memo_.misses();
   current_policy_ = nullptr;
   return out;
 }

@@ -11,7 +11,9 @@
 // and restoring the root is the stateless engine's "build a fresh program"
 // semantics minus the construction cost. Execution inside a schedule is
 // unchanged, so run outcomes — and with them every explorer total and every
-// CheckReport byte — are identical to stateless replay's.
+// CheckReport byte — are identical to stateless replay's. The executor also
+// judges each distinct exact trace once: its Program consults an
+// rt::TraceMemo of Definition 12 verdicts and hb hashes before validating.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,8 @@ struct StatefulStats {
   uint64_t snapshots_taken = 0;
   uint64_t pool_hits = 0;    // schedules forked from a mid-run snapshot
   uint64_t pool_misses = 0;  // schedules restarted from the root snapshot
+  uint64_t judge_memo_hits = 0;    // runs whose exact trace was judged before
+  uint64_t judge_memo_misses = 0;  // runs validated afresh
 };
 
 /// One worker's stateful schedule runner; a drop-in for the ScheduleRunner
@@ -87,6 +91,9 @@ class StatefulExecutor final : public sim::CheckpointHook {
 
   StatefulSpec spec_;
   StatefulOptions opts_;
+  /// Outlives every Program the executor builds: a rebuild keeps the
+  /// spec, hence the (cores, objects) shape the memo is valid for.
+  rt::TraceMemo memo_;
   std::unique_ptr<rt::Program> prog_;
   std::vector<std::unique_ptr<PoolEntry>> pool_;
   ReplayPolicy* current_policy_ = nullptr;  // only during run()

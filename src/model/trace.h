@@ -43,6 +43,16 @@ struct TraceViolation {
   std::string message;
 };
 
+/// What one validation concluded, without the execution graph: everything
+/// a judge reads. A pure function of (processors, locations, initial
+/// values, trace), which is what lets an exact-trace memo reuse it.
+struct TraceVerdict {
+  bool ok = true;
+  bool saturated = false;
+  size_t num_events = 0;
+  std::string first_violation;  // empty when ok
+};
+
 class TraceValidator {
  public:
   struct Options {
@@ -73,6 +83,9 @@ class TraceValidator {
   /// Human-readable first violation, or the saturation notice when the
   /// only failure is saturation (empty when ok()).
   std::string first_violation() const;
+  TraceVerdict verdict() const {
+    return {ok(), saturated_, num_events_, first_violation()};
+  }
 
  private:
   void flag(const std::string& msg);

@@ -162,10 +162,71 @@ void Program::run_sim(const std::function<void(Env&)>& body) {
 
 void Program::revalidate() {
   if (!opts_.validate) return;
-  validator_ = std::make_unique<model::TraceValidator>(
+  verdict_.reset();
+  memo_entry_ = nullptr;
+  if (memo_ != nullptr) {
+    memo_entry_ = memo_->find(rt_.trace);
+    if (memo_entry_ != nullptr) {
+      // The verdict is a pure function of (cores, objects, trace), and the
+      // first two never change under one memo: no graph to rebuild.
+      validator_.reset();
+      verdict_ = memo_entry_->verdict;
+      return;
+    }
+  }
+  validator_ = build_validator();
+  verdict_ = validator_->verdict();
+  if (memo_ != nullptr) memo_entry_ = &memo_->add(rt_.trace, *verdict_);
+}
+
+std::unique_ptr<model::TraceValidator> Program::build_validator() const {
+  auto v = std::make_unique<model::TraceValidator>(
       opts_.cores, objs_->count(),
       std::vector<uint64_t>(static_cast<size_t>(objs_->count()), 0));
-  validator_->on_events(rt_.trace);
+  v->on_events(rt_.trace);
+  return v;
+}
+
+const model::TraceValidator* Program::validator() const {
+  if (validator_ == nullptr && verdict_) validator_ = build_validator();
+  return validator_.get();
+}
+
+TraceMemo::Entry* TraceMemo::find(
+    const std::vector<model::TraceEvent>& trace) {
+  const auto it = entries_.find(encode(trace));
+  if (it == entries_.end()) {
+    ++misses_;
+    return nullptr;
+  }
+  ++hits_;
+  return &it->second;
+}
+
+TraceMemo::Entry& TraceMemo::add(const std::vector<model::TraceEvent>& trace,
+                                 model::TraceVerdict verdict) {
+  Entry& e = entries_[encode(trace)];
+  e.verdict = std::move(verdict);
+  return e;
+}
+
+const std::string& TraceMemo::encode(
+    const std::vector<model::TraceEvent>& trace) {
+  // Three LEB128 fields per event: (proc, kind), loc + 1 (fences carry -1),
+  // value. Each field is a bijection of its source, so the key is exact.
+  static_assert(static_cast<int>(model::TraceEvent::Kind::kFence) < 8);
+  const auto put = [this](uint64_t x) {
+    for (; x >= 0x80; x >>= 7) key_.push_back(static_cast<char>(x | 0x80));
+    key_.push_back(static_cast<char>(x));
+  };
+  key_.clear();
+  for (const model::TraceEvent& e : trace) {
+    put(static_cast<uint64_t>(static_cast<uint32_t>(e.proc)) << 3 |
+        static_cast<uint64_t>(e.kind));
+    put(static_cast<uint32_t>(e.loc) + 1u);
+    put(e.value);
+  }
+  return key_;
 }
 
 void Program::set_checkpoint_hook(sim::CheckpointHook* hook) {
@@ -215,11 +276,10 @@ sim::CoreStats Program::stats_sum() const {
 void Program::require_valid() const {
   if (!is_sim(opts_.target)) return;
   PMC_CHECK_MSG(opts_.validate, "run was not validated");
-  PMC_CHECK_MSG(validator_ != nullptr, "require_valid before run");
-  PMC_CHECK_MSG(validator_->ok(),
-                to_string(opts_.target)
-                    << " back-end violated the memory model: "
-                    << validator_->first_violation());
+  PMC_CHECK_MSG(verdict_.has_value(), "require_valid before run");
+  PMC_CHECK_MSG(verdict_->ok, to_string(opts_.target)
+                                  << " back-end violated the memory model: "
+                                  << verdict_->first_violation);
 }
 
 }  // namespace pmc::rt

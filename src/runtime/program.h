@@ -10,7 +10,10 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "model/trace.h"
 #include "runtime/backend.h"
@@ -65,6 +68,41 @@ struct ProgramOptions {
   bool fiber_execution = false;
 };
 
+/// Exact-trace memo of a run's judgement (DESIGN.md §10): maps a recorded
+/// trace — every event's (kind, proc, loc, value), LEB128-encoded into one
+/// byte string — to its Definition 12 verdict and its hb trace hash. A hash
+/// of the key picks the bucket and full key equality decides, so a hit is
+/// the verdict the validator would rebuild. Valid only for one (cores,
+/// objects) shape: one per StatefulExecutor, whose Program never changes
+/// shape. Not thread-safe.
+class TraceMemo {
+ public:
+  struct Entry {
+    model::TraceVerdict verdict;
+    /// Filled by the first judge that asks (explore::judge_run).
+    std::optional<uint64_t> hb_hash;
+  };
+
+  /// The entry of `trace`, or nullptr on first sight; counts a hit or a
+  /// miss.
+  Entry* find(const std::vector<model::TraceEvent>& trace);
+  /// Records the verdict of a trace find() missed.
+  Entry& add(const std::vector<model::TraceEvent>& trace,
+             model::TraceVerdict verdict);
+
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  /// Encodes `trace` into key_ (reused, so a lookup allocates nothing).
+  const std::string& encode(const std::vector<model::TraceEvent>& trace);
+
+  std::unordered_map<std::string, Entry> entries_;
+  std::string key_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
 class Program {
  public:
   explicit Program(const ProgramOptions& opts);
@@ -101,6 +139,10 @@ class Program {
   void set_checkpoint_hook(sim::CheckpointHook* hook);
   /// Swaps the scheduling policy between restore()/resume() cycles.
   void set_schedule_policy(sim::SchedulePolicy* policy);
+  /// Exact-trace memo every later validation consults first (not owned,
+  /// must outlive the Program's runs). nullptr — the default — validates
+  /// every run afresh.
+  void set_trace_memo(TraceMemo* memo) { memo_ = memo; }
 
   /// Deep copy of one mid-run (or completed) program state: the whole
   /// machine plus the runtime-held model trace.
@@ -127,7 +169,15 @@ class Program {
   sim::Machine* machine() { return machine_.get(); }
   sim::CoreStats stats_sum() const;
   /// nullptr unless a validated sim run completed.
-  const model::TraceValidator* validator() const { return validator_.get(); }
+  const model::TraceVerdict* verdict() const {
+    return verdict_ ? &*verdict_ : nullptr;
+  }
+  /// The memo entry of the last validated run's trace; nullptr without a
+  /// memo.
+  TraceMemo::Entry* memo_entry() { return memo_entry_; }
+  /// nullptr unless a validated sim run completed. After a memo hit the
+  /// graph is rebuilt from the trace on first request.
+  const model::TraceValidator* validator() const;
   /// The recorded model trace (empty unless a validated sim run completed).
   const std::vector<model::TraceEvent>& trace() const { return rt_.trace; }
   /// Throws CheckFailure describing the first Definition 12 violation.
@@ -142,7 +192,10 @@ class Program {
   std::unique_ptr<sync::Barrier> barrier_;
   std::unique_ptr<Backend> backend_;
   SimRuntime rt_;
-  std::unique_ptr<model::TraceValidator> validator_;
+  TraceMemo* memo_ = nullptr;
+  TraceMemo::Entry* memo_entry_ = nullptr;
+  std::optional<model::TraceVerdict> verdict_;
+  mutable std::unique_ptr<model::TraceValidator> validator_;
   // Host target:
   std::unique_ptr<HostSpace> host_;
   std::function<void(Env&)> body_;  // persists for restored-fiber re-entry
@@ -150,6 +203,7 @@ class Program {
 
   void run_sim(const std::function<void(Env&)>& body);
   void revalidate();
+  std::unique_ptr<model::TraceValidator> build_validator() const;
 };
 
 }  // namespace pmc::rt
