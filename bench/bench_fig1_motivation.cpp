@@ -35,8 +35,8 @@ uint32_t run_raw(uint32_t reader_extra_delay) {
       c.remote_write(1, flag, &one, 4);                // 2: flag = 1
     } else {
       // 3-4: while(flag != 1) sleep();
-      c.spin_until(
-          [&] { return c.load_u32(flag, sim::MemClass::kLocal) == 1; });
+      c.poll_u32(flag, sim::MemClass::kLocal,
+                 [](uint32_t v) { return v == 1; });
       if (reader_extra_delay > 0) c.idle(reader_extra_delay);
       printed = c.load_u32(x, sim::MemClass::kSharedData);  // 5: print(X)
     }

@@ -111,7 +111,7 @@ void BM_MachineUncachedRead(benchmark::State& state) {
   // End-to-end cost of one simulated uncached access on a 1-core machine.
   MachineConfig cfg = MachineConfig::ml605(1);
   cfg.sdram_bytes = 64 * 1024;
-  cfg.max_cycles = UINT64_C(1) << 60;
+  cfg.max_cycles = Scheduler::kMaxCycles;
   cfg.cache_shared = false;
   Machine m(cfg);
   const int64_t iters = static_cast<int64_t>(state.max_iterations);

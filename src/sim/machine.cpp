@@ -85,7 +85,7 @@ Machine::Machine(const MachineConfig& cfg)
     lms_.push_back(std::make_unique<MemModule>(
         "lm" + std::to_string(t), kLmBase + static_cast<Addr>(t) * kLmStride,
         cfg_.lm_bytes));
-    cores_.push_back(std::make_unique<CoreState>(cfg_.dcache));
+    cores_.push_back(std::make_unique<CoreState>(cfg_.dcache, sched_, t));
   }
   stats_.resize(cfg_.num_cores);
 }
@@ -430,6 +430,56 @@ void Core::idle(uint64_t cycles) {
   m_.stats_[id_].idle += cycles;
   m_.sched_.advance(id_, cycles);
   if (m_.tracing()) trace(obs::EventKind::kIdle, trace_t0);
+}
+
+void Machine::PollWatch::on_watched_post(uint64_t arrival) {
+  // A posted write arrives after its poster's clock (a NoC delivery holds
+  // the destination port for at least one cycle), so this read is later
+  // than every event executed so far.
+  sched.wake_by(core, polls.first_read_at(arrival));
+}
+
+uint32_t Core::repoll_u32(Addr a, MemClass c, uint64_t& backoff,
+                          uint32_t backoff_max) {
+  PollSchedule polls{now(), backoff, backoff_max, m_.cfg_.timing.lm_load};
+  // Sleeping is exact only where no one else can write the word except by
+  // a posted write (own local memory), where nothing watches the skipped
+  // decision points, and while a poll before the watchdog remains: the
+  // last one runs the step loop below, which throws the watchdog's error.
+  if (m_.tile_of(a) != id_ || m_.sched_.observed() || !polls.advances() ||
+      polls.next_read() >= m_.cfg_.max_cycles) {
+    idle(backoff);
+    backoff = PollSchedule::next_backoff(backoff, backoff_max);
+    return load_u32(a, c);
+  }
+  // Until a write to the word arrives, every poll reads the value just
+  // rejected. Sleep to the first poll that can see an in-flight write, or
+  // to the last poll before the watchdog; a later post to the word lowers
+  // the wake time through the watch.
+  MemModule& lm = *m_.lms_[id_];
+  Machine::PollWatch& watch = m_.cores_[id_]->watch;
+  watch.polls = polls;
+  PollSchedule last = polls;
+  last.skip_below(m_.cfg_.max_cycles);
+  uint64_t wake = last.read;
+  const uint64_t pending = lm.first_pending_arrival(a, 4);
+  if (pending != UINT64_MAX) wake = std::min(wake, polls.first_read_at(pending));
+  lm.watch(a, 4, &watch);
+  m_.sched_.sleep_until(id_, wake);
+  lm.unwatch();
+  // Woken at one of the schedule's reads: charge the polls slept through
+  // as the step loop would have (an idle backoff and a load each), then
+  // take the read itself.
+  polls.skip_to(now());
+  PMC_CHECK(polls.read == now());
+  auto& s = m_.stats_[id_];
+  s.loads += polls.polls;
+  s.busy += polls.polls * polls.load;
+  s.idle += polls.idled;
+  backoff = polls.backoff;
+  uint32_t v = 0;
+  lm.read(now(), a, &v, 4);
+  return v;
 }
 
 void Core::cached_access(Addr a, void* rd_out, const void* wr_data, size_t n) {

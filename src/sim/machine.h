@@ -17,6 +17,7 @@
 #include "sim/cache.h"
 #include "sim/mem_module.h"
 #include "sim/noc.h"
+#include "sim/poll.h"
 #include "sim/scheduler.h"
 #include "sim/stats.h"
 #include "sim/timing.h"
@@ -147,21 +148,29 @@ class Core {
   uint32_t atomic_add(Addr a, uint32_t delta);
   uint32_t atomic_cas(Addr a, uint32_t expected, uint32_t desired);
 
-  /// Polls until pred() returns true. pred must itself perform costed
-  /// simulated loads; exponential idle backoff bounds host overhead while
-  /// staying deterministic.
-  template <typename Pred>
-  void spin_until(Pred&& pred, uint32_t backoff_start = 2,
-                  uint32_t backoff_max = 64) {
-    uint32_t backoff = backoff_start;
-    while (!pred()) {
-      idle(backoff);
-      backoff = backoff < backoff_max ? backoff * 2 : backoff_max;
-    }
+  /// The one spin primitive: loads the u32 at `a` until done(value) holds
+  /// and returns that value, idling between polls with a backoff that
+  /// doubles from backoff_start up to backoff_max (PollSchedule). When the
+  /// word is in this core's own local memory and no policy, checkpoint hook
+  /// or trace recorder observes the run, a failed poll sleeps until the
+  /// first poll that can see a posted write, with the same cycles and
+  /// counters as polling (DESIGN.md §2).
+  template <typename Done>
+  uint32_t poll_u32(Addr a, MemClass c, Done&& done,
+                    uint32_t backoff_start = 2, uint32_t backoff_max = 64) {
+    uint64_t backoff = backoff_start;
+    uint32_t v = load_u32(a, c);
+    while (!done(v)) v = repoll_u32(a, c, backoff, backoff_max);
+    return v;
   }
 
  private:
   friend class Machine;
+  /// After a failed poll at now(): the value of the next poll, reached by
+  /// one idle-and-load step or by sleeping through the polls whose outcome
+  /// is fixed; `backoff` is the idle before that poll and is advanced.
+  uint32_t repoll_u32(Addr a, MemClass c, uint64_t& backoff,
+                      uint32_t backoff_max);
   void charge(uint64_t busy, uint64_t stall, uint64_t CoreStats::*bucket);
   /// Records one event ending at now() (caller checks Machine::tracing()),
   /// then samples the CoreStats counter tracks if a sample is due.
@@ -270,6 +279,9 @@ class Machine {
   int tile_of(Addr a) const;
 
   const CoreStats& stats(int core) const { return stats_[core]; }
+  /// Times a core slept in Core::poll_u32 during run() (zero when a
+  /// policy, checkpoint hook or trace recorder observed it).
+  uint64_t polls_slept() const { return sched_.polls_slept(); }
   CoreStats stats_sum() const;
   /// Drains in-flight writes and fingerprints all memory + clocks
   /// (determinism checks). Only valid after run().
@@ -281,6 +293,16 @@ class Machine {
 
  private:
   friend class Core;
+  /// A core asleep in Core::poll_u32, armed as its local memory's write
+  /// watcher: a write posted to the polled word wakes it by the schedule's
+  /// first read at or after the arrival.
+  struct PollWatch final : MemModule::WriteWatcher {
+    PollWatch(Scheduler& s, int c) : sched(s), core(c) {}
+    void on_watched_post(uint64_t arrival) override;
+    Scheduler& sched;
+    int core;
+    PollSchedule polls;  // the failed poll the core fell asleep after
+  };
   struct CoreState {
     Cache dcache;
     uint64_t imiss_acc = 0;
@@ -291,7 +313,9 @@ class Machine {
     // every yield, so the buffers themselves need no snapshotting.
     Cache::Victim victim_scratch;
     std::vector<uint8_t> wb_scratch;
-    explicit CoreState(const CacheConfig& c) : dcache(c) {}
+    PollWatch watch;
+    CoreState(const CacheConfig& c, Scheduler& s, int core)
+        : dcache(c), watch(s, core) {}
   };
   MemModule& module_for(Addr a, size_t n);
 

@@ -69,6 +69,20 @@ void MemModule::post_write(uint64_t arrival, Addr a, const void* data,
   p.data.assign(static_cast<const uint8_t*>(data),
                 static_cast<const uint8_t*>(data) + n);
   pending_.push(std::move(p));
+  if (watcher_ != nullptr && a < watch_addr_ + watch_len_ &&
+      watch_addr_ < a + n) {
+    watcher_->on_watched_post(arrival);
+  }
+}
+
+uint64_t MemModule::first_pending_arrival(Addr a, size_t n) const {
+  uint64_t first = UINT64_MAX;
+  for (const Pending& p : pending_.items()) {
+    if (p.addr < a + n && a < p.addr + p.data.size()) {
+      first = std::min(first, p.arrival);
+    }
+  }
+  return first;
 }
 
 uint32_t MemModule::atomic_swap_u32(uint64_t t, Addr a, uint32_t value) {

@@ -36,8 +36,31 @@ class MemModule {
   /// Immediate write at time t (local bus): earlier in-flight writes are
   /// applied first so a same-address race resolves by arrival order.
   void write(uint64_t t, Addr a, const void* data, size_t n);
-  /// A write arriving over an interconnect at time `arrival`.
+  /// A write arriving over an interconnect at time `arrival`. Every posted
+  /// write passes here, so this is where a watched word hears of one.
   void post_write(uint64_t arrival, Addr a, const void* data, size_t n);
+
+  /// Hears of posted writes to a watched word (see watch()).
+  class WriteWatcher {
+   public:
+    virtual void on_watched_post(uint64_t arrival) = 0;
+
+   protected:
+    ~WriteWatcher() = default;
+  };
+  /// Reports the arrival of every write posted over [a, a+n) to `w` until
+  /// unwatch(). One watch per module: only the tile's own core reads its
+  /// local memory, and it polls one word at a time. Not snapshotted — a
+  /// watch is armed only while a core sleeps, which no checkpoint sees.
+  void watch(Addr a, size_t n, WriteWatcher* w) {
+    watch_addr_ = a;
+    watch_len_ = n;
+    watcher_ = w;
+  }
+  void unwatch() { watcher_ = nullptr; }
+  /// Earliest arrival among the in-flight writes overlapping [a, a+n),
+  /// UINT64_MAX when none.
+  uint64_t first_pending_arrival(Addr a, size_t n) const;
 
   /// Atomic read-modify-write at time t (the hardware atomic unit port).
   uint32_t atomic_swap_u32(uint64_t t, Addr a, uint32_t value);
@@ -83,8 +106,11 @@ class MemModule {
       return arrival != o.arrival ? arrival > o.arrival : seq > o.seq;
     }
   };
-  using PendingQueue =
-      std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>;
+  struct PendingQueue : std::priority_queue<Pending, std::vector<Pending>,
+                                            std::greater<Pending>> {
+    /// The heap's storage, in heap order.
+    const std::vector<Pending>& items() const { return c; }
+  };
 
  public:
   /// Deep copy of module state: dirtied page contents, the in-flight write
@@ -119,6 +145,9 @@ class MemModule {
   PortStats port_stats_;
   std::vector<uint8_t> touched_;        // one flag per page
   std::vector<uint32_t> touched_list_;  // set pages, first-touch order
+  WriteWatcher* watcher_ = nullptr;     // not owned; nullptr = no watch
+  Addr watch_addr_ = 0;
+  size_t watch_len_ = 0;
 };
 
 }  // namespace pmc::sim

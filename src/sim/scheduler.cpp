@@ -167,7 +167,10 @@ void Scheduler::StackUnmap::operator()(uint8_t* stack) const {
 
 Scheduler::Scheduler(int num_cores, uint64_t max_cycles)
     : max_cycles_(max_cycles) {
-  PMC_CHECK(num_cores >= 1);
+  PMC_CHECK_MSG(num_cores >= 1 && num_cores <= kMaxCores,
+                "num_cores must be in [1, " << kMaxCores << "]");
+  PMC_CHECK_MSG(max_cycles <= kMaxCycles,
+                "max_cycles must be <= " << kMaxCycles);
   slots_.resize(static_cast<size_t>(num_cores));
 }
 
@@ -192,68 +195,72 @@ void Scheduler::trace_switch(int from, int to, bool from_done) {
 }
 
 void Scheduler::sift_up(size_t i) {
-  const int core = ready_[i];
+  const uint64_t key = ready_[i];
   while (i > 0) {
     const size_t parent = (i - 1) / 2;
-    if (!ready_before(core, ready_[parent])) break;
+    if (ready_[parent] < key) break;
     ready_[i] = ready_[parent];
-    pos_[static_cast<size_t>(ready_[i])] = static_cast<int>(i);
+    pos_[static_cast<size_t>(key_core(ready_[i]))] = static_cast<int>(i);
     i = parent;
   }
-  ready_[i] = core;
-  pos_[static_cast<size_t>(core)] = static_cast<int>(i);
+  ready_[i] = key;
+  pos_[static_cast<size_t>(key_core(key))] = static_cast<int>(i);
 }
 
 void Scheduler::sift_down(size_t i) {
-  const int core = ready_[i];
+  const uint64_t key = ready_[i];
   const size_t n = ready_.size();
   const size_t start = i;
   for (;;) {
     size_t child = 2 * i + 1;
     if (child >= n) break;
-    if (child + 1 < n && ready_before(ready_[child + 1], ready_[child])) {
-      ++child;
-    }
-    if (!ready_before(ready_[child], core)) break;
+    if (child + 1 < n && ready_[child + 1] < ready_[child]) ++child;
+    if (key < ready_[child]) break;
     ready_[i] = ready_[child];
-    pos_[static_cast<size_t>(ready_[i])] = static_cast<int>(i);
+    pos_[static_cast<size_t>(key_core(ready_[i]))] = static_cast<int>(i);
     i = child;
   }
   // Unmoved: skipping the two stores is measurably cheaper per advance().
   if (i == start) return;
-  ready_[i] = core;
-  pos_[static_cast<size_t>(core)] = static_cast<int>(i);
+  ready_[i] = key;
+  pos_[static_cast<size_t>(key_core(key))] = static_cast<int>(i);
+}
+
+void Scheduler::requeue_later(int core) {
+  const size_t i = static_cast<size_t>(pos_[static_cast<size_t>(core)]);
+  ready_[i] = ready_key(slots_[core].time, core);
+  sift_down(i);
 }
 
 void Scheduler::remove_ready(int core) {
   const size_t i = static_cast<size_t>(pos_[static_cast<size_t>(core)]);
-  const int last = ready_.back();
+  const uint64_t last = ready_.back();
   ready_.pop_back();
   pos_[static_cast<size_t>(core)] = -1;
-  if (last == core) return;
+  if (key_core(last) == core) return;
   ready_[i] = last;
   sift_up(i);
-  sift_down(static_cast<size_t>(pos_[static_cast<size_t>(last)]));
+  sift_down(static_cast<size_t>(pos_[static_cast<size_t>(key_core(last))]));
 }
 
 void Scheduler::rebuild_ready() {
   ready_.clear();
   pos_.assign(slots_.size(), -1);
   for (int i = 0; i < num_cores(); ++i) {
-    if (!slots_[i].done) ready_.push_back(i);
+    if (!slots_[i].done) ready_.push_back(ready_key(slots_[i].time, i));
   }
   // A sorted array is a valid heap.
-  std::sort(ready_.begin(), ready_.end(),
-            [this](int a, int b) { return ready_before(a, b); });
+  std::sort(ready_.begin(), ready_.end());
   for (size_t i = 0; i < ready_.size(); ++i) {
-    pos_[static_cast<size_t>(ready_[i])] = static_cast<int>(i);
+    pos_[static_cast<size_t>(key_core(ready_[i]))] = static_cast<int>(i);
   }
 }
 
 int Scheduler::consult_policy(int yielding) {
   if (ready_.empty()) return -1;
   cands_.clear();
-  for (const int core : ready_) {
+  for (const uint64_t key : ready_) {
+    const int core = key_core(key);
     cands_.push_back({core, slots_[static_cast<size_t>(core)].time});
   }
   std::sort(cands_.begin(), cands_.end(),
@@ -296,7 +303,7 @@ int Scheduler::consult_policy(int yielding) {
     // advance() or remove_ready() re-sifts it first. Kept so the heap is
     // valid at every instant rather than by that invariant, which the
     // pick_next() fallback and any future reader would silently depend on.
-    sift_down(static_cast<size_t>(pos_[static_cast<size_t>(chosen_core)]));
+    requeue_later(chosen_core);
   }
   frontier_ = chosen.time;
   return chosen_core;
@@ -306,16 +313,44 @@ void Scheduler::advance(int core, uint64_t delta) {
   PMC_CHECK_MSG(current_ == core, "advance() from a core that is not running");
   Slot& me = slots_[core];
   me.time += delta;
-  sift_down(static_cast<size_t>(pos_[static_cast<size_t>(core)]));
+  // Checked before the key is packed: a clock past the watchdog need not
+  // fit the key's time bits. A throw leaves the old key, still a valid heap
+  // entry, until the finished fiber's remove_ready().
   PMC_CHECK_MSG(me.time < max_cycles_,
                 "simulation watchdog: core " << core << " passed "
                     << max_cycles_ << " cycles (deadlock?)");
+  requeue_later(core);
   maybe_checkpoint_yield(core);
   const int next = next_core(core);
   if (next == core || next == -1) return;
   if (tracing()) trace_switch(core, next, /*from_done=*/false);
   current_ = next;
   switch_to(fibers_[static_cast<size_t>(core)].sp, next);
+}
+
+void Scheduler::sleep_until(int core, uint64_t t) {
+  PMC_CHECK_MSG(current_ == core && !observed(),
+                "sleep_until() from a core that is not running, or in an "
+                "observed run");
+  PMC_CHECK(t > slots_[core].time && t < max_cycles_);
+  slots_[core].time = t;
+  requeue_later(core);
+  ++polls_slept_;
+  const int next = pick_next();
+  if (next == core) return;
+  current_ = next;
+  switch_to(fibers_[static_cast<size_t>(core)].sp, next);
+}
+
+void Scheduler::wake_by(int core, uint64_t t) {
+  PMC_CHECK_MSG(t > slots_[current_].time,
+                "wake_by() to " << t << ", not after the running core");
+  Slot& sl = slots_[core];
+  if (t >= sl.time) return;
+  sl.time = t;
+  const size_t i = static_cast<size_t>(pos_[static_cast<size_t>(core)]);
+  ready_[i] = ready_key(t, core);
+  sift_up(i);
 }
 
 void Scheduler::run(const std::function<void(int)>& body) {
@@ -330,6 +365,7 @@ void Scheduler::run(const std::function<void(int)>& body) {
   error_ = nullptr;
   step_ = 0;
   frontier_ = 0;
+  polls_slept_ = 0;
   resume_core_ = -1;
   rebuild_ready();
   init_fibers();

@@ -6,7 +6,9 @@
 // Exactly one core executes at any moment: the one with the smallest
 // (local_time, core_id), kept at the top of an indexed min-heap of runnable
 // cores. Every simulator call advances the caller's local clock and is a
-// potential handoff point (a direct fiber-to-fiber switch).
+// potential handoff point (a direct fiber-to-fiber switch). A core may also
+// sleep in the heap until a named time, which a later event can only bring
+// forward (sleep_until()/wake_by(); DESIGN.md §2).
 // Consequences:
 //
 //  * all memory-system events are generated in nondecreasing global time
@@ -103,8 +105,13 @@ class CheckpointHook {
 class Scheduler {
  public:
   /// max_cycles: watchdog — a core advancing past this throws (deadlocked
-  /// polls in buggy programs would otherwise spin forever).
+  /// polls in buggy programs would otherwise spin forever). The ready heap
+  /// packs (time, core) into one word, so num_cores <= kMaxCores and
+  /// max_cycles <= kMaxCycles (checked).
   explicit Scheduler(int num_cores, uint64_t max_cycles = UINT64_C(1) << 40);
+  static constexpr int kCoreBits = 16;
+  static constexpr int kMaxCores = 1 << kCoreBits;
+  static constexpr uint64_t kMaxCycles = UINT64_C(1) << (64 - kCoreBits);
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -218,6 +225,23 @@ class Scheduler {
   /// minimum. Must only be called by the currently running core.
   void advance(int core, uint64_t delta);
 
+  /// True when something sees every decision point: a policy, a checkpoint
+  /// hook or a trace recorder. Sleeping skips decision points, so only an
+  /// unobserved run may sleep.
+  bool observed() const {
+    return policy_ != nullptr || hook_ != nullptr || trace_ != nullptr;
+  }
+  /// Parks the running `core` with its clock at `t` (now < t < max_cycles)
+  /// and hands off; it runs again once (t, core) is the minimum, where
+  /// wake_by() may have lowered t meanwhile. Unobserved runs only.
+  void sleep_until(int core, uint64_t t);
+  /// Lowers a sleeping `core`'s clock to `t` if that is earlier. `t` must
+  /// be later than the running core's clock (checked), so the sleeper
+  /// still runs after it and events keep executing in nondecreasing time.
+  void wake_by(int core, uint64_t t);
+  /// Number of sleep_until() calls in this run (zero in observed runs).
+  uint64_t polls_slept() const { return polls_slept_; }
+
   /// True once run() completed and some core threw.
   bool failed() const { return error_ != nullptr; }
 
@@ -248,7 +272,9 @@ class Scheduler {
   void trace_switch(int from, int to, bool from_done);
 
   /// Lowest (time, core) runnable core, -1 when all are done.
-  int pick_next() const { return ready_.empty() ? -1 : ready_[0]; }
+  int pick_next() const {
+    return ready_.empty() ? -1 : key_core(ready_[0]);
+  }
   /// Consults the policy, warps the chosen core's clock to the frontier and
   /// advances the frontier; returns the chosen core or -1 when all done.
   int consult_policy(int yielding);
@@ -257,14 +283,20 @@ class Scheduler {
     return policy_ != nullptr ? consult_policy(yielding) : pick_next();
   }
 
-  // Ready queue: a binary min-heap of the runnable cores ordered by
-  // (time, core) — a strict order, so its top is exactly the core a linear
-  // scan for the minimum would pick. A core's clock only ever grows while
-  // it is queued, so advance() and the frontier warp sift it down.
-  bool ready_before(int a, int b) const {
-    const uint64_t ta = slots_[a].time, tb = slots_[b].time;
-    return ta != tb ? ta < tb : a < b;
+  // Ready queue: a binary min-heap of the runnable cores keyed by
+  // time << kCoreBits | core — a strict order, so its top is exactly the
+  // core a linear scan for the minimum would pick, and one integer compare
+  // orders two entries. advance(), sleep_until() and the frontier warp
+  // raise a key and sift it down; wake_by() lowers one and sifts it up.
+  static uint64_t ready_key(uint64_t time, int core) {
+    return time << kCoreBits | static_cast<uint64_t>(core);
   }
+  static int key_core(uint64_t key) {
+    return static_cast<int>(key & (kMaxCores - 1));
+  }
+  /// Rewrites `core`'s key from its clock (which must have grown) and
+  /// sifts it down.
+  void requeue_later(int core);
   void sift_up(size_t i);
   void sift_down(size_t i);
   void remove_ready(int core);
@@ -288,8 +320,8 @@ class Scheduler {
   static void fiber_entry();
 
   std::vector<Slot> slots_;
-  std::vector<int> ready_;  // ready-queue heap of core ids
-  std::vector<int> pos_;    // per core: index in ready_, -1 once done
+  std::vector<uint64_t> ready_;  // ready-queue heap of ready_key()s
+  std::vector<int> pos_;         // per core: index in ready_, -1 once done
   std::vector<ScheduleCandidate> cands_;  // consult_policy's reused list
   int current_ = 0;
   uint64_t max_cycles_;
@@ -299,6 +331,7 @@ class Scheduler {
   bool record_fp_ = false;  // policy_->wants_footprints(), cached
   uint64_t step_ = 0;      // decision counter (policy runs only)
   uint64_t frontier_ = 0;  // latest dispatch time (policy runs only)
+  uint64_t polls_slept_ = 0;  // sleep_until() calls (unobserved runs only)
 
   std::vector<Fiber> fibers_;  // allocated on the first run()
   void* main_sp_ = nullptr;    // the host context's SP while a fiber runs

@@ -33,8 +33,9 @@ void Barrier::wait(sim::Core& core) {
     const sim::Addr flag = m_.lm_base(me) + lm_flag_offset_;
     // Coarse backoff: barrier waits can span long phases, and the local
     // flag costs nothing to leave unpolled.
-    core.spin_until(
-        [&] { return core.load_u32(flag, sim::MemClass::kSync) == sense; },
+    core.poll_u32(
+        flag, sim::MemClass::kSync,
+        [sense](uint32_t v) { return v == sense; },
         /*backoff_start=*/8, /*backoff_max=*/4096);
   }
   if (m_.tracing()) {

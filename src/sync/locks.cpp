@@ -126,8 +126,7 @@ void DistLockManager::acquire(sim::Core& core, int lock) {
     core.remote_write(static_cast<int>(prev) - 1,
                       next_addr(static_cast<int>(prev) - 1, lock), &link, 4);
     const sim::Addr g = grant_addr(me, lock);
-    core.spin_until(
-        [&] { return core.load_u32(g, sim::MemClass::kSync) == 1; });
+    core.poll_u32(g, sim::MemClass::kSync, [](uint32_t v) { return v == 1; });
     core.store_u32(g, 0, sim::MemClass::kSync);  // consume the grant
   }
   prev_holder_[lock] = last_owner_[lock];
@@ -154,8 +153,8 @@ void DistLockManager::release(sim::Core& core, int lock) {
     }
     // A requester swapped in; its link write is in flight to our local
     // memory. Wait for it locally.
-    core.spin_until(
-        [&] { return (nx = core.load_u32(n, sim::MemClass::kSync)) != 0; });
+    nx = core.poll_u32(n, sim::MemClass::kSync,
+                       [](uint32_t v) { return v != 0; });
   }
   core.store_u32(n, 0, sim::MemClass::kSync);  // reset for our next round
   // Hand over with a single write into the successor's local memory.

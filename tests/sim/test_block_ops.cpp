@@ -39,10 +39,10 @@ TEST(BlockOps, UncachedBlockWordChunking) {
     uint8_t data[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
     const Addr a = kSdramBase + 6;  // unaligned: 2 + 4 + 4 byte chunks
     c.write_block(a, data, 10, MemClass::kSharedData);
-    c.spin_until([&] {
-      uint8_t probe = 0;
-      c.read_block(a + 9, &probe, 1, MemClass::kSharedData);
-      return probe == 10;
+    // Probe the last byte through the aligned word holding it.
+    const Addr last = a + 9;
+    c.poll_u32(last & ~3u, MemClass::kSharedData, [&](uint32_t w) {
+      return (w >> (8 * (last % 4)) & 0xFF) == 10;
     });
     uint8_t out[10] = {};
     c.read_block(a, out, 10, MemClass::kSharedData);

@@ -46,7 +46,7 @@ TEST(Machine, RemoteWriteBecomesVisibleAfterFlight) {
       const uint32_t one = 1;
       c.remote_write(1, flag, &one, 4);
     } else {
-      c.spin_until([&] { return c.load_u32(flag, MemClass::kLocal) == 1; });
+      c.poll_u32(flag, MemClass::kLocal, [](uint32_t v) { return v == 1; });
       SUCCEED();
     }
   });
@@ -60,9 +60,8 @@ TEST(Machine, UncachedSdramRoundTrip) {
   m.run([&](Core& c) {
     c.store_u32(kSdramBase + 16, 99, MemClass::kSharedData);
     // Uncached stores are posted: spin until the write lands.
-    c.spin_until([&] {
-      return c.load_u32(kSdramBase + 16, MemClass::kSharedData) == 99;
-    });
+    c.poll_u32(kSdramBase + 16, MemClass::kSharedData,
+               [](uint32_t v) { return v == 99; });
   });
   EXPECT_GT(m.stats(0).stall_shared_read, 0u);
   EXPECT_GT(m.stats(0).stall_write, 0u);
@@ -91,7 +90,7 @@ TEST(Machine, DirtyLineInvisibleUntilFlush) {
       c.store_u32(x, 42, MemClass::kSharedData);  // sits dirty in the cache
       c.store_u32(flag, 1, MemClass::kSync);      // uncached flag
     } else {
-      c.spin_until([&] { return c.load_u32(flag, MemClass::kSync) == 1; });
+      c.poll_u32(flag, MemClass::kSync, [](uint32_t v) { return v == 1; });
       // Core 1 misses and fills from SDRAM, which still has 0.
       EXPECT_EQ(c.load_u32(x, MemClass::kSharedData), 0u);
     }
@@ -105,7 +104,7 @@ TEST(Machine, DirtyLineInvisibleUntilFlush) {
       c.idle(2 * cfg.timing.sdram_line_wb_visible + 8);
       c.store_u32(flag, 1, MemClass::kSync);
     } else {
-      c.spin_until([&] { return c.load_u32(flag, MemClass::kSync) == 1; });
+      c.poll_u32(flag, MemClass::kSync, [](uint32_t v) { return v == 1; });
       EXPECT_EQ(c.load_u32(x, MemClass::kSharedData), 42u);
     }
   });
@@ -123,13 +122,13 @@ TEST(Machine, StaleCachedReadWithoutInvalidate) {
     if (c.id() == 1) {
       EXPECT_EQ(c.load_u32(x, MemClass::kSharedData), 0u);  // warm the cache
       c.store_u32(flag, 1, MemClass::kSync);
-      c.spin_until([&] { return c.load_u32(flag, MemClass::kSync) == 2; });
+      c.poll_u32(flag, MemClass::kSync, [](uint32_t v) { return v == 2; });
       // Still stale: the line sits in our cache.
       EXPECT_EQ(c.load_u32(x, MemClass::kSharedData), 0u);
       c.cache_inval(x, 4);
       EXPECT_EQ(c.load_u32(x, MemClass::kSharedData), 7u);
     } else {
-      c.spin_until([&] { return c.load_u32(flag, MemClass::kSync) == 1; });
+      c.poll_u32(flag, MemClass::kSync, [](uint32_t v) { return v == 1; });
       c.store_u32(x, 7, MemClass::kSharedData);
       c.cache_wbinval(x, 4);
       c.idle(200);  // let the writeback land
@@ -154,7 +153,7 @@ TEST(Machine, Fig1ReorderingIsReal) {
       const uint32_t one = 1;
       c.remote_write(1, flag, &one, 4);  // fast path
     } else {
-      c.spin_until([&] { return c.load_u32(flag, MemClass::kLocal) == 1; });
+      c.poll_u32(flag, MemClass::kLocal, [](uint32_t v) { return v == 1; });
       stale_observed = c.load_u32(x, MemClass::kSharedData) != 42;
     }
   });

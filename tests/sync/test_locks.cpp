@@ -107,7 +107,7 @@ TEST_P(LockKind, PreviousHolderTracksTransfer) {
       locks->release(c, l);
       c.store_u32(turn, 1, MemClass::kSync);
     } else {
-      c.spin_until([&] { return c.load_u32(turn, MemClass::kSync) == 1; });
+      c.poll_u32(turn, MemClass::kSync, [](uint32_t v) { return v == 1; });
       locks->acquire(c, l);
       seen.push_back(locks->previous_holder(l));  // transferred from core 0
       locks->release(c, l);
