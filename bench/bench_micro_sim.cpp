@@ -1,9 +1,10 @@
 // Microbenchmarks of the SoC substrate (google-benchmark): scheduler handoff
 // cost (the price of deterministic interleaving), memory module operations,
-// cache accesses, NoC delivery.
+// cache accesses, NoC delivery, machine snapshot capture and restore.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <functional>
 
 #include "sim/cache.h"
 #include "sim/machine.h"
@@ -133,6 +134,103 @@ void BM_MachineUncachedRead(benchmark::State& state) {
   state.SetItemsProcessed(iters);
 }
 BENCHMARK(BM_MachineUncachedRead)->Iterations(100000);
+
+// A 4-core ML605 machine with the litmus targets' memory shape (32 KiB
+// local memories, 256 KiB SDRAM), parked mid-run like the snapshot engine
+// parks one: every core stores and loads cached shared data, writes its
+// local memory and posts into a neighbour's. Decision steps are counted
+// only under a policy, so a pass-through one is installed. The hook
+// snapshots decision step 8 and hands the machine, parked at step 16, to
+// `at_park`.
+class ParkedMachine final : public CheckpointHook, SchedulePolicy {
+ public:
+  using AtPark = std::function<void(Machine&, const Machine::Snapshot& step8)>;
+
+  explicit ParkedMachine(AtPark at_park)
+      : m_(config()), at_park_(std::move(at_park)) {}
+
+  /// False when the run never reached decision step 16.
+  bool run() {
+    m_.set_schedule_policy(this);
+    m_.set_checkpoint_hook(this);
+    m_.run([](Core& c) {
+      const int n = c.num_cores();
+      const Addr mine = kSdramBase + static_cast<Addr>(c.id()) * 256;
+      const Addr next = kSdramBase + static_cast<Addr>((c.id() + 1) % n) * 256;
+      const Addr lm = c.machine().lm_base(c.id());
+      const Addr peer_lm = c.machine().lm_base((c.id() + 1) % n);
+      for (uint32_t i = 0; i < 8; ++i) {
+        c.store_u32(mine + 4 * i, i, MemClass::kSharedData);
+        benchmark::DoNotOptimize(c.load_u32(next + 4 * i, MemClass::kSharedData));
+        c.store_u32(lm + 64 * i, i, MemClass::kLocal);
+        c.remote_write((c.id() + 1) % n, peer_lm + 256 + 4 * i, &i, 4);
+        c.compute(10);
+      }
+    });
+    return parked_;
+  }
+
+  int pick(const YieldPoint&, const std::vector<ScheduleCandidate>&) override {
+    return 0;
+  }
+  bool wants_checkpoint(uint64_t step, int) override {
+    return step == 8 || step == 16;
+  }
+  void on_checkpoint(uint64_t step) override {
+    if (step == 8) {
+      m_.snapshot(step8_);
+      return;
+    }
+    at_park_(m_, step8_);
+    parked_ = true;
+  }
+
+ private:
+  static MachineConfig config() {
+    MachineConfig cfg = MachineConfig::ml605(4);
+    cfg.lm_bytes = 32 * 1024;
+    cfg.sdram_bytes = 256 * 1024;
+    return cfg;
+  }
+
+  Machine m_;
+  AtPark at_park_;
+  Machine::Snapshot step8_;
+  bool parked_ = false;
+};
+
+void BM_SnapshotCapture(benchmark::State& state) {
+  // Captures into one reused snapshot, as the pool recycles an evicted one.
+  ParkedMachine parked([&state](Machine& m, const Machine::Snapshot&) {
+    Machine::Snapshot s;
+    for (auto _ : state) {
+      m.snapshot(s);
+      benchmark::DoNotOptimize(s.sched.step);
+      benchmark::ClobberMemory();
+    }
+  });
+  if (!parked.run()) state.SkipWithError("the run never reached step 16");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SnapshotCapture);
+
+void BM_SnapshotRestore(benchmark::State& state) {
+  // Alternates between the states at steps 8 and 16, so every restore
+  // undoes real writes; the last one leaves the machine where it parked.
+  ParkedMachine parked(
+      [&state](Machine& m, const Machine::Snapshot& step8) {
+        Machine::Snapshot step16;
+        m.snapshot(step16);
+        for (auto _ : state) {
+          m.restore(step8);
+          m.restore(step16);
+          benchmark::ClobberMemory();
+        }
+      });
+  if (!parked.run()) state.SkipWithError("the run never reached step 16");
+  state.SetItemsProcessed(2 * state.iterations());
+}
+BENCHMARK(BM_SnapshotRestore);
 
 }  // namespace
 

@@ -91,9 +91,20 @@ class ReplayPolicy final : public sim::SchedulePolicy {
     std::vector<sim::Footprint> seg_fp;
   };
   /// Captured pre-pick: call while decision `steps` has not executed yet
-  /// (e.g. from CheckpointHook::on_checkpoint).
+  /// (e.g. from CheckpointHook::on_checkpoint). Fills `r`, reusing its
+  /// buffers.
+  void export_recording(Recording& r) const {
+    r.steps = steps_;
+    r.cand_count = cand_count_;
+    r.observable = observable_;
+    r.cand_cores = cand_cores_;
+    r.chosen = chosen_;
+    r.seg_fp = seg_fp_;
+  }
   Recording export_recording() const {
-    return {steps_, cand_count_, observable_, cand_cores_, chosen_, seg_fp_};
+    Recording r;
+    export_recording(r);
+    return r;
   }
   /// Seeds a fresh policy with a prefix recording before its run resumes
   /// mid-schedule. Overrides with step < recording.steps are skipped — those

@@ -1,19 +1,12 @@
 #include "explore/stateful.h"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
 #include "util/check.h"
 
 namespace pmc::explore {
-
-struct StatefulExecutor::PoolEntry {
-  uint64_t step = 0;      // decision step the snapshot is parked at
-  DecisionString prefix;  // overrides with .step < step at capture time
-  rt::Program::Snapshot snap;
-  ReplayPolicy::Recording rec;
-  uint64_t lru = 0;
-};
 
 StatefulExecutor::StatefulExecutor(StatefulSpec spec, StatefulOptions opts)
     : spec_(std::move(spec)), opts_(opts) {
@@ -22,89 +15,94 @@ StatefulExecutor::StatefulExecutor(StatefulSpec spec, StatefulOptions opts)
 
 StatefulExecutor::~StatefulExecutor() = default;
 
-bool StatefulExecutor::usable(const PoolEntry& e,
-                              const DecisionString& overrides) {
-  size_t i = 0;
-  for (const Decision& d : overrides) {
-    if (d.step >= e.step) break;  // overrides are strictly step-increasing
-    if (i >= e.prefix.size() || !(e.prefix[i] == d)) return false;
-    ++i;
-  }
-  return i == e.prefix.size();
+bool StatefulExecutor::ByPrefixThenStep::less(const Key& a, const Key& b) {
+  const auto c = std::lexicographical_compare_three_way(
+      a.prefix.begin(), a.prefix.end(), b.prefix.begin(), b.prefix.end());
+  return c != 0 ? c < 0 : a.step < b.step;
 }
 
-StatefulExecutor::PoolEntry& StatefulExecutor::best_entry(
+StatefulExecutor::Entries::iterator StatefulExecutor::best_entry(
     const DecisionString& overrides) {
-  PoolEntry* best = nullptr;
-  for (const auto& e : pool_) {
-    if (best != nullptr && e->step <= best->step) continue;
-    if (usable(*e, overrides)) best = e.get();
-  }
-  PMC_CHECK_MSG(best != nullptr, "snapshot pool lost its pinned root entry");
-  return *best;
-}
-
-bool StatefulExecutor::have_entry_at(uint64_t step) {
-  for (const auto& e : pool_) {
-    if (e->step == step && usable(*e, current_policy_->overrides())) {
-      e->lru = ++lru_clock_;
-      return true;
+  const std::span<const Decision> all(overrides);
+  // Prefix j (the first j overrides) is usable at steps in
+  // (overrides[j-1].step, overrides[j].step]; deeper prefixes park deeper.
+  for (size_t j = all.size() + 1; j-- > 0;) {
+    const uint64_t hi = j < all.size() ? all[j].step : UINT64_MAX;
+    auto it = index_.upper_bound(Key{all.first(j), hi});
+    if (it == index_.begin()) continue;
+    const Entries::iterator e = *--it;
+    if (std::ranges::equal(e->prefix, all.first(j)) &&
+        (j == 0 || e->step > all[j - 1].step)) {
+      return e;
     }
   }
-  return false;
+  PMC_CHECK_MSG(false, "snapshot pool lost its pinned root entry");
+  return {};
+}
+
+void StatefulExecutor::touch(Entries::iterator e) {
+  if (e->step != 0) lru_.splice(lru_.end(), lru_, e);
 }
 
 bool StatefulExecutor::wants_checkpoint(uint64_t step, int runnable_cores) {
+  // No offered step already has an entry. A forked run is offered only
+  // steps past its fork, and an entry parked there under this run's prefix
+  // would have been a deeper usable entry than the fork; a run from scratch
+  // starts with an empty pool. So the root is captured once, and a step
+  // passing the tests below is captured without a lookup.
   if (current_policy_ == nullptr) return false;
-  if (step == 0) return !have_entry_at(0);  // the pinned root, captured once
+  if (step == 0) return true;               // the pinned root
   if (runnable_cores < 2) return false;     // no branch can start here
   if (step >= opts_.horizon) return false;  // beyond-horizon steps never branch
-  if (step % opts_.checkpoint_stride != 0) return false;
-  // Re-runs over a shared prefix would re-capture identical state: the
-  // execution is bit-deterministic in the sub-step overrides, which is the
-  // pool key. Dedup instead (and keep the proven-hot entry resident).
-  return !have_entry_at(step);
+  return step % opts_.checkpoint_stride == 0;
 }
 
 void StatefulExecutor::on_checkpoint(uint64_t step) {
-  auto e = std::make_unique<PoolEntry>();
+  ++stats_.snapshots_taken;
+  // Capacity 0 keeps no mid-run entry: the capture counts as one evicted
+  // at once, so it is not made.
+  if (step != 0 && opts_.pool_capacity == 0) return;
+  Entries::iterator e;
+  decltype(index_)::node_type node;
+  if (step == 0) {
+    e = root_.emplace(root_.end());
+  } else if (lru_.size() == opts_.pool_capacity) {
+    // Evict the least recently used entry and capture into its buffers
+    // and its index node.
+    e = lru_.begin();
+    node = index_.extract(e);
+    lru_.splice(lru_.end(), lru_, e);
+  } else {
+    e = lru_.emplace(lru_.end());
+  }
   e->step = step;
+  e->prefix.clear();
   for (const Decision& d : current_policy_->overrides()) {
     if (d.step >= step) break;
     e->prefix.push_back(d);
   }
-  e->snap = prog_->snapshot();
-  e->rec = current_policy_->export_recording();
-  e->lru = ++lru_clock_;
-  pool_.push_back(std::move(e));
-  ++stats_.snapshots_taken;
-  evict();
+  prog_->snapshot(e->snap);
+  current_policy_->export_recording(e->rec);
+  const bool inserted = node ? index_.insert(std::move(node)).inserted
+                             : index_.insert(e).second;
+  PMC_CHECK_MSG(inserted, "snapshot pool captured step " << step << " twice");
 }
 
-void StatefulExecutor::evict() {
-  size_t live = 0;
-  for (const auto& e : pool_) live += e->step != 0 ? 1 : 0;
-  while (live > opts_.pool_capacity) {
-    size_t victim = pool_.size();
-    for (size_t i = 0; i < pool_.size(); ++i) {
-      if (pool_[i]->step == 0) continue;  // the root is pinned
-      if (victim == pool_.size() || pool_[i]->lru < pool_[victim]->lru) {
-        victim = i;
-      }
-    }
-    pool_.erase(pool_.begin() + static_cast<ptrdiff_t>(victim));
-    --live;
-  }
+std::vector<StatefulExecutor::PoolKey> StatefulExecutor::pool_keys() const {
+  std::vector<PoolKey> keys;
+  for (const PoolEntry& e : lru_) keys.push_back({e.step, e.prefix});
+  return keys;
 }
 
 RunOutcome StatefulExecutor::run(ReplayPolicy& policy) {
   RunOutcome out;
   current_policy_ = &policy;
   try {
-    if (prog_ == nullptr || pool_.empty()) {
+    if (prog_ == nullptr || root_.empty()) {
       // First schedule — or a prior first schedule died before the root
       // checkpoint (program construction / setup failure): build the world
       // afresh, exactly like stateless replay would.
+      last_fork_step_.reset();
       prog_.reset();
       rt::ProgramOptions opts = spec_.opts;
       opts.schedule_policy = &policy;
@@ -114,15 +112,16 @@ RunOutcome StatefulExecutor::run(ReplayPolicy& policy) {
       spec_.setup(*prog_);
       prog_->run(spec_.body);
     } else {
-      PoolEntry& e = best_entry(policy.overrides());
-      if (e.step == 0) {
+      const Entries::iterator e = best_entry(policy.overrides());
+      if (e->step == 0) {
         ++stats_.pool_misses;
       } else {
         ++stats_.pool_hits;
       }
-      e.lru = ++lru_clock_;
-      policy.seed(e.rec);
-      prog_->restore(e.snap);
+      last_fork_step_ = e->step;
+      touch(e);
+      policy.seed(e->rec);
+      prog_->restore(e->snap);
       prog_->set_schedule_policy(&policy);
       prog_->resume();
     }

@@ -17,7 +17,11 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
+#include <optional>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "explore/check.h"
@@ -30,9 +34,9 @@ namespace pmc::explore {
 struct StatefulOptions {
   /// Checkpoint every stride-th decision step below the horizon (step 0,
   /// the root, is always checkpointed). Clamped to >= 1. Stride 8 is the
-  /// measured sweet spot on the litmus suite: snapshots are ~10× the cost
-  /// of resuming one, so checkpointing every decision step spends more on
-  /// captures than the restored prefixes save.
+  /// measured sweet spot on the litmus grid (DESIGN.md §10): a capture
+  /// costs about as much as a restore, halving the stride doubles the
+  /// captures, and doubling it forks from shallower entries.
   uint64_t checkpoint_stride = 8;
   /// Decision steps at or above the horizon never branch, so they are
   /// never worth checkpointing.
@@ -71,23 +75,60 @@ class StatefulExecutor final : public sim::CheckpointHook {
 
   const StatefulStats& stats() const { return stats_; }
 
+  /// A pool entry's key: the decision step it is parked at and the
+  /// overrides with smaller steps it was captured under.
+  struct PoolKey {
+    uint64_t step = 0;
+    DecisionString prefix;
+  };
+  /// The non-root entries, least recently used first (for tests).
+  std::vector<PoolKey> pool_keys() const;
+  /// The step of the entry the last run() forked from; nullopt when it
+  /// built the program afresh. The entry's prefix is that run's overrides
+  /// below the step.
+  std::optional<uint64_t> last_fork_step() const { return last_fork_step_; }
+
   // sim::CheckpointHook — called by the scheduler mid-run.
   bool wants_checkpoint(uint64_t step, int runnable_cores) override;
   void on_checkpoint(uint64_t step) override;
 
  private:
-  struct PoolEntry;
+  struct PoolEntry {
+    uint64_t step = 0;      // decision step the snapshot is parked at
+    DecisionString prefix;  // overrides with .step < step at capture time
+    rt::Program::Snapshot snap;
+    ReplayPolicy::Recording rec;
+  };
+  /// Entries in LRU order, least recently used first. The pinned root
+  /// lives in a list of its own, so its iterator has the same type.
+  using Entries = std::list<PoolEntry>;
+  /// Orders entries by (prefix, step), so each prefix's entries are
+  /// adjacent and sorted by step. Transparent: a lookup passes a view of
+  /// the schedule's own overrides and allocates nothing.
+  struct ByPrefixThenStep {
+    using is_transparent = void;
+    struct Key {
+      std::span<const Decision> prefix;
+      uint64_t step;
+    };
+    static Key key(const Key& k) { return k; }
+    static Key key(const Entries::iterator& e) { return {e->prefix, e->step}; }
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      return less(key(a), key(b));
+    }
+    static bool less(const Key& a, const Key& b);
+  };
+  using Key = ByPrefixThenStep::Key;
 
-  /// True when `e`'s captured prefix equals the overrides of the current
-  /// schedule restricted to steps below e->step — the exact condition for
-  /// the snapshot to be a state of that schedule's own execution.
-  static bool usable(const PoolEntry& e, const DecisionString& overrides);
-  /// The deepest usable entry (the pinned root in the worst case).
-  PoolEntry& best_entry(const DecisionString& overrides);
-  /// True when a usable entry parked at exactly `step` already exists
-  /// (refreshes its LRU stamp — an entry proven hot is worth keeping).
-  bool have_entry_at(uint64_t step);
-  void evict();
+  /// The deepest entry usable by a schedule with these overrides (the
+  /// pinned root in the worst case). An entry is usable exactly when its
+  /// prefix equals the overrides restricted to steps below its step, so
+  /// only the k + 1 prefixes of k overrides can match: each is one
+  /// upper_bound.
+  Entries::iterator best_entry(const DecisionString& overrides);
+  /// Moves a non-root entry to the most-recently-used end.
+  void touch(Entries::iterator e);
 
   StatefulSpec spec_;
   StatefulOptions opts_;
@@ -95,9 +136,11 @@ class StatefulExecutor final : public sim::CheckpointHook {
   /// spec, hence the (cores, objects) shape the memo is valid for.
   rt::TraceMemo memo_;
   std::unique_ptr<rt::Program> prog_;
-  std::vector<std::unique_ptr<PoolEntry>> pool_;
+  Entries root_;  // empty until the first run reaches step 0
+  Entries lru_;   // at most pool_capacity entries
+  std::set<Entries::iterator, ByPrefixThenStep> index_;  // root_ and lru_
   ReplayPolicy* current_policy_ = nullptr;  // only during run()
-  uint64_t lru_clock_ = 0;
+  std::optional<uint64_t> last_fork_step_;
   StatefulStats stats_;
 };
 

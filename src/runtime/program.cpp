@@ -239,12 +239,10 @@ void Program::set_schedule_policy(sim::SchedulePolicy* policy) {
   machine_->set_schedule_policy(policy);
 }
 
-Program::Snapshot Program::snapshot() const {
+void Program::snapshot(Snapshot& s) const {
   PMC_CHECK(machine_ != nullptr);
-  Snapshot s;
-  s.m = machine_->snapshot();
+  machine_->snapshot(s.m);
   s.trace = rt_.trace;
-  return s;
 }
 
 void Program::restore(const Snapshot& s) {

@@ -150,7 +150,13 @@ class Program {
     sim::Machine::Snapshot m;
     std::vector<model::TraceEvent> trace;
   };
-  Snapshot snapshot() const;
+  /// Fills `s`, reusing its buffers.
+  void snapshot(Snapshot& s) const;
+  Snapshot snapshot() const {
+    Snapshot s;
+    snapshot(s);
+    return s;
+  }
   void restore(const Snapshot& s);
   /// Continues a restored machine to completion (rethrows the body's
   /// exception like run()), then revalidates the trace.

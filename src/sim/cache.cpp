@@ -1,5 +1,6 @@
 #include "sim/cache.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/check.h"
@@ -87,7 +88,10 @@ uint8_t* Cache::install(Addr line_addr, Victim* victim) {
   best->valid = true;
   best->is_dirty = false;
   best->lru = ++tick_;
-  ever_used_ = true;
+  if (!best->listed) {
+    best->listed = true;
+    listed_.push_back(static_cast<uint32_t>(best - lines_.data()));
+  }
   return data_of(best);
 }
 
@@ -124,31 +128,42 @@ size_t Cache::dirty_lines() const {
   return n;
 }
 
-Cache::Snapshot Cache::snapshot() const {
-  Snapshot s;
+void Cache::snapshot(Snapshot& s) const {
   s.tick = tick_;
-  for (size_t i = 0; i < lines_.size(); ++i) {
-    const Line& l = lines_[i];
-    if (!l.valid) continue;
-    s.line_idx.push_back(static_cast<uint32_t>(i));
-    s.lines.push_back({l.tag, l.is_dirty, l.lru});
-    const uint8_t* d = data_.data() + i * cfg_.line_bytes;
-    s.bytes.insert(s.bytes.end(), d, d + cfg_.line_bytes);
+  s.line_idx.clear();
+  for (const uint32_t i : listed_) {
+    if (lines_[i].valid) s.line_idx.push_back(i);
   }
-  return s;
+  // Index order: equal states snapshot equal however their lists grew.
+  std::sort(s.line_idx.begin(), s.line_idx.end());
+  s.lines.resize(s.line_idx.size());
+  s.bytes.resize(s.line_idx.size() * cfg_.line_bytes);
+  for (size_t k = 0; k < s.line_idx.size(); ++k) {
+    const Line& l = lines_[s.line_idx[k]];
+    s.lines[k] = {l.tag, l.is_dirty, l.lru};
+    std::memcpy(s.bytes.data() + k * cfg_.line_bytes,
+                data_.data() + static_cast<size_t>(s.line_idx[k]) *
+                                   cfg_.line_bytes,
+                cfg_.line_bytes);
+  }
 }
 
 void Cache::restore(const Snapshot& s) {
   tick_ = s.tick;
-  for (Line& l : lines_) {
+  // Every valid line is listed, so this invalidates the whole cache.
+  for (const uint32_t i : listed_) {
+    Line& l = lines_[i];
     l.valid = false;
     l.is_dirty = false;
+    l.listed = false;
   }
+  listed_.assign(s.line_idx.begin(), s.line_idx.end());
   for (size_t i = 0; i < s.line_idx.size(); ++i) {
     Line& l = lines_[s.line_idx[i]];
     l.tag = s.lines[i].tag;
     l.valid = true;
     l.is_dirty = s.lines[i].is_dirty;
+    l.listed = true;
     l.lru = s.lines[i].lru;
     std::memcpy(data_.data() + static_cast<size_t>(s.line_idx[i]) *
                                    cfg_.line_bytes,

@@ -55,12 +55,8 @@ class Cache {
   size_t valid_lines() const;
   size_t dirty_lines() const;
 
-  /// True once any line was ever installed. Machine snapshots skip caches
-  /// that never held a line (non-cached back-ends leave them cold).
-  bool ever_used() const { return ever_used_; }
-
   /// Deep copy of cache state: only valid lines carry bytes (data under an
-  /// invalid line is unreadable by construction).
+  /// invalid line is unreadable by construction), in line-index order.
   struct Snapshot {
     uint64_t tick = 0;
     std::vector<uint32_t> line_idx;  // indices into lines_
@@ -72,7 +68,15 @@ class Cache {
     std::vector<Line> lines;     // parallel to line_idx
     std::vector<uint8_t> bytes;  // line_idx.size() * line_bytes
   };
-  Snapshot snapshot() const;
+  /// Fills `s`, reusing its buffers. Walks only the listed lines, so a
+  /// cache that holds few lines snapshots in time proportional to them.
+  void snapshot(Snapshot& s) const;
+  Snapshot snapshot() const {
+    Snapshot s;
+    snapshot(s);
+    return s;
+  }
+  /// Invalidates the listed lines, then lays down the saved ones.
   void restore(const Snapshot& s);
 
  private:
@@ -80,6 +84,7 @@ class Cache {
     Addr tag = 0;  // line-aligned address
     bool valid = false;
     bool is_dirty = false;
+    bool listed = false;  // in listed_
     uint64_t lru = 0;
   };
 
@@ -92,8 +97,10 @@ class Cache {
   uint32_t num_sets_;
   std::vector<Line> lines_;
   std::vector<uint8_t> data_;
+  /// Each line that was valid at the last restore() or installed since,
+  /// once: a superset of the valid lines, at most one entry per line.
+  std::vector<uint32_t> listed_;
   uint64_t tick_ = 0;
-  bool ever_used_ = false;
 };
 
 }  // namespace pmc::sim

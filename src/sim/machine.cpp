@@ -144,33 +144,30 @@ void Machine::register_state(void* p, size_t n) {
   regions_.push_back({p, n});
 }
 
-Machine::Snapshot Machine::snapshot() const {
-  Snapshot s;
-  s.sched = sched_.snapshot();
-  s.caches.reserve(cores_.size());
-  s.core_acc.reserve(cores_.size());
-  for (const auto& c : cores_) {
-    // Cold caches (non-cached back-ends never install a line) snapshot as
-    // empty and restore as a no-op.
-    s.caches.push_back(c->dcache.ever_used() ? c->dcache.snapshot()
-                                             : Cache::Snapshot{});
-    s.core_acc.push_back({c->imiss_acc, c->priv_acc});
+void Machine::snapshot(Snapshot& s) const {
+  sched_.snapshot(s.sched);
+  s.caches.resize(cores_.size());
+  s.core_acc.resize(cores_.size());
+  for (size_t i = 0; i < cores_.size(); ++i) {
+    // A cold cache (non-cached back-ends never install a line) lists no
+    // line, so it snapshots and restores in constant time.
+    cores_[i]->dcache.snapshot(s.caches[i]);
+    s.core_acc[i] = {cores_[i]->imiss_acc, cores_[i]->priv_acc};
   }
   s.stats = stats_;
-  s.sdram = sdram_.snapshot();
-  s.lms.reserve(lms_.size());
-  for (const auto& lm : lms_) s.lms.push_back(lm->snapshot());
-  if (cluster_ != nullptr) s.cluster = cluster_->snapshot();
-  s.noc = noc_.snapshot();
-  s.regions.reserve(regions_.size());
-  for (const auto& [p, n] : regions_) {
-    const uint8_t* b = static_cast<const uint8_t*>(p);
-    s.regions.emplace_back(b, b + n);
+  sdram_.snapshot(s.sdram);
+  s.lms.resize(lms_.size());
+  for (size_t i = 0; i < lms_.size(); ++i) lms_[i]->snapshot(s.lms[i]);
+  if (cluster_ != nullptr) cluster_->snapshot(s.cluster);
+  noc_.snapshot(s.noc);
+  s.regions.resize(regions_.size());
+  for (size_t i = 0; i < regions_.size(); ++i) {
+    const uint8_t* b = static_cast<const uint8_t*>(regions_[i].first);
+    s.regions[i].assign(b, b + regions_[i].second);
   }
   // Recorder contents travel with the machine so restore() rolls abandoned-
   // branch events back (attach the recorder before the first snapshot).
   if (trace_ != nullptr) s.trace = trace_->snapshot();
-  return s;
 }
 
 void Machine::restore(const Snapshot& s) {
@@ -181,7 +178,7 @@ void Machine::restore(const Snapshot& s) {
   sched_.restore(s.sched);
   for (size_t i = 0; i < cores_.size(); ++i) {
     CoreState& c = *cores_[i];
-    if (c.dcache.ever_used()) c.dcache.restore(s.caches[i]);
+    c.dcache.restore(s.caches[i]);
     c.imiss_acc = s.core_acc[i].first;
     c.priv_acc = s.core_acc[i].second;
   }

@@ -253,7 +253,8 @@ class Machine {
     std::vector<std::vector<uint8_t>> regions;  // registered-state bytes
     obs::TraceRecorder::Snapshot trace;  // only when a recorder is attached
   };
-  Snapshot snapshot() const;
+  /// Fills `s`, reusing its buffers (a pool recycles evicted snapshots).
+  void snapshot(Snapshot& s) const;
   void restore(const Snapshot& s);
   /// Continues a restored (mid-run) machine to completion; rethrows like
   /// run(). The body passed to the original run() is reused.

@@ -11,7 +11,7 @@ namespace pmc::sim {
 MemModule::MemModule(std::string name, Addr base, size_t size)
     : name_(std::move(name)), base_(base), store_(size, 0) {
   PMC_CHECK(size > 0);
-  touched_.assign((size + kPageBytes - 1) / kPageBytes, 0);
+  touched_slot_.assign((size + kPageBytes - 1) / kPageBytes, 0);
 }
 
 void MemModule::mark_write(Addr a, size_t n) {
@@ -19,13 +19,17 @@ void MemModule::mark_write(Addr a, size_t n) {
   // mark the page holding `a`, inflating Snapshot::pages and churning
   // restore() with pages whose bytes never changed.
   if (n == 0) return;
+  gen_ = ++gen_clock_;
   const uint32_t first = (a - base_) / kPageBytes;
   const uint32_t last = (a - base_ + static_cast<Addr>(n - 1)) / kPageBytes;
   for (uint32_t p = first; p <= last; ++p) {
-    if (!touched_[p]) {
-      touched_[p] = 1;
+    uint32_t& slot = touched_slot_[p];
+    if (slot == 0) {
       touched_list_.push_back(p);
+      touched_gen_.push_back(0);
+      slot = static_cast<uint32_t>(touched_list_.size());
     }
+    touched_gen_[slot - 1] = gen_;
   }
 }
 
@@ -132,40 +136,54 @@ uint64_t MemModule::content_hash() const {
   return util::fnv1a(store_.data(), store_.size());
 }
 
-MemModule::Snapshot MemModule::snapshot() const {
-  Snapshot s;
+void MemModule::snapshot(Snapshot& s) const {
   s.pages = touched_list_;
+  s.page_gens = touched_gen_;
   s.page_bytes.resize(s.pages.size() * kPageBytes);
   for (size_t i = 0; i < s.pages.size(); ++i) {
     const size_t off = static_cast<size_t>(s.pages[i]) * kPageBytes;
     const size_t n = std::min<size_t>(kPageBytes, store_.size() - off);
     std::memcpy(s.page_bytes.data() + i * kPageBytes, store_.data() + off, n);
   }
+  s.gen = gen_;
   s.pending = pending_;
   s.next_seq = next_seq_;
   s.port_free = port_free_;
   s.port_stats = port_stats_;
-  return s;
 }
 
 void MemModule::restore(const Snapshot& s) {
-  // Zero-then-apply: the current dirty set may differ from the snapshot's
-  // (other DFS branches ran since), so first return every currently-dirty
-  // page to its initial all-zero state, then lay down the saved pages.
-  for (const uint32_t p : touched_list_) {
-    const size_t off = static_cast<size_t>(p) * kPageBytes;
-    std::memset(store_.data() + off,
-                0, std::min<size_t>(kPageBytes, store_.size() - off));
-    touched_[p] = 0;
-  }
-  touched_list_.clear();
-  for (size_t i = 0; i < s.pages.size(); ++i) {
-    const uint32_t p = s.pages[i];
-    const size_t off = static_cast<size_t>(p) * kPageBytes;
-    const size_t n = std::min<size_t>(kPageBytes, store_.size() - off);
-    std::memcpy(store_.data() + off, s.page_bytes.data() + i * kPageBytes, n);
-    touched_[p] = 1;
-    touched_list_.push_back(p);
+  if (gen_ != s.gen) {
+    // Lay down the saved pages whose generation moved, and mark every
+    // listed page the snapshot saved with generation 0, which no write
+    // takes. The listed pages left unmarked were dirtied since and go back
+    // to their initial all-zero state.
+    for (size_t i = 0; i < s.pages.size(); ++i) {
+      const uint32_t p = s.pages[i];
+      const uint32_t slot = touched_slot_[p];
+      if (slot == 0 || touched_gen_[slot - 1] != s.page_gens[i]) {
+        const size_t off = static_cast<size_t>(p) * kPageBytes;
+        const size_t n = std::min<size_t>(kPageBytes, store_.size() - off);
+        std::memcpy(store_.data() + off, s.page_bytes.data() + i * kPageBytes,
+                    n);
+      }
+      if (slot != 0) touched_gen_[slot - 1] = 0;
+    }
+    for (size_t j = 0; j < touched_list_.size(); ++j) {
+      const uint32_t p = touched_list_[j];
+      if (touched_gen_[j] != 0) {
+        const size_t off = static_cast<size_t>(p) * kPageBytes;
+        std::memset(store_.data() + off, 0,
+                    std::min<size_t>(kPageBytes, store_.size() - off));
+      }
+      touched_slot_[p] = 0;
+    }
+    touched_list_ = s.pages;
+    touched_gen_ = s.page_gens;
+    for (size_t i = 0; i < s.pages.size(); ++i) {
+      touched_slot_[s.pages[i]] = static_cast<uint32_t>(i + 1);
+    }
+    gen_ = s.gen;
   }
   pending_ = s.pending;
   next_seq_ = s.next_seq;

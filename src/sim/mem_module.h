@@ -114,19 +114,31 @@ class MemModule {
 
  public:
   /// Deep copy of module state: dirtied page contents, the in-flight write
-  /// queue, and port/sequence clocks (DESIGN.md §10).
+  /// queue, and port/sequence clocks (DESIGN.md §10). Restorable only into
+  /// the module that took it: the write generations are this module's.
   struct Snapshot {
     std::vector<uint32_t> pages;      // dirtied page indices, first-touch order
+    std::vector<uint64_t> page_gens;  // each page's write generation, same order
     std::vector<uint8_t> page_bytes;  // pages.size() * kPageBytes, same order
+    uint64_t gen = 0;                 // the module's write generation
     PendingQueue pending;
     uint64_t next_seq = 0;
     uint64_t port_free = 0;
     PortStats port_stats;
   };
-  Snapshot snapshot() const;
-  /// Restores to the snapshot from *any* later state of this module: pages
-  /// dirtied since (even on another explored branch) are re-zeroed first,
-  /// then the saved pages are applied.
+  /// Fills `s`, reusing its buffers.
+  void snapshot(Snapshot& s) const;
+  Snapshot snapshot() const {
+    Snapshot s;
+    snapshot(s);
+    return s;
+  }
+  /// Restores to the snapshot from *any* later state of this module, even
+  /// one reached on another explored branch. A page whose write generation
+  /// equals the saved one still holds the saved bytes and is skipped, as is
+  /// the whole page set when the module's generation equals the saved one;
+  /// the other saved pages get their bytes back, and pages dirtied since
+  /// that the snapshot did not save return to zero.
   void restore(const Snapshot& s);
 
  private:
@@ -143,8 +155,14 @@ class MemModule {
   uint64_t next_seq_ = 0;
   uint64_t port_free_ = 0;
   PortStats port_stats_;
-  std::vector<uint8_t> touched_;        // one flag per page
-  std::vector<uint32_t> touched_list_;  // set pages, first-touch order
+  // Write generations: every mutation takes the next value of gen_clock_,
+  // and the module and each page it dirtied record it. The clock is never
+  // restored, so one generation never names two different contents.
+  uint64_t gen_clock_ = 0;
+  uint64_t gen_ = 0;                    // generation of the last write
+  std::vector<uint32_t> touched_slot_;  // per page: 1 + index in touched_list_
+  std::vector<uint32_t> touched_list_;  // dirtied pages, first-touch order
+  std::vector<uint64_t> touched_gen_;   // generation of each listed page
   WriteWatcher* watcher_ = nullptr;     // not owned; nullptr = no watch
   Addr watch_addr_ = 0;
   size_t watch_len_ = 0;

@@ -141,13 +141,12 @@ uint64_t Noc::deliver(uint64_t now, int src, int dst, MemModule& dst_mod,
   return arrival;
 }
 
-Noc::Snapshot Noc::snapshot() const {
-  Snapshot s;
-  s.channels.reserve(channel_touched_list_.size());
+void Noc::snapshot(Snapshot& s) const {
+  s.channels.clear();
   for (uint32_t i : channel_touched_list_) {
     s.channels.emplace_back(i, channel_last_arrival_[i]);
   }
-  s.links.reserve(link_touched_list_.size());
+  s.links.clear();
   for (uint32_t i : link_touched_list_) {
     s.links.emplace_back(i, link_free_[i]);
   }
@@ -156,7 +155,6 @@ Noc::Snapshot Noc::snapshot() const {
   s.link_stall_cycles = link_stall_cycles_;
   s.stalled_packets = stalled_packets_;
   s.link_stall_hist = link_stall_hist_;
-  return s;
 }
 
 void Noc::restore(const Snapshot& s) {

@@ -76,7 +76,13 @@ class Noc {
     uint64_t stalled_packets = 0;
     obs::Histogram link_stall_hist;
   };
-  Snapshot snapshot() const;
+  /// Fills `s`, reusing its buffers.
+  void snapshot(Snapshot& s) const;
+  Snapshot snapshot() const {
+    Snapshot s;
+    snapshot(s);
+    return s;
+  }
   /// Restores from *any* later state: channels/links touched since the
   /// snapshot (even on another explored branch) reset to cold first, then
   /// the saved clocks apply — the MemModule dirty-page pattern.

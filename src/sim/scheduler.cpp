@@ -532,21 +532,27 @@ void Scheduler::resume() {
   drive();
 }
 
-Scheduler::Snapshot Scheduler::snapshot() const {
+void Scheduler::snapshot(Snapshot& s) const {
   PMC_CHECK_MSG(!fibers_.empty(), "snapshot() needs a prior run()");
-  Snapshot s;
-  s.slots.reserve(slots_.size());
-  for (const Slot& sl : slots_) {
-    s.slots.push_back({sl.time, sl.warped, sl.done, sl.observable, sl.fp});
+  s.slots.resize(slots_.size());
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& sl = slots_[i];
+    Snapshot::SlotState& out = s.slots[i];
+    out.time = sl.time;
+    out.warped = sl.warped;
+    out.done = sl.done;
+    out.observable = sl.observable;
+    out.fp = sl.fp;
   }
   s.step = step_;
   s.frontier = frontier_;
   s.current = current_;
   s.resume_core = resume_core_;
   s.error = error_;
-  s.fibers.reserve(fibers_.size());
-  for (const Fiber& f : fibers_) {
-    Snapshot::FiberImage img;
+  s.fibers.resize(fibers_.size());
+  for (size_t i = 0; i < fibers_.size(); ++i) {
+    const Fiber& f = fibers_[i];
+    Snapshot::FiberImage& img = s.fibers[i];
     img.sp = f.sp;
     // The saved SP always lies inside the stack: init_fibers() sets it and
     // every switch out of the fiber rewrites it.
@@ -557,11 +563,14 @@ Scheduler::Snapshot Scheduler::snapshot() const {
     img.dead_bytes = static_cast<size_t>(sp - lo);
     // Parked frames keep their ASan redzones poisoned; the copy reads them.
     unpoison(f.stack.get() + img.stack_off, kFiberStackBytes - img.stack_off);
+    // Exact-size images: a recycled snapshot keeping a deeper state's stack
+    // capacity would cost a snapshot pool about a quarter more memory.
+    if (img.stack.capacity() > kFiberStackBytes - img.stack_off) {
+      img.stack = std::vector<uint8_t>();
+    }
     img.stack.assign(f.stack.get() + img.stack_off,
                      f.stack.get() + kFiberStackBytes);
-    s.fibers.push_back(std::move(img));
   }
-  return s;
 }
 
 void Scheduler::restore(const Snapshot& s) {

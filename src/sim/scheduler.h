@@ -181,7 +181,13 @@ class Scheduler {
     int resume_core = -1;  // fiber parked at the checkpoint; -1 = pre-dispatch
     std::exception_ptr error;
   };
-  Snapshot snapshot() const;
+  /// Fills `s`, reusing its buffers.
+  void snapshot(Snapshot& s) const;
+  Snapshot snapshot() const {
+    Snapshot s;
+    snapshot(s);
+    return s;
+  }
   void restore(const Snapshot& s);
 
   /// Continues a restored run to completion: re-enters the

@@ -6,6 +6,8 @@
 // also closes the discovery curve and lists every failing schedule, so the
 // sweep checks those against the totals at every job count.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,6 +84,48 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<rt::Target>& info) {
       return std::string(rt::to_string(info.param));
     });
+
+// The curve's last point is sampled when `explored` reaches a power of two,
+// but a worker that took a smaller count can still be on its way to the
+// trace set's lock and insert a new class after that sample. The closing
+// must set the last point from the final set, not trust the sample. The
+// target has four schedules, the default one and three children that each
+// branch at step 0; the children wait for one another on a spin barrier,
+// so three workers finish at the same instant and race from their
+// `explored` increments to the lock. Every schedule has its own class.
+TEST(HbCurve, LastPointIsTheFinalClassCountWhenInsertsRace) {
+  constexpr int kChildren = 3;
+  for (int round = 0; round < 300; ++round) {
+    std::atomic<int> arrived{0};
+    const FnTarget target("late-insert", [&arrived](ReplayPolicy& p) {
+      std::vector<sim::ScheduleCandidate> cands;
+      for (int c = 0; c <= kChildren; ++c) cands.push_back({c, 0});
+      sim::YieldPoint yp;
+      yp.observable = true;
+      const int choice = p.pick(yp, cands);
+      if (choice != 0) {
+        arrived.fetch_add(1);
+        // Bounded, in case fewer workers than children ever run at once.
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (arrived.load() < kChildren &&
+               std::chrono::steady_clock::now() < give_up) {
+        }
+      }
+      RunOutcome out;
+      out.trace_hash = 1 + static_cast<uint64_t>(choice);
+      return out;
+    });
+    SessionOptions opts;
+    opts.explore.preemption_bound = 1;
+    opts.jobs = kChildren;
+    const ExploreReport rep = CheckSession(opts).explore(target);
+    ASSERT_EQ(rep.explored, 4u);  // a power of two: the sampled point
+    ASSERT_EQ(rep.distinct_traces, 4u);
+    ASSERT_FALSE(rep.hb_curve.empty());
+    ASSERT_EQ(rep.hb_curve.back(), rep.distinct_traces) << "round " << round;
+  }
+}
 
 }  // namespace
 }  // namespace pmc::explore

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <random>
 #include <string>
 
 #include "explore/check.h"
@@ -248,6 +250,224 @@ TEST(SnapshotPool, EntryUnderALongerPrefixIsNotForked) {
   EXPECT_EQ(got.ok, only_a.ok);
   EXPECT_EQ(got.message, only_a.message);
   EXPECT_EQ(got.trace_hash, only_a.trace_hash);
+}
+
+// -- The pool index against a linear scan -------------------------------------
+
+// The pool as a flat list that every lookup scans: the reference the
+// executor's (prefix, step) index and LRU list must agree with. It keeps
+// only the keys, and runs each schedule on a fresh Program whose scheduler
+// offers it the same checkpoints the executor is offered past its fork.
+class LinearPool final : public sim::CheckpointHook {
+ public:
+  LinearPool(StatefulSpec spec, StatefulOptions opts)
+      : spec_(std::move(spec)), opts_(opts) {}
+
+  void run(const DecisionString& overrides) {
+    overrides_ = &overrides;
+    fork_step_.reset();
+    if (!pool_.empty()) {
+      Entry* best = nullptr;
+      for (Entry& e : pool_) {
+        if (best != nullptr && e.step <= best->step) continue;
+        if (usable(e)) best = &e;
+      }
+      ASSERT_NE(best, nullptr);
+      ++(best->step == 0 ? stats_.pool_misses : stats_.pool_hits);
+      best->lru = ++clock_;
+      fork_step_ = best->step;
+    }
+    ReplayPolicy policy(overrides, opts_.horizon);
+    rt::ProgramOptions po = spec_.opts;
+    po.schedule_policy = &policy;
+    rt::Program prog(po);
+    prog.set_checkpoint_hook(this);
+    spec_.setup(prog);
+    prog.run(spec_.body);
+  }
+
+  bool wants_checkpoint(uint64_t step, int runnable_cores) override {
+    // A forked run resumes past its fork step and is offered nothing below.
+    if (fork_step_.has_value() && step <= *fork_step_) return false;
+    if (step == 0) return !have_entry_at(0);
+    if (runnable_cores < 2 || step >= opts_.horizon ||
+        step % opts_.checkpoint_stride != 0) {
+      return false;
+    }
+    return !have_entry_at(step);
+  }
+
+  void on_checkpoint(uint64_t step) override {
+    Entry e{step, {}, ++clock_};
+    for (const Decision& d : *overrides_) {
+      if (d.step >= step) break;
+      e.prefix.push_back(d);
+    }
+    pool_.push_back(std::move(e));
+    ++stats_.snapshots_taken;
+    size_t live = 0;
+    for (const Entry& x : pool_) live += x.step != 0 ? 1 : 0;
+    while (live > opts_.pool_capacity) {
+      size_t victim = pool_.size();
+      for (size_t i = 0; i < pool_.size(); ++i) {
+        if (pool_[i].step == 0) continue;
+        if (victim == pool_.size() || pool_[i].lru < pool_[victim].lru) {
+          victim = i;
+        }
+      }
+      pool_.erase(pool_.begin() + static_cast<ptrdiff_t>(victim));
+      --live;
+    }
+  }
+
+  /// Non-root keys, least recently used first.
+  std::vector<StatefulExecutor::PoolKey> keys() const {
+    std::vector<const Entry*> live;
+    for (const Entry& e : pool_) {
+      if (e.step != 0) live.push_back(&e);
+    }
+    std::sort(live.begin(), live.end(),
+              [](const Entry* a, const Entry* b) { return a->lru < b->lru; });
+    std::vector<StatefulExecutor::PoolKey> out;
+    for (const Entry* e : live) out.push_back({e->step, e->prefix});
+    return out;
+  }
+  std::optional<uint64_t> fork_step() const { return fork_step_; }
+  const StatefulStats& stats() const { return stats_; }
+
+ private:
+  struct Entry {
+    uint64_t step = 0;
+    DecisionString prefix;
+    uint64_t lru = 0;
+  };
+
+  bool usable(const Entry& e) const {
+    size_t i = 0;
+    for (const Decision& d : *overrides_) {
+      if (d.step >= e.step) break;
+      if (i >= e.prefix.size() || !(e.prefix[i] == d)) return false;
+      ++i;
+    }
+    return i == e.prefix.size();
+  }
+  bool have_entry_at(uint64_t step) {
+    for (Entry& e : pool_) {
+      if (e.step == step && usable(e)) {
+        e.lru = ++clock_;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  StatefulSpec spec_;
+  StatefulOptions opts_;
+  std::vector<Entry> pool_;
+  const DecisionString* overrides_ = nullptr;
+  std::optional<uint64_t> fork_step_;
+  uint64_t clock_ = 0;
+  StatefulStats stats_;
+};
+
+std::string key_text(const std::vector<StatefulExecutor::PoolKey>& keys) {
+  std::string out;
+  for (const auto& k : keys) {
+    out += std::to_string(k.step) + "[" + to_string(k.prefix) + "] ";
+  }
+  return out;
+}
+
+TEST(SnapshotPool, IndexMatchesLinearScan) {
+  // A seeded shuffle of a whole schedule space, so consecutive schedules
+  // share arbitrary prefixes (not the DFS order's), with a tail of repeats.
+  const LitmusTarget targets[] = {
+      {model::litmus::fig5_mp_annotated(), rt::Target::kSWCC},
+      {model::litmus::wrc_locked(), rt::Target::kDSM},
+  };
+  constexpr uint64_t kHorizon = 16;
+  for (const LitmusTarget& target : targets) {
+    std::vector<DecisionString> space;
+    ExploreConfig cfg;
+    cfg.preemption_bound = 2;
+    cfg.horizon = kHorizon;
+    Explorer([&](ReplayPolicy& p) {
+      space.push_back(p.overrides());
+      return target.run(p);
+    }).explore(cfg);
+    std::mt19937_64 rng(7);
+    std::shuffle(space.begin(), space.end(), rng);
+    space.resize(std::min<size_t>(space.size(), 150));
+    const size_t distinct = space.size();
+    for (size_t i = 0; i < 50; ++i) {
+      const DecisionString repeat = space[rng() % distinct];
+      space.push_back(repeat);
+    }
+
+    for (const size_t capacity : {size_t{0}, size_t{2}, size_t{128}}) {
+      for (const uint64_t stride : {uint64_t{1}, uint64_t{8}}) {
+        StatefulOptions sopts;
+        sopts.horizon = kHorizon;
+        sopts.checkpoint_stride = stride;
+        sopts.pool_capacity = capacity;
+        StatefulExecutor exec(target.make_spec(), sopts);
+        LinearPool ref(target.make_spec(), sopts);
+        for (size_t i = 0; i < space.size(); ++i) {
+          const std::string where = target.name() + " capacity=" +
+                                    std::to_string(capacity) + " stride=" +
+                                    std::to_string(stride) + " run " +
+                                    std::to_string(i) + " \"" +
+                                    to_string(space[i]) + "\"";
+          ReplayPolicy policy(space[i], kHorizon);
+          ASSERT_TRUE(exec.run(policy).ok) << where;
+          ref.run(space[i]);
+          ASSERT_EQ(exec.last_fork_step(), ref.fork_step()) << where;
+          ASSERT_EQ(key_text(exec.pool_keys()), key_text(ref.keys()))
+              << where;
+          ASSERT_EQ(exec.stats().snapshots_taken, ref.stats().snapshots_taken)
+              << where;
+          ASSERT_EQ(exec.stats().pool_hits, ref.stats().pool_hits) << where;
+          ASSERT_EQ(exec.stats().pool_misses, ref.stats().pool_misses)
+              << where;
+        }
+        // The comparison had teeth: forks from mid-run entries at full
+        // capacity, and evictions at capacity 2.
+        const std::string where = target.name() + " stride=" +
+                                  std::to_string(stride);
+        if (capacity == 128) {
+          EXPECT_GT(exec.stats().pool_hits, 0u) << where;
+        }
+        if (capacity == 2) {
+          EXPECT_GT(exec.stats().snapshots_taken, 3u) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SnapshotPool, CountersAtJobsOneArePinned) {
+  // The pool's counters at the litmus grid's bounds, read before the pool
+  // was indexed: the index and LRU list pick the same fork points and the
+  // same victims, so not one count moves.
+  struct Pin {
+    LitmusTarget target;
+    uint64_t explored, taken, hits, misses;
+  };
+  const Pin pins[] = {
+      {{model::litmus::fig5_mp_annotated(), rt::Target::kSWCC},
+       2325, 791, 2232, 92},
+      {{model::litmus::fig4_exclusive(), rt::Target::kDSM}, 1943, 786, 1850,
+       92},
+      {{model::litmus::sb_locked(), rt::Target::kDSM}, 1938, 791, 1845, 92},
+  };
+  for (const Pin& pin : pins) {
+    const ExploreReport rep =
+        CheckSession(grid_opts(DporMode::kOff, 1, 24, 3)).explore(pin.target);
+    EXPECT_EQ(rep.explored, pin.explored) << pin.target.name();
+    EXPECT_EQ(rep.snapshots_taken, pin.taken) << pin.target.name();
+    EXPECT_EQ(rep.snapshot_hits, pin.hits) << pin.target.name();
+    EXPECT_EQ(rep.snapshot_misses, pin.misses) << pin.target.name();
+  }
 }
 
 // -- Snapshot/restore round-trip properties ----------------------------------

@@ -160,5 +160,69 @@ TEST(MemModule, DrainAllAndHash) {
   EXPECT_EQ(a.content_hash(), b.content_hash());
 }
 
+// -- Snapshot and restore -----------------------------------------------------
+
+TEST(MemModuleSnapshot, UntouchedModuleRestoresToItsSnapshot) {
+  MemModule m("m", 0, 2048);
+  const uint32_t v = 0x01020304;
+  m.write(0, 0x100, &v, 4);
+  m.write(1, 0x500, &v, 4);
+  const MemModule::Snapshot snap = m.snapshot();
+  const uint64_t want = m.content_hash();
+  uint32_t out = 0;
+  m.read(5, 0x100, &out, 4);  // reads write nothing
+  m.restore(snap);
+  EXPECT_EQ(m.content_hash(), want);
+  // A write after the skipped restore is rolled back by the next one.
+  m.write(6, 0x104, &v, 4);
+  m.restore(snap);
+  EXPECT_EQ(m.content_hash(), want);
+  EXPECT_EQ(m.snapshot().pages, snap.pages);
+}
+
+TEST(MemModuleSnapshot, PageRewrittenWithIdenticalBytesRestores) {
+  MemModule m("m", 0, 2048);
+  const uint32_t a = 0xaaaaaaaa, b = 0xbbbbbbbb;
+  m.write(0, 0x100, &a, 4);
+  const MemModule::Snapshot snap = m.snapshot();
+  const uint64_t want = m.content_hash();
+  m.write(1, 0x100, &b, 4);
+  m.write(2, 0x100, &a, 4);  // same bytes as the snapshot, new generation
+  m.write(3, 0x300, &b, 4);  // a page the snapshot never saved
+  m.restore(snap);
+  EXPECT_EQ(m.content_hash(), want);
+
+  // Generations never repeat across branches: a page rewritten on a
+  // second branch is not mistaken for the first branch's.
+  m.write(4, 0x100, &b, 4);
+  const MemModule::Snapshot branch1 = m.snapshot();
+  const uint64_t want1 = m.content_hash();
+  m.restore(snap);
+  m.write(5, 0x100, &a, 4);
+  m.restore(branch1);
+  EXPECT_EQ(m.content_hash(), want1);
+  m.restore(snap);
+  EXPECT_EQ(m.content_hash(), want);
+}
+
+TEST(MemModuleSnapshot, PendingQueueOnlyChangeRestores) {
+  MemModule m("m", 0, 2048), oracle("o", 0, 2048);
+  const uint32_t a = 1, b = 2;
+  for (MemModule* x : {&m, &oracle}) {
+    x->write(0, 0x40, &a, 4);
+    x->post_write(100, 0x80, &a, 4);
+  }
+  const MemModule::Snapshot snap = m.snapshot();
+  const uint64_t want = m.content_hash();
+  m.post_write(50, 0x40, &b, 4);  // queued, never applied
+  m.reserve_port(10, 4);
+  m.restore(snap);
+  EXPECT_EQ(m.content_hash(), want);
+  EXPECT_EQ(m.pending_writes(), 1u);
+  m.drain_all();
+  oracle.drain_all();
+  EXPECT_EQ(m.content_hash(), oracle.content_hash());
+}
+
 }  // namespace
 }  // namespace pmc::sim
