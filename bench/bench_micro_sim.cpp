@@ -1,11 +1,13 @@
 // Microbenchmarks of the SoC substrate (google-benchmark): scheduler handoff
-// cost (the price of deterministic interleaving), memory module operations,
+// cost (the price of deterministic interleaving), the application data
+// path through SimEnv with deferred handoffs, memory module operations,
 // cache accesses, NoC delivery, machine snapshot capture and restore.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <functional>
 
+#include "runtime/program.h"
 #include "sim/cache.h"
 #include "sim/machine.h"
 #include "sim/noc.h"
@@ -58,6 +60,53 @@ void BM_SchedulerNoContention(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * steps);
 }
 BENCHMARK(BM_SchedulerNoContention);
+
+void BM_EnvReadComputeLoop(benchmark::State& state) {
+  // The application data path (DESIGN.md §2): uncached no-CC reads of an
+  // immutable SDRAM object, each followed by a compute, through SimEnv in
+  // an unobserved run. The compute and each read's response half defer
+  // their handoffs; a core hands off only before a read reaches SDRAM.
+  // Reports host time per Env op (read or compute) and handoffs per op.
+  const int cores = static_cast<int>(state.range(0));
+  const int reads = 500;
+  const int64_t ops = int64_t{2} * reads * cores;
+  uint64_t handoffs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    pmc::rt::ProgramOptions o;
+    o.target = pmc::rt::Target::kNoCC;
+    o.cores = cores;
+    o.machine = MachineConfig::ml605(cores);
+    o.machine.lm_bytes = 4 * 1024;
+    o.validate = false;
+    o.lock_capacity = 4;
+    pmc::rt::Program prog(o);
+    const pmc::rt::ObjId table =
+        prog.create_const_object(64, pmc::rt::Placement::kSdram, "table");
+    state.ResumeTiming();
+    prog.run([&](pmc::rt::Env& env) {
+      const uint32_t off = static_cast<uint32_t>(env.id() % 16) * 4;
+      env.entry_ro(table);
+      uint32_t sum = 0;
+      for (int i = 0; i < reads; ++i) {
+        sum += env.ld<uint32_t>(table, off);
+        env.compute(8 + static_cast<uint64_t>(env.id() % 5));
+      }
+      env.exit_ro(table);
+      benchmark::DoNotOptimize(sum);
+    });
+    handoffs = prog.machine()->handoffs();
+  }
+  state.SetItemsProcessed(state.iterations() * ops);
+  // Inverted rate: seconds per op, printed with an SI prefix (ns).
+  state.counters["time_per_op"] = benchmark::Counter(
+      static_cast<double>(ops), benchmark::Counter::kIsIterationInvariantRate |
+                                    benchmark::Counter::kInvert);
+  state.counters["handoffs_per_op"] =
+      static_cast<double>(handoffs) / static_cast<double>(ops);
+}
+BENCHMARK(BM_EnvReadComputeLoop)->Arg(2)->Arg(32)->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MemModulePostAndRead(benchmark::State& state) {
   MemModule m("m", 0, 4096);

@@ -11,7 +11,13 @@ Section* SimEnv::find(ObjId obj) {
   return nullptr;
 }
 
+// Deferred handoffs (DESIGN.md §2): read, write and compute are the data
+// path and defer; every other call settles first and runs eagerly, so the
+// back-end's host tables, the model trace and the version counters change
+// in the eager schedule's order.
+
 void SimEnv::enter(ObjId obj, bool exclusive) {
+  core_.settle();
   PMC_CHECK_MSG(find(obj) == nullptr,
                 "core " << id() << " double-enters "
                         << rt_.objs->desc(obj).name);
@@ -46,6 +52,7 @@ void SimEnv::publish_version(Section& s) {
 }
 
 void SimEnv::exit(ObjId obj, bool exclusive) {
+  core_.settle();
   PMC_CHECK_MSG(num_open_ > 0 && open_[num_open_ - 1].obj == obj,
                 "core " << id() << " exits " << rt_.objs->desc(obj).name
                         << " out of LIFO order");
@@ -67,11 +74,13 @@ void SimEnv::exit(ObjId obj, bool exclusive) {
 }
 
 void SimEnv::fence() {
+  core_.settle();
   rt_.backend->fence(core_);
   if (rt_.validate) rt_.trace.push_back(model::TraceEvent::fence(id()));
 }
 
 void SimEnv::flush(ObjId obj) {
+  core_.settle();
   Section* s = find(obj);
   PMC_CHECK_MSG(s != nullptr && s->exclusive,
                 "flush is only allowed inside an entry_x/exit_x pair (§V-A)");
@@ -86,6 +95,7 @@ void SimEnv::read(ObjId obj, uint32_t off, void* out, size_t n) {
                                       << rt_.objs->desc(obj).name
                                       << " outside any entry/exit pair");
   PMC_CHECK_MSG(off + n <= s->desc->size, "read past end of " << s->desc->name);
+  sim::Core::Deferred defer(core_);
   core_.read_block(s->data_addr + off, out, n, s->cls);
 }
 
@@ -97,6 +107,7 @@ void SimEnv::write(ObjId obj, uint32_t off, const void* data, size_t n) {
   PMC_CHECK_MSG(off + n <= s->desc->size,
                 "write past end of " << s->desc->name);
   s->dirty = true;
+  sim::Core::Deferred defer(core_);
   core_.write_block(s->data_addr + off, data, n, s->cls);
 }
 

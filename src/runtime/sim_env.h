@@ -48,8 +48,14 @@ class SimEnv final : public Env {
   void read(ObjId obj, uint32_t off, void* out, size_t n) override;
   void write(ObjId obj, uint32_t off, const void* data, size_t n) override;
 
-  void compute(uint64_t instructions) override { core_.compute(instructions); }
-  void barrier() override { rt_.bar->wait(core_); }
+  void compute(uint64_t instructions) override {
+    sim::Core::Deferred defer(core_);
+    core_.compute(instructions);
+  }
+  void barrier() override {
+    core_.settle();
+    rt_.bar->wait(core_);
+  }
 
   /// End-of-run discipline check: every section closed.
   void finish() const;

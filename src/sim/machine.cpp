@@ -390,6 +390,7 @@ void Core::sample_counters() {
 
 uint64_t Core::sdram_port_wait(uint64_t occupancy) {
   if (m_.cfg_.noc_model != NocModel::kMesh) return 0;
+  settle();
   return m_.sdram_.reserve_port(now(), occupancy) - now();
 }
 
@@ -510,6 +511,7 @@ void Core::cached_access(Addr a, void* rd_out, const void* wr_data, size_t n) {
         // Post the writeback; the fill waits for the bus slot. The victim
         // line is a *different* SDRAM range than the access — footprint it,
         // or exploration would treat the eviction as invisible.
+        settle();
         const uint64_t start =
             m_.sdram_.reserve_port(now(), lb / 4);
         m_.sdram_.post_write(start + t.sdram_line_wb_visible, victim.addr,
@@ -534,6 +536,7 @@ void Core::cached_access(Addr a, void* rd_out, const void* wr_data, size_t n) {
       const uint64_t fill_t0 = now();
       charge(1, pre_stall + fill_req - 1, bucket);
       m_.sched_.note_access(id_, line, lb, AccessKind::kRead, /*sync=*/false);
+      settle();
       m_.sdram_.read(now(), line, data, lb);
       charge(0, t.sdram_line_fill - fill_req, bucket);
       if (m_.tracing()) trace(obs::EventKind::kCacheFill, fill_t0, line, lb);
@@ -567,6 +570,7 @@ void Core::uncached_access(Addr a, void* rd_out, const void* wr_data, size_t n,
              &CoreStats::stall_write);
       m_.sched_.note_access(id_, chunk_addr, static_cast<uint32_t>(chunk),
                             AccessKind::kWrite, sync);
+      settle();
       m_.sdram_.post_write(now() + t.sdram_write_visible, chunk_addr,
                            static_cast<const uint8_t*>(wr_data) + done, chunk);
     } else {
@@ -575,6 +579,7 @@ void Core::uncached_access(Addr a, void* rd_out, const void* wr_data, size_t n,
       charge(1, req - 1, read_bucket(c));
       m_.sched_.note_access(id_, chunk_addr, static_cast<uint32_t>(chunk),
                             AccessKind::kRead, sync);
+      settle();
       m_.sdram_.read(now(), chunk_addr,
                      static_cast<uint8_t*>(rd_out) + done, chunk);
       charge(0, t.sdram_read - req, read_bucket(c));
@@ -600,18 +605,21 @@ void Core::cluster_access(Addr a, void* rd_out, const void* wr_data, size_t n,
     // service each (a no-op under kFlat, keeping fixed costs bit-identical).
     uint64_t wait = 0;
     if (m_.cfg_.noc_model == NocModel::kMesh) {
+      settle();
       wait = cl.reserve_port(now(), 1) - now();
     }
     if (wr_data != nullptr) {
       charge(1, wait + t.cluster_store - 1, &CoreStats::stall_write);
       m_.sched_.note_access(id_, chunk_addr, static_cast<uint32_t>(chunk),
                             AccessKind::kWrite, sync);
+      settle();
       cl.write(now(), chunk_addr,
                static_cast<const uint8_t*>(wr_data) + done, chunk);
     } else {
       charge(1, wait + t.cluster_load - 1, read_bucket(c));
       m_.sched_.note_access(id_, chunk_addr, static_cast<uint32_t>(chunk),
                             AccessKind::kRead, sync);
+      settle();
       cl.read(now(), chunk_addr, static_cast<uint8_t*>(rd_out) + done, chunk);
     }
     done += chunk;
@@ -669,9 +677,11 @@ void Core::access(Addr a, void* rd_out, const void* wr_data, size_t n,
     const uint64_t words = (n + 3) / 4;  // single-cycle per word on the LMB
     if (wr_data != nullptr) {
       charge(words * t.lm_store, 0, &CoreStats::stall_write);
+      settle();
       lm.write(now(), a, wr_data, n);
     } else {
       charge(words * t.lm_load, 0, read_bucket(c));
+      settle();
       lm.read(now(), a, rd_out, n);
     }
     m_.sched_.note_access(id_, fp_addr, fp_len, kind, sync);

@@ -97,6 +97,24 @@ class Core {
  public:
   Core(Machine& m, int id) : m_(m), id_(id) {}
 
+  /// Deferred handoffs (DESIGN.md §2): while one is alive, compute() and
+  /// the data accesses (load_*, store_*, read_block, write_block) of an
+  /// unobserved run move the core's clock without handing off, and the core
+  /// settles just before it touches a memory module. Every other method
+  /// expects a settled core: call settle() first.
+  class Deferred {
+   public:
+    explicit Deferred(Core& c) : c_(c) { c_.set_deferring(true); }
+    ~Deferred() { c_.set_deferring(false); }
+    Deferred(const Deferred&) = delete;
+    Deferred& operator=(const Deferred&) = delete;
+
+   private:
+    Core& c_;
+  };
+  /// Hands off if deferred advances left this core behind another's turn.
+  void settle();
+
   int id() const { return id_; }
   int num_cores() const;
   uint64_t now() const;
@@ -166,6 +184,7 @@ class Core {
 
  private:
   friend class Machine;
+  void set_deferring(bool on);
   /// After a failed poll at now(): the value of the next poll, reached by
   /// one idle-and-load step or by sleeping through the polls whose outcome
   /// is fixed; `backoff` is the idle before that poll and is advanced.
@@ -283,6 +302,9 @@ class Machine {
   /// Times a core slept in Core::poll_u32 during run() (zero when a
   /// policy, checkpoint hook or trace recorder observed it).
   uint64_t polls_slept() const { return sched_.polls_slept(); }
+  /// Fiber switches from one core into another during run(); deferred
+  /// handoffs make them fewer in unobserved runs (DESIGN.md §2).
+  uint64_t handoffs() const { return sched_.handoffs(); }
   CoreStats stats_sum() const;
   /// Drains in-flight writes and fingerprints all memory + clocks
   /// (determinism checks). Only valid after run().
@@ -333,5 +355,9 @@ class Machine {
   std::function<void(Core&)> body_;  // persists for restored-fiber re-entry
   bool ran_ = false;
 };
+
+// Inline: SimEnv calls these around every Env operation.
+inline void Core::settle() { m_.sched_.settle(id_); }
+inline void Core::set_deferring(bool on) { m_.sched_.set_deferring(id_, on); }
 
 }  // namespace pmc::sim

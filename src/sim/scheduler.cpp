@@ -229,7 +229,14 @@ void Scheduler::sift_down(size_t i) {
 void Scheduler::requeue_later(int core) {
   const size_t i = static_cast<size_t>(pos_[static_cast<size_t>(core)]);
   ready_[i] = ready_key(slots_[core].time, core);
+  slots_[core].stale = false;
   sift_down(i);
+}
+
+void Scheduler::settle_stale(int core) {
+  requeue_later(core);
+  const int next = pick_next();
+  if (next != core) hand_off(core, next);
 }
 
 void Scheduler::remove_ready(int core) {
@@ -312,20 +319,24 @@ int Scheduler::consult_policy(int yielding) {
 void Scheduler::advance(int core, uint64_t delta) {
   PMC_CHECK_MSG(current_ == core, "advance() from a core that is not running");
   Slot& me = slots_[core];
-  me.time += delta;
-  // Checked before the key is packed: a clock past the watchdog need not
-  // fit the key's time bits. A throw leaves the old key, still a valid heap
-  // entry, until the finished fiber's remove_ready().
-  PMC_CHECK_MSG(me.time < max_cycles_,
+  // Checked before the clock moves: a clock past the watchdog need not fit
+  // the key's time bits. A throw leaves the clock and the old key, still a
+  // valid heap entry, until the finished fiber settles at that clock and
+  // remove_ready() drops it.
+  PMC_CHECK_MSG(delta < max_cycles_ - me.time,
                 "simulation watchdog: core " << core << " passed "
                     << max_cycles_ << " cycles (deadlock?)");
+  me.time += delta;
+  if (me.deferring) {
+    me.stale = true;
+    return;
+  }
   requeue_later(core);
   maybe_checkpoint_yield(core);
   const int next = next_core(core);
   if (next == core || next == -1) return;
   if (tracing()) trace_switch(core, next, /*from_done=*/false);
-  current_ = next;
-  switch_to(fibers_[static_cast<size_t>(core)].sp, next);
+  hand_off(core, next);
 }
 
 void Scheduler::sleep_until(int core, uint64_t t) {
@@ -337,9 +348,7 @@ void Scheduler::sleep_until(int core, uint64_t t) {
   requeue_later(core);
   ++polls_slept_;
   const int next = pick_next();
-  if (next == core) return;
-  current_ = next;
-  switch_to(fibers_[static_cast<size_t>(core)].sp, next);
+  if (next != core) hand_off(core, next);
 }
 
 void Scheduler::wake_by(int core, uint64_t t) {
@@ -360,12 +369,16 @@ void Scheduler::run(const std::function<void(int)>& body) {
     s.warped = 0;
     s.done = false;
     s.observable = false;
+    s.deferring = false;
+    s.stale = false;
     s.fp.clear();
   }
   error_ = nullptr;
   step_ = 0;
   frontier_ = 0;
   polls_slept_ = 0;
+  handoffs_ = 0;
+  defer_ok_ = !observed();
   resume_core_ = -1;
   rebuild_ready();
   init_fibers();
@@ -474,10 +487,19 @@ void Scheduler::maybe_checkpoint_yield(int core) {
 }
 
 void Scheduler::fiber_main(int core) {
-  try {
-    body_(core);
-  } catch (...) {
-    if (!error_) error_ = std::current_exception();
+  {
+    std::exception_ptr error;
+    try {
+      body_(core);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // Completion and failure wait for the core's turn like a shared effect,
+    // so the first error recorded is the eager schedule's. The settle runs
+    // outside the handler: a fiber switch inside one would interleave the
+    // cores' entries on the thread's caught-exception stack.
+    settle(core);
+    if (error && !error_) error_ = std::move(error);
   }
   slots_[core].done = true;
   remove_ready(core);
@@ -494,7 +516,10 @@ void Scheduler::fiber_main(int core) {
     next = pick_next();
   }
   if (tracing()) trace_switch(core, next, /*from_done=*/true);
-  if (next != -1) current_ = next;
+  if (next != -1) {
+    ++handoffs_;
+    current_ = next;
+  }
   switch_to(fibers_[static_cast<size_t>(core)].sp, next, /*from_dies=*/true);
   // Unreachable: a done fiber is never re-dispatched, and restore()
   // overwrites its context wholesale.
@@ -517,6 +542,7 @@ void Scheduler::drive() {
 void Scheduler::resume() {
   PMC_CHECK_MSG(!fibers_.empty(), "resume() needs a prior run()");
   tl_fiber_sched = this;
+  defer_ok_ = !observed();
   if (resume_core_ == -1) {
     // Pre-dispatch snapshot: redo the initial consult (the hook is not
     // re-offered — the restored pool already holds this checkpoint). The
@@ -537,6 +563,9 @@ void Scheduler::snapshot(Snapshot& s) const {
   s.slots.resize(slots_.size());
   for (size_t i = 0; i < slots_.size(); ++i) {
     const Slot& sl = slots_[i];
+    // Only unobserved runs defer, and they never reach a checkpoint.
+    PMC_CHECK_MSG(!sl.stale, "snapshot() of core " << i
+                                 << " with deferred advances pending");
     Snapshot::SlotState& out = s.slots[i];
     out.time = sl.time;
     out.warped = sl.warped;
@@ -554,6 +583,15 @@ void Scheduler::snapshot(Snapshot& s) const {
     const Fiber& f = fibers_[i];
     Snapshot::FiberImage& img = s.fibers[i];
     img.sp = f.sp;
+    if (slots_[i].done) {
+      // A finished fiber is never re-entered, so its stack is dead. Its
+      // last frames hold uninitialized slots whose bytes depend on what
+      // ran there before, which digests must not see.
+      img.stack_off = kFiberStackBytes;
+      img.dead_bytes = 0;
+      img.stack = std::vector<uint8_t>();  // a recycled image's buffer too
+      continue;
+    }
     // The saved SP always lies inside the stack: init_fibers() sets it and
     // every switch out of the fiber rewrites it.
     const uintptr_t base = reinterpret_cast<uintptr_t>(f.stack.get());
@@ -583,6 +621,8 @@ void Scheduler::restore(const Snapshot& s) {
     sl.warped = s.slots[i].warped;
     sl.done = s.slots[i].done;
     sl.observable = s.slots[i].observable;
+    sl.deferring = false;
+    sl.stale = false;
     sl.fp = s.slots[i].fp;
   }
   step_ = s.step;
@@ -599,8 +639,10 @@ void Scheduler::restore(const Snapshot& s) {
     // Same-object restore keeps the saved SP pointing into this very stack.
     f.sp = s.fibers[i].sp;
     unpoison(f.stack.get(), kFiberStackBytes);
-    std::memcpy(f.stack.get() + s.fibers[i].stack_off, s.fibers[i].stack.data(),
-                s.fibers[i].stack.size());
+    if (!s.fibers[i].stack.empty()) {
+      std::memcpy(f.stack.get() + s.fibers[i].stack_off,
+                  s.fibers[i].stack.data(), s.fibers[i].stack.size());
+    }
 #if defined(PMC_TSAN_FIBERS)
     // The fiber's TSan context describes the abandoned stack: start a fresh
     // one, padded so the restored frames can return without underflowing.

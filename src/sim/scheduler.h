@@ -5,8 +5,12 @@
 // and every fiber of a scheduler runs on the host thread that called run().
 // Exactly one core executes at any moment: the one with the smallest
 // (local_time, core_id), kept at the top of an indexed min-heap of runnable
-// cores. Every simulator call advances the caller's local clock and is a
-// potential handoff point (a direct fiber-to-fiber switch). A core may also
+// cores. Every simulator call advances the caller's local clock. In a run
+// that a policy, checkpoint hook or trace recorder observes, every advance
+// is a potential handoff point (a direct fiber-to-fiber switch). In an
+// unobserved run, a core on the application data path only moves its clock
+// and hands off when it settles, just before its next touch of shared
+// machine state (set_deferring()/settle(); DESIGN.md §2). A core may also
 // sleep in the heap until a named time, which a later event can only bring
 // forward (sleep_until()/wake_by(); DESIGN.md §2).
 // Consequences:
@@ -149,9 +153,9 @@ class Scheduler {
   void set_checkpoint_hook(CheckpointHook* hook) { hook_ = hook; }
 
   /// Deep copy of all scheduler-owned mutable state: the per-core records
-  /// and, per fiber, its saved stack pointer and the used slice of its
-  /// stack (the switch keeps the callee-saved registers and the FP control
-  /// words on the stack, so the slice holds them too). Restorable only into
+  /// and, per fiber, its saved stack pointer and, unless it finished, the
+  /// used slice of its stack (the switch keeps the callee-saved registers
+  /// and the FP control words on the stack, so the slice holds them too). Restorable only into
   /// the *same* Scheduler: the saved stack pointers and the frames' pointers
   /// into their own stacks are addresses. The ready queue is derived from
   /// the records and is rebuilt, not copied. Callable from
@@ -167,7 +171,8 @@ class Scheduler {
     struct FiberImage {
       void* sp = nullptr;          // saved stack pointer
       size_t stack_off = 0;        // offset of the saved slice in the stack
-      std::vector<uint8_t> stack;  // [stack_off, stack_off + stack.size())
+      std::vector<uint8_t> stack;  // [stack_off, stack_off + stack.size());
+                                   // empty for a finished fiber
       /// Bytes at the front of `stack` below the saved stack pointer: the
       /// red-zone margin, copied for restore() but dead at the swap (it
       /// holds sanitizer-runtime residue), so digests skip it.
@@ -228,8 +233,27 @@ class Scheduler {
   uint64_t decisions() const { return step_; }
 
   /// Advances the calling core's clock and yields if it is no longer the
-  /// minimum. Must only be called by the currently running core.
+  /// minimum; a deferring core only moves its clock and marks its ready key
+  /// stale. A clock that would pass max_cycles throws and stays where it
+  /// was, as does the key. Must only be called by the currently running
+  /// core.
   void advance(int core, uint64_t delta);
+
+  /// Deferred handoffs (DESIGN.md §2): while `on`, the running `core`'s
+  /// advances skip their handoffs, in unobserved runs only (elsewhere the
+  /// core stays eager). The core must settle() before it touches state
+  /// another core can see.
+  void set_deferring(int core, bool on) {
+    slots_[core].deferring = on && defer_ok_;
+  }
+  /// Re-keys the running `core` after deferred advances and hands off if
+  /// it is no longer the (time, core) minimum; a no-op when its key is
+  /// current, so always in observed runs.
+  void settle(int core) {
+    if (slots_[core].stale) settle_stale(core);
+  }
+  /// Fiber switches from one core into another in this run.
+  uint64_t handoffs() const { return handoffs_; }
 
   /// True when something sees every decision point: a policy, a checkpoint
   /// hook or a trace recorder. Sleeping skips decision points, so only an
@@ -257,6 +281,8 @@ class Scheduler {
     uint64_t warped = 0;      // cumulative frontier-warp cycles (see warped())
     bool done = false;
     bool observable = false;  // effect since last yield (policy runs only)
+    bool deferring = false;   // advances skip handoffs (set_deferring())
+    bool stale = false;       // ready key predates the clock (see settle())
     Footprint fp;             // footprint since last yield (policy runs only)
   };
 
@@ -301,8 +327,16 @@ class Scheduler {
     return static_cast<int>(key & (kMaxCores - 1));
   }
   /// Rewrites `core`'s key from its clock (which must have grown) and
-  /// sifts it down.
+  /// sifts it down; the key is then current.
   void requeue_later(int core);
+  /// The handoff of settle(), once the key is known to be stale.
+  void settle_stale(int core);
+  /// Switches from the running `core` into core `next`.
+  void hand_off(int core, int next) {
+    ++handoffs_;
+    current_ = next;
+    switch_to(fibers_[static_cast<size_t>(core)].sp, next);
+  }
   void sift_up(size_t i);
   void sift_down(size_t i);
   void remove_ready(int core);
@@ -338,6 +372,8 @@ class Scheduler {
   uint64_t step_ = 0;      // decision counter (policy runs only)
   uint64_t frontier_ = 0;  // latest dispatch time (policy runs only)
   uint64_t polls_slept_ = 0;  // sleep_until() calls (unobserved runs only)
+  uint64_t handoffs_ = 0;     // core-to-core fiber switches
+  bool defer_ok_ = false;     // !observed(), cached by run() and resume()
 
   std::vector<Fiber> fibers_;  // allocated on the first run()
   void* main_sp_ = nullptr;    // the host context's SP while a fiber runs

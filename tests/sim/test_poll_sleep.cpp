@@ -1,14 +1,17 @@
-// Sleeping polls (DESIGN.md §2): a core that fails a poll of its own local
-// memory sleeps to the first poll that can see a write. Every test runs the
-// same program twice — unobserved, where polls sleep, and under a
-// pass-through policy, where every poll steps — and requires identical
-// cycles, counters and memory.
+// The shortcuts of unobserved runs (DESIGN.md §2): a core that fails a poll
+// of its own local memory sleeps to the first poll that can see a write,
+// and a core on the application data path defers its handoffs until its
+// next shared-memory touch. Every test runs the same program twice —
+// unobserved, where polls sleep and handoffs defer, and under a
+// pass-through policy, where every poll steps and every advance is a
+// decision point — and requires identical cycles, counters and memory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -17,6 +20,8 @@
 #include "apps/radiosity_like.h"
 #include "apps/raytrace_like.h"
 #include "apps/volrend_like.h"
+#include "model/trace.h"
+#include "runtime/program.h"
 #include "sim/machine.h"
 #include "sim/poll.h"
 #include "sync/barrier.h"
@@ -98,6 +103,7 @@ MachineConfig tiny(int cores) {
 struct Outcome {
   std::vector<CoreStats> stats;
   uint64_t state_hash = 0;
+  uint64_t port_wait = 0;  // cycles queued on the SDRAM port
   uint64_t polls_slept = 0;
   std::string error;  // what() of a CheckFailure, empty when none
 };
@@ -119,6 +125,7 @@ Outcome run(const MachineConfig& cfg, const MakeBody& make, bool policed) {
   }
   for (int c = 0; c < cfg.num_cores; ++c) o.stats.push_back(m.stats(c));
   o.state_hash = m.state_hash();
+  o.port_wait = m.sdram().port_stats().wait_cycles;
   o.polls_slept = m.polls_slept();
   return o;
 }
@@ -131,6 +138,7 @@ Outcome run_both(const MachineConfig& cfg, const MakeBody& make) {
   EXPECT_EQ(stepped.polls_slept, 0u);
   EXPECT_EQ(slept.error, stepped.error);
   EXPECT_EQ(slept.state_hash, stepped.state_hash);
+  EXPECT_EQ(slept.port_wait, stepped.port_wait);
   EXPECT_EQ(slept.stats.size(), stepped.stats.size());
   for (size_t c = 0; c < slept.stats.size(); ++c) {
     EXPECT_TRUE(same_stats(slept.stats[c], stepped.stats[c])) << "core " << c;
@@ -272,6 +280,205 @@ TEST(PollSleep, OnlyOwnLocalMemorySleeps) {
 }
 
 // ---------------------------------------------------------------------------
+// Deferred handoffs: races at every settle point
+// ---------------------------------------------------------------------------
+//
+// Each test races a core that defers far ahead against the other core's
+// access at an earlier simulated time. The eager run orders the two by
+// (time, core); a core that skipped the settle before its module touch
+// would go first. The races are deliberate: in a synchronized program the
+// eager lock and barrier operations order the two accesses anyway.
+
+/// One way for a core to read a word, and the other core's way to write it.
+struct RacePath {
+  const char* name;
+  Addr addr;
+  MemClass read_class;
+  bool remote_write;  // the write is a NoC post into the reader's memory
+};
+
+TEST(DeferredHandoffs, ReaderAheadSeesAnEarlierWrite) {
+  const MachineConfig cfg = tiny(2);
+  const Addr own_lm = kLmBase;  // core 0's local memory
+  const RacePath paths[] = {
+      {"cached SDRAM fill", kSdramBase + 256, MemClass::kSharedData, false},
+      {"uncached SDRAM read", kSdramBase + 256, MemClass::kSync, false},
+      {"own local memory", own_lm + 64, MemClass::kLocal, true},
+      {"cluster SRAM", kClusterBase + 64, MemClass::kSync, false},
+  };
+  for (const RacePath& p : paths) {
+    SCOPED_TRACE(p.name);
+    std::vector<uint32_t> seen;
+    run_both(cfg, [&](Core& c) {
+      if (c.id() == 1) {
+        c.idle(20);
+        const uint32_t v = 7;
+        if (p.remote_write) {
+          c.remote_write(0, p.addr, &v, 4);
+        } else {
+          c.store_u32(p.addr, v, MemClass::kSync);
+        }
+        return;
+      }
+      uint32_t v = 0;
+      {
+        Core::Deferred defer(c);
+        c.compute(2000);
+        v = c.load_u32(p.addr, p.read_class);
+      }
+      seen.push_back(v);
+      c.store_u32(own_lm + 512, v, MemClass::kLocal);
+    });
+    EXPECT_EQ(seen, (std::vector<uint32_t>{7, 7}));
+  }
+}
+
+TEST(DeferredHandoffs, WriterAheadStaysInvisibleToAnEarlierReader) {
+  // Cluster stores take effect at once; an early one would reach core 1's
+  // read at cycle 20.
+  std::vector<uint32_t> seen;
+  run_both(tiny(2), [&](Core& c) {
+    const Addr word = kClusterBase + 64;
+    if (c.id() == 0) {
+      Core::Deferred defer(c);
+      c.compute(2000);
+      c.store_u32(word, 7, MemClass::kSync);
+      return;
+    }
+    c.idle(20);
+    const uint32_t v = c.load_u32(word, MemClass::kSync);
+    seen.push_back(v);
+    c.store_u32(c.machine().lm_base(1) + 512, v, MemClass::kLocal);
+  });
+  EXPECT_EQ(seen, (std::vector<uint32_t>{0, 0}));
+}
+
+TEST(DeferredHandoffs, OwnLocalStoreAheadLandsAfterAnEarlierPost) {
+  // The post arrives long before the store, so the store's value stays;
+  // an early store would be overwritten when the post drains.
+  run_both(tiny(2), [](Core& c) {
+    const Addr word = kLmBase + 64;  // core 0's local memory
+    if (c.id() == 0) {
+      Core::Deferred defer(c);
+      c.compute(2000);
+      c.store_u32(word, 5, MemClass::kLocal);
+      return;
+    }
+    c.idle(20);
+    const uint32_t v = 9;
+    c.remote_write(0, word, &v, 4);
+  });
+}
+
+TEST(DeferredHandoffs, SameCyclePostsKeepTheCoreOrder) {
+  // Both cores post to one SDRAM word in the same cycle. The eager order
+  // puts core 0's post first, so core 1's value is the one that stays.
+  std::vector<uint32_t> seen;
+  run_both(tiny(2), [&](Core& c) {
+    const Addr word = kSdramBase + 128;
+    if (c.id() == 1) {
+      Core::Deferred defer(c);
+      c.idle(1000);
+      c.store_u32(word, 2, MemClass::kSync);
+      return;
+    }
+    c.idle(10);  // core 1 takes its turn at cycle 0
+    c.idle(990);
+    c.store_u32(word, 1, MemClass::kSync);
+    c.idle(100);
+    seen.push_back(c.load_u32(word, MemClass::kSync));
+  });
+  EXPECT_EQ(seen, (std::vector<uint32_t>{2, 2}));
+}
+
+TEST(DeferredHandoffs, WritebackAheadQueuesBehindAnEarlierOne) {
+  // Both cores evict a dirty line through the shared SDRAM port. Core 0's
+  // writeback is due first; an early reservation by core 1 would make it
+  // queue behind core 1's.
+  MachineConfig cfg = tiny(2);
+  cfg.dcache.size_bytes = 1024;  // direct-mapped: line L and L + 1024 clash
+  cfg.dcache.ways = 1;
+  const Outcome o = run_both(cfg, [](Core& c) {
+    const Addr line = kSdramBase + 4096 + static_cast<Addr>(c.id()) * 64;
+    if (c.id() == 0) {
+      c.store_u32(line, 1, MemClass::kSharedData);
+      c.idle(500);
+      c.load_u32(line + 1024, MemClass::kSharedData);
+      return;
+    }
+    Core::Deferred defer(c);
+    c.store_u32(line, 2, MemClass::kSharedData);
+    c.compute(2000);
+    c.load_u32(line + 1024, MemClass::kSharedData);
+  });
+  EXPECT_EQ(o.stats[0].writebacks + o.stats[1].writebacks, 2u);
+  EXPECT_EQ(o.port_wait, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Deferred handoffs: failures keep the eager schedule's order
+// ---------------------------------------------------------------------------
+
+/// Runs `body` on a two-core no-CC program with one SDRAM word object
+/// named "word", unobserved or policed; returns what() of the CheckFailure
+/// run() threw, empty when none.
+std::string program_failure(
+    const std::function<void(rt::Env&, rt::ObjId)>& body, bool policed,
+    uint64_t max_cycles = 800'000'000) {
+  rt::ProgramOptions o;
+  o.target = rt::Target::kNoCC;
+  o.cores = 2;
+  o.machine.lm_bytes = 4096;
+  o.machine.sdram_bytes = 64 * 1024;
+  o.machine.max_cycles = max_cycles;
+  o.lock_capacity = 16;
+  o.validate = false;
+  PassThrough policy;
+  if (policed) o.schedule_policy = &policy;
+  rt::Program prog(o);
+  const rt::ObjId obj =
+      prog.create_typed<uint32_t>(0, rt::Placement::kSdram, "word");
+  try {
+    prog.run([&](rt::Env& env) { body(env, obj); });
+  } catch (const util::CheckFailure& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DeferredHandoffs, FirstDataPathCheckFailureIsTheEagerOne) {
+  // Core 0 fails later in simulated time but first on the host: it runs
+  // first and its compute defers, so were the failure not to wait for its
+  // turn, its error would be recorded ahead of core 1's.
+  const auto body = [](rt::Env& env, rt::ObjId obj) {
+    env.compute(env.id() == 0 ? 500 : 100);
+    (void)env.ld<uint32_t>(obj);  // outside any section
+  };
+  const std::string slept = program_failure(body, /*policed=*/false);
+  EXPECT_EQ(slept, program_failure(body, /*policed=*/true));
+  EXPECT_NE(slept.find("core 1 reads word outside"), std::string::npos)
+      << slept;
+}
+
+TEST(DeferredHandoffs, DataPathComputePastTheWatchdogFailsLikeTheEagerRun) {
+  // Core 0 computes in small steps up to the watchdog without touching
+  // memory, so deferred it never hands off; core 1 starts a compute that
+  // cannot fit from about half-way. Core 1's failing advance starts first.
+  const auto body = [](rt::Env& env, rt::ObjId) {
+    if (env.id() == 0) {
+      for (;;) env.compute(100);
+    }
+    env.compute(400'000);
+    env.compute(10'000'000);
+  };
+  const std::string slept =
+      program_failure(body, /*policed=*/false, /*max_cycles=*/1'000'000);
+  EXPECT_EQ(slept, program_failure(body, /*policed=*/true, 1'000'000));
+  EXPECT_NE(slept.find("watchdog: core 1 passed 1000000"), std::string::npos)
+      << slept;
+}
+
+// ---------------------------------------------------------------------------
 // Every Fig. 8 kernel and the motion-estimation app on every back-end
 // ---------------------------------------------------------------------------
 
@@ -281,17 +488,25 @@ struct AppRun {
   uint64_t state_hash = 0;
   uint64_t checksum = 0;
   uint64_t polls_slept = 0;
+  uint64_t handoffs = 0;
+  std::vector<model::TraceEvent> trace;  // validated runs only
+  std::optional<model::TraceVerdict> verdict;
 };
 
-AppRun run_app(apps::App& app, rt::Target target, bool policed) {
+/// `validate` records and judges the model trace (Definition 12), which
+/// adds the version-word traffic; `noc` picks the pricing model, whose mesh
+/// variant queues on the SDRAM and cluster ports.
+AppRun run_app(apps::App& app, rt::Target target, bool policed,
+               bool validate = false, NocModel noc = NocModel::kFlat) {
   rt::ProgramOptions o;
   o.target = target;
   o.cores = 4;
   o.machine.lm_bytes = 128 * 1024;
   o.machine.sdram_bytes = 4 * 1024 * 1024;
   o.machine.max_cycles = 800'000'000;
+  o.machine.noc_model = noc;
   o.lock_capacity = 512;
-  o.validate = false;
+  o.validate = validate;
   PassThrough policy;
   if (policed) o.schedule_policy = &policy;
   app.tune(o);
@@ -307,8 +522,99 @@ AppRun run_app(apps::App& app, rt::Target target, bool policed) {
   r.checksum = app.checksum(prog);
   r.state_hash = m.state_hash();
   r.polls_slept = m.polls_slept();
+  r.handoffs = m.handoffs();
+  r.trace = prog.trace();
+  if (prog.verdict() != nullptr) r.verdict = *prog.verdict();
   return r;
 }
+
+/// Cycles, counters, memory and results agree between the two runs.
+void expect_same_run(const AppRun& slept, const AppRun& stepped) {
+  EXPECT_EQ(slept.makespan, stepped.makespan);
+  EXPECT_EQ(slept.checksum, stepped.checksum);
+  EXPECT_EQ(slept.state_hash, stepped.state_hash);
+  ASSERT_EQ(slept.stats.size(), stepped.stats.size());
+  for (size_t c = 0; c < slept.stats.size(); ++c) {
+    EXPECT_TRUE(same_stats(slept.stats[c], stepped.stats[c])) << "core " << c;
+  }
+  EXPECT_EQ(stepped.polls_slept, 0u);
+  EXPECT_LT(slept.handoffs, stepped.handoffs);
+}
+
+/// The two runs recorded the same model trace, event for event, and the
+/// validator judged it alike.
+void expect_same_trace(const AppRun& slept, const AppRun& stepped) {
+  ASSERT_EQ(slept.trace.size(), stepped.trace.size());
+  for (size_t i = 0; i < slept.trace.size(); ++i) {
+    const model::TraceEvent& a = slept.trace[i];
+    const model::TraceEvent& b = stepped.trace[i];
+    ASSERT_TRUE(a.kind == b.kind && a.proc == b.proc && a.loc == b.loc &&
+                a.value == b.value)
+        << "first difference at event " << i << " of " << slept.trace.size();
+  }
+  ASSERT_TRUE(slept.verdict.has_value() && stepped.verdict.has_value());
+  EXPECT_TRUE(slept.verdict->ok) << slept.verdict->first_violation;
+  EXPECT_EQ(slept.verdict->ok, stepped.verdict->ok);
+  EXPECT_EQ(slept.verdict->saturated, stepped.verdict->saturated);
+  EXPECT_EQ(slept.verdict->num_events, stepped.verdict->num_events);
+  EXPECT_EQ(slept.verdict->first_violation, stepped.verdict->first_violation);
+}
+
+/// Every annotation between staggered data-path work: each eager call
+/// starts on a core whose deferred compute, reads and writes have carried
+/// it past the others, so it has to wait for its turn before the back-end,
+/// the barrier or the model trace sees it. Replicated objects run on every
+/// back-end.
+class AnnotationWorkout final : public apps::App {
+ public:
+  const char* name() const override { return "annotation_workout"; }
+  void build(rt::Program& prog) override {
+    for (uint32_t i = 0; i < kObjects; ++i) {
+      objs_[i] = prog.create_typed<uint32_t>(i, rt::Placement::kReplicated,
+                                             "w" + std::to_string(i));
+    }
+  }
+  void body(rt::Env& env) override {
+    const uint64_t id = static_cast<uint64_t>(env.id());
+    for (uint32_t it = 0; it < 6; ++it) {
+      env.compute(37 * (id + 1) + 11 * it);
+      const rt::ObjId x = objs_[(id + it) % kObjects];
+      env.entry_x(x);
+      const uint32_t v = env.ld<uint32_t>(x);
+      env.compute(13 * (id + 1));
+      env.st(x, 0, v * 3 + static_cast<uint32_t>(id) + 1);
+      env.compute(7 * (id + 2));
+      env.flush(x);
+      env.compute(5 * (id + 1));
+      env.exit_x(x);
+      env.compute(19 * (id + 1));
+      env.fence();
+      const rt::ObjId r = objs_[(id + it + 1) % kObjects];
+      env.entry_ro(r);
+      sum_[id] += env.ld<uint32_t>(r);
+      env.compute(3 * (id + 1));
+      env.exit_ro(r);
+      if (it % 2 == 1) {
+        env.compute(29 * (id + 1));
+        env.barrier();
+      }
+    }
+  }
+  uint64_t checksum(rt::Program& prog) override {
+    uint64_t h = 0;
+    for (const rt::ObjId o : objs_) h = h * 1'000'003 + prog.result<uint32_t>(o);
+    for (const uint64_t v : sum_) h = h * 1'000'003 + v;
+    return h;
+  }
+
+ private:
+  static constexpr uint32_t kObjects = 3;
+  rt::ObjId objs_[kObjects] = {};
+  uint64_t sum_[4] = {};  // per core: the values read read-only
+};
+
+/// The four paper kernels, then the annotation workout.
+constexpr int kApps = 5;
 
 std::unique_ptr<apps::App> make_app(int which) {
   switch (which) {
@@ -332,7 +638,7 @@ std::unique_ptr<apps::App> make_app(int which) {
       c.image = 20;
       return std::make_unique<apps::VolrendLike>(c);
     }
-    default: {
+    case 3: {
       apps::MotionConfig c;
       c.blocks_x = 3;
       c.blocks_y = 2;
@@ -340,30 +646,44 @@ std::unique_ptr<apps::App> make_app(int which) {
       c.search = 3;
       return std::make_unique<apps::MotionEst>(c);
     }
+    default:
+      return std::make_unique<AnnotationWorkout>();
   }
 }
 
 class SleepDifferential : public ::testing::TestWithParam<rt::Target> {};
 
 TEST_P(SleepDifferential, EveryAppIsBitIdenticalWithAndWithoutSleep) {
-  for (int which = 0; which < 4; ++which) {
+  for (int which = 0; which < kApps; ++which) {
     // The Fig. 8 kernels keep their objects in SDRAM, which the DSM
-    // back-end cannot replicate; motion estimation runs everywhere.
+    // back-end cannot replicate; motion estimation and the workout run
+    // everywhere.
     if (which < 3 && GetParam() == rt::Target::kDSM) continue;
     const auto slept_app = make_app(which);
     const auto stepped_app = make_app(which);
     const AppRun slept = run_app(*slept_app, GetParam(), /*policed=*/false);
     const AppRun stepped = run_app(*stepped_app, GetParam(), /*policed=*/true);
     SCOPED_TRACE(slept_app->name());
-    EXPECT_EQ(slept.makespan, stepped.makespan);
-    EXPECT_EQ(slept.checksum, stepped.checksum);
-    EXPECT_EQ(slept.state_hash, stepped.state_hash);
-    ASSERT_EQ(slept.stats.size(), stepped.stats.size());
-    for (size_t c = 0; c < slept.stats.size(); ++c) {
-      EXPECT_TRUE(same_stats(slept.stats[c], stepped.stats[c])) << "core " << c;
-    }
+    expect_same_run(slept, stepped);
     EXPECT_GT(slept.polls_slept, 0u);
-    EXPECT_EQ(stepped.polls_slept, 0u);
+  }
+}
+
+TEST_P(SleepDifferential, ValidatedRunsRecordTheSameTraceOnTheMesh) {
+  // Validation adds the version traffic and the model trace, whose pushes
+  // must keep the eager order; the mesh model adds the SDRAM and cluster
+  // port queues, which deferred cores settle before joining.
+  for (int which = 0; which < kApps; ++which) {
+    if (which < 3 && GetParam() == rt::Target::kDSM) continue;
+    const auto slept_app = make_app(which);
+    const auto stepped_app = make_app(which);
+    const AppRun slept = run_app(*slept_app, GetParam(), /*policed=*/false,
+                                 /*validate=*/true, NocModel::kMesh);
+    const AppRun stepped = run_app(*stepped_app, GetParam(), /*policed=*/true,
+                                   /*validate=*/true, NocModel::kMesh);
+    SCOPED_TRACE(slept_app->name());
+    expect_same_run(slept, stepped);
+    expect_same_trace(slept, stepped);
   }
 }
 

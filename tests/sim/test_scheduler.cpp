@@ -95,6 +95,96 @@ TEST(Scheduler, ExceptionInOneCorePropagates) {
 }
 
 // ---------------------------------------------------------------------------
+// Deferred handoffs (DESIGN.md §2)
+// ---------------------------------------------------------------------------
+
+TEST(Scheduler, DeferredAdvancesHandOffOnlyAtSettle) {
+  Scheduler s(2);
+  std::vector<std::pair<int, uint64_t>> log;  // (core, clock) per step
+  s.run([&](int core) {
+    s.set_deferring(core, true);
+    for (int i = 0; i < 3; ++i) {
+      log.emplace_back(core, s.now(core));
+      s.advance(core, 10);
+    }
+    s.set_deferring(core, false);
+    // The key is stale until here: the other core has not run yet.
+    log.emplace_back(core, s.now(core));
+    s.settle(core);
+    log.emplace_back(core, s.now(core));
+  });
+  const std::vector<std::pair<int, uint64_t>> want = {
+      {0, 0}, {0, 10}, {0, 20}, {0, 30},  // core 0 defers past core 1
+      {1, 0}, {1, 10}, {1, 20}, {1, 30},  // core 1 defers past core 0 too
+      {0, 30},                             // core 0 at (30, 0) goes first
+      {1, 30}};
+  EXPECT_EQ(log, want);
+  // One switch into core 1 at core 0's settle, one back at core 1's, and
+  // core 0's completion switches into core 1 for its last step.
+  EXPECT_EQ(s.handoffs(), 3u);
+}
+
+TEST(Scheduler, ObservedRunsIgnoreDeferral) {
+  // A policy sees every decision point, so a deferring core stays eager.
+  class Count final : public SchedulePolicy {
+   public:
+    int pick(const YieldPoint&, const std::vector<ScheduleCandidate>&) override {
+      ++picks;
+      return 0;
+    }
+    int picks = 0;
+  };
+  Count policy;
+  Scheduler s(2);
+  s.set_policy(&policy);
+  std::vector<int> order;
+  s.run([&](int core) {
+    s.set_deferring(core, true);
+    for (int i = 0; i < 3; ++i) {
+      order.push_back(core);
+      s.advance(core, 10);
+    }
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1, 0, 1}));
+  // The initial dispatch, six advances and core 0's end; the last end has
+  // no core left to pick.
+  EXPECT_EQ(policy.picks, 8);
+  // Every advance switches, and so does core 0's end.
+  EXPECT_EQ(s.handoffs(), 7u);
+}
+
+TEST(Scheduler, DeferredAdvancePastTheWatchdogKeepsItsClock) {
+  // The advance past max_cycles throws before the clock moves, so the
+  // failed core settles at a clock that fits the ready key's time bits and
+  // its failure takes its (time, core) turn: core 1's later-started but
+  // earlier-timed failure is the one run() reports. A clock committed past
+  // the watchdog would wrap to a key near zero and report core 0's.
+  Scheduler s(2, Scheduler::kMaxCycles);
+  const uint64_t near = Scheduler::kMaxCycles - 10;
+  uint64_t clock_after_throw = 0;
+  try {
+    s.run([&](int core) {
+      if (core == 0) {
+        s.set_deferring(0, true);
+        s.advance(0, near);
+        try {
+          s.advance(0, 20);
+        } catch (const util::CheckFailure&) {
+          clock_after_throw = s.now(0);
+          throw;
+        }
+      }
+      s.advance(1, 50);
+      throw std::runtime_error("core 1 failed at 50");
+    });
+    FAIL() << "run() did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "core 1 failed at 50");
+  }
+  EXPECT_EQ(clock_after_throw, near);
+}
+
+// ---------------------------------------------------------------------------
 // SchedulePolicy hook
 // ---------------------------------------------------------------------------
 
