@@ -1,12 +1,15 @@
 // Microbenchmarks of the SoC substrate (google-benchmark): scheduler handoff
 // cost (the price of deterministic interleaving), the application data
 // path through SimEnv with deferred handoffs, memory module operations,
-// cache accesses, NoC delivery, machine snapshot capture and restore.
+// cache accesses, NoC delivery, machine snapshot capture and restore, and
+// one checked litmus target explored end to end.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <functional>
 
+#include "explore/check.h"
+#include "model/litmus_library.h"
 #include "runtime/program.h"
 #include "sim/cache.h"
 #include "sim/machine.h"
@@ -187,10 +190,9 @@ BENCHMARK(BM_MachineUncachedRead)->Iterations(100000);
 // A 4-core ML605 machine with the litmus targets' memory shape (32 KiB
 // local memories, 256 KiB SDRAM), parked mid-run like the snapshot engine
 // parks one: every core stores and loads cached shared data, writes its
-// local memory and posts into a neighbour's. Decision steps are counted
-// only under a policy, so a pass-through one is installed. The hook
-// snapshots decision step 8 and hands the machine, parked at step 16, to
-// `at_park`.
+// local memory and posts into a neighbour's. A pass-through policy is
+// installed, as in an explored run. The hook snapshots decision step 8
+// and hands the machine, parked at step 16, to `at_park`.
 class ParkedMachine final : public CheckpointHook, SchedulePolicy {
  public:
   using AtPark = std::function<void(Machine&, const Machine::Snapshot& step8)>;
@@ -280,6 +282,32 @@ void BM_SnapshotRestore(benchmark::State& state) {
   state.SetItemsProcessed(2 * state.iterations());
 }
 BENCHMARK(BM_SnapshotRestore);
+
+void BM_ExploreLitmusTarget(benchmark::State& state) {
+  // One CheckSession::explore of wrc_locked on DSM at two preemptions and
+  // horizon 16, on the snapshot engine: every schedule forks from a
+  // snapshot, runs past its last branch free of the policy, and is judged.
+  // Includes the target's model-outcome enumeration and the first build.
+  namespace ex = pmc::explore;
+  ex::ExploreConfig cfg;
+  cfg.preemption_bound = 2;
+  cfg.horizon = 16;
+  const ex::CheckSession session(cfg);
+  uint64_t schedules = 0, decisions = 0;
+  for (auto _ : state) {
+    const ex::LitmusTarget target(pmc::model::litmus::wrc_locked(),
+                                  pmc::rt::Target::kDSM);
+    const ex::ExploreReport rep = session.explore(target);
+    schedules = rep.explored;
+    decisions = rep.max_decision_points;
+    benchmark::DoNotOptimize(rep.distinct_traces);
+  }
+  state.counters["schedules"] = static_cast<double>(schedules);
+  state.counters["max_decisions"] = static_cast<double>(decisions);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(schedules));
+}
+BENCHMARK(BM_ExploreLitmusTarget)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

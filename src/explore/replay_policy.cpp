@@ -1,5 +1,7 @@
 #include "explore/replay_policy.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace pmc::explore {
@@ -51,6 +53,20 @@ int ReplayPolicy::pick(const sim::YieldPoint& yp,
     chosen_.push_back(cands[static_cast<size_t>(choice)].core);
   }
   return choice;
+}
+
+uint64_t ReplayPolicy::free_step() const {
+  // pick() records candidates below the horizon and the observable bit up
+  // to it; with DPOR recording on, the footprints reach record_limit_.
+  uint64_t free = horizon_ + 1;
+  if (record_) free = std::max(free, record_limit_ + 1);
+  if (!overrides_.empty()) free = std::max(free, overrides_.back().step + 1);
+  return free;
+}
+
+void ReplayPolicy::on_run_end(uint64_t decisions) {
+  PMC_CHECK_MSG(decisions >= steps_, "the scheduler lost decision points");
+  steps_ = decisions;
 }
 
 void ReplayPolicy::seed(const Recording& r) {

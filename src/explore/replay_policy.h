@@ -7,7 +7,10 @@
 // the horizon — which core was dispatched and the shared-memory footprint of
 // the segment that just ended. This is exactly the information the Explorer
 // needs to enumerate, delay-prune, and partial-order-reduce the children of
-// this schedule (DESIGN.md §6/§8) without re-running it.
+// this schedule (DESIGN.md §6/§8) without re-running it. Past its last
+// override and its last recorded step the policy declares itself free
+// (free_step()): the scheduler runs the rest of the schedule without
+// consulting it and hands back the run's total decision count at the end.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +41,13 @@ class ReplayPolicy final : public sim::SchedulePolicy {
   int pick(const sim::YieldPoint& yp,
            const std::vector<sim::ScheduleCandidate>& cands) override;
   bool wants_footprints() const override { return record_; }
+  /// One past the last step that applies an override or records anything.
+  uint64_t free_step() const override;
+  void on_run_end(uint64_t decisions) override;
 
   // -- Post-run observations --------------------------------------------------
-  /// Total scheduling decisions the run took.
+  /// Total scheduling decisions the run took, those past the free step
+  /// included.
   uint64_t decision_points() const { return steps_; }
   /// Candidate count at decision step `p` (recorded steps only, p < horizon).
   int candidates_at(uint64_t p) const {

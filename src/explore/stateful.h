@@ -16,6 +16,7 @@
 // rt::TraceMemo of Definition 12 verdicts and hb hashes before validating.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -91,6 +92,10 @@ class StatefulExecutor final : public sim::CheckpointHook {
   // sim::CheckpointHook — called by the scheduler mid-run.
   bool wants_checkpoint(uint64_t step, int runnable_cores) override;
   void on_checkpoint(uint64_t step) override;
+  /// Steps at or past the horizon are never captured (the root always is).
+  uint64_t free_step() const override {
+    return std::max<uint64_t>(opts_.horizon, 1);
+  }
 
  private:
   struct PoolEntry {

@@ -441,11 +441,11 @@ uint32_t Core::repoll_u32(Addr a, MemClass c, uint64_t& backoff,
                           uint32_t backoff_max) {
   PollSchedule polls{now(), backoff, backoff_max, m_.cfg_.timing.lm_load};
   // Sleeping is exact only where no one else can write the word except by
-  // a posted write (own local memory), where nothing watches the skipped
+  // a posted write (own local memory), where no one needs the skipped
   // decision points, and while a poll before the watchdog remains: the
   // last one runs the step loop below, which throws the watchdog's error.
-  if (m_.tile_of(a) != id_ || m_.sched_.observed() || !polls.advances() ||
-      polls.next_read() >= m_.cfg_.max_cycles) {
+  if (m_.tile_of(a) != id_ || !m_.sched_.free_running() ||
+      !polls.advances() || polls.next_read() >= m_.cfg_.max_cycles) {
     idle(backoff);
     backoff = PollSchedule::next_backoff(backoff, backoff_max);
     return load_u32(a, c);
@@ -466,10 +466,11 @@ uint32_t Core::repoll_u32(Addr a, MemClass c, uint64_t& backoff,
   m_.sched_.sleep_until(id_, wake);
   lm.unwatch();
   // Woken at one of the schedule's reads: charge the polls slept through
-  // as the step loop would have (an idle backoff and a load each), then
-  // take the read itself.
+  // as the step loop would have (an idle backoff and a load each), count
+  // the decision points of their advances, then take the read itself.
   polls.skip_to(now());
   PMC_CHECK(polls.read == now());
+  m_.sched_.count_skipped(polls.advances_taken());
   auto& s = m_.stats_[id_];
   s.loads += polls.polls;
   s.busy += polls.polls * polls.load;

@@ -98,8 +98,8 @@ class Core {
   Core(Machine& m, int id) : m_(m), id_(id) {}
 
   /// Deferred handoffs (DESIGN.md §2): while one is alive, compute() and
-  /// the data accesses (load_*, store_*, read_block, write_block) of an
-  /// unobserved run move the core's clock without handing off, and the core
+  /// the data accesses (load_*, store_*, read_block, write_block) of a
+  /// free-running run move the core's clock without handing off, and the core
   /// settles just before it touches a memory module. Every other method
   /// expects a settled core: call settle() first.
   class Deferred {
@@ -169,10 +169,10 @@ class Core {
   /// The one spin primitive: loads the u32 at `a` until done(value) holds
   /// and returns that value, idling between polls with a backoff that
   /// doubles from backoff_start up to backoff_max (PollSchedule). When the
-  /// word is in this core's own local memory and no policy, checkpoint hook
-  /// or trace recorder observes the run, a failed poll sleeps until the
-  /// first poll that can see a posted write, with the same cycles and
-  /// counters as polling (DESIGN.md §2).
+  /// word is in this core's own local memory and the run is free-running
+  /// (no one needs its remaining decision points), a failed poll sleeps
+  /// until the first poll that can see a posted write, with the same
+  /// cycles, counters and decision count as polling (DESIGN.md §2).
   template <typename Done>
   uint32_t poll_u32(Addr a, MemClass c, Done&& done,
                     uint32_t backoff_start = 2, uint32_t backoff_max = 64) {
@@ -299,12 +299,14 @@ class Machine {
   int tile_of(Addr a) const;
 
   const CoreStats& stats(int core) const { return stats_[core]; }
-  /// Times a core slept in Core::poll_u32 during run() (zero when a
-  /// policy, checkpoint hook or trace recorder observed it).
+  /// Times a core slept in Core::poll_u32 during run() (zero unless the
+  /// run, or its tail past the free point, was free-running).
   uint64_t polls_slept() const { return sched_.polls_slept(); }
   /// Fiber switches from one core into another during run(); deferred
-  /// handoffs make them fewer in unobserved runs (DESIGN.md §2).
+  /// handoffs make them fewer in free-running runs (DESIGN.md §2).
   uint64_t handoffs() const { return sched_.handoffs(); }
+  /// Decision points of the run so far (Scheduler::decisions()).
+  uint64_t decisions() const { return sched_.decisions(); }
   CoreStats stats_sum() const;
   /// Drains in-flight writes and fingerprints all memory + clocks
   /// (determinism checks). Only valid after run().

@@ -35,6 +35,12 @@ struct PollSchedule {
 
   uint64_t next_read() const { return read + backoff + load; }
 
+  /// Clock advances, hence decision points, of one step in the step loop
+  /// (Core::repoll_u32): the idle backoff, then the load.
+  static constexpr uint64_t kAdvancesPerStep = 2;
+  /// Decision points of the steps taken so far.
+  uint64_t advances_taken() const { return polls * kAdvancesPerStep; }
+
   /// One idle-then-load step of the spin.
   void step() {
     idled += backoff;

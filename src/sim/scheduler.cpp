@@ -276,6 +276,7 @@ int Scheduler::consult_policy(int yielding) {
             });
   YieldPoint yp;
   yp.step = step_++;
+  consulting_ = step_ < free_step_;
   yp.yielding = yielding;
   if (yielding >= 0) {
     yp.observable = slots_[yielding].observable;
@@ -289,31 +290,41 @@ int Scheduler::consult_policy(int yielding) {
                     << choice << " of " << cands_.size() << " at step "
                     << yp.step);
   const int chosen_core = cands_[static_cast<size_t>(choice)].core;
-  Slot& chosen = slots_[chosen_core];
+  if (frontier_ > slots_[chosen_core].time) warp_to_frontier(chosen_core);
+  frontier_ = slots_[chosen_core].time;
+  return chosen_core;
+}
+
+void Scheduler::warp_to_frontier(int core) {
   // Bypassed cores were effectively stalled: the dispatched core may never
   // start a segment before the frontier, or its memory events could carry
   // timestamps older than reads that already executed. Warped cycles reach
   // now() without a machine charge, so they are tallied per slot and folded
   // into CoreStats::idle at run end (see warped()).
-  if (frontier_ > chosen.time) {
-    chosen.warped += frontier_ - chosen.time;
-    if (tracing()) {
-      obs::TraceEvent e;
-      e.kind = obs::EventKind::kWarp;
-      e.core = static_cast<int16_t>(chosen_core);
-      e.t0 = chosen.time;
-      e.t1 = frontier_;
-      trace_->record(e);
-    }
-    chosen.time = frontier_;
-    // No read of the heap can tell: the warped core runs next and its
-    // advance() or remove_ready() re-sifts it first. Kept so the heap is
-    // valid at every instant rather than by that invariant, which the
-    // pick_next() fallback and any future reader would silently depend on.
-    requeue_later(chosen_core);
+  Slot& s = slots_[core];
+  s.warped += frontier_ - s.time;
+  if (tracing()) {
+    obs::TraceEvent e;
+    e.kind = obs::EventKind::kWarp;
+    e.core = static_cast<int16_t>(core);
+    e.t0 = s.time;
+    e.t1 = frontier_;
+    trace_->record(e);
   }
-  frontier_ = chosen.time;
-  return chosen_core;
+  s.time = frontier_;
+  // No read of the heap can tell: the warped core runs next and its
+  // advance() or remove_ready() re-sifts it first. Kept so the heap is
+  // valid at every instant rather than by that invariant, which the
+  // pick_next() fallback and any future reader would silently depend on.
+  requeue_later(core);
+}
+
+void Scheduler::start_observing() {
+  free_step_ = std::max(policy_ != nullptr ? policy_->free_step() : 0,
+                        hook_ != nullptr ? hook_->free_step() : 0);
+  consulting_ = policy_ != nullptr && step_ < free_step_;
+  // With no observer at all, the run is free from its first decision.
+  free_running_ = policy_ == nullptr && hook_ == nullptr && trace_ == nullptr;
 }
 
 void Scheduler::advance(int core, uint64_t delta) {
@@ -329,6 +340,7 @@ void Scheduler::advance(int core, uint64_t delta) {
   me.time += delta;
   if (me.deferring) {
     me.stale = true;
+    ++step_;  // the decision point the eager advance would have taken
     return;
   }
   requeue_later(core);
@@ -340,9 +352,9 @@ void Scheduler::advance(int core, uint64_t delta) {
 }
 
 void Scheduler::sleep_until(int core, uint64_t t) {
-  PMC_CHECK_MSG(current_ == core && !observed(),
-                "sleep_until() from a core that is not running, or in an "
-                "observed run");
+  PMC_CHECK_MSG(current_ == core && free_running_,
+                "sleep_until() from a core that is not running, or in a "
+                "run that is not free-running");
   PMC_CHECK(t > slots_[core].time && t < max_cycles_);
   slots_[core].time = t;
   requeue_later(core);
@@ -378,23 +390,20 @@ void Scheduler::run(const std::function<void(int)>& body) {
   frontier_ = 0;
   polls_slept_ = 0;
   handoffs_ = 0;
-  defer_ok_ = !observed();
+  start_observing();
   resume_core_ = -1;
   rebuild_ready();
   init_fibers();
   tl_fiber_sched = this;
   // The pre-dispatch checkpoint (the root of a stateful search) runs on the
   // main context directly; there is no fiber to park yet.
-  if (hook_ != nullptr && hook_->wants_checkpoint(0, num_cores())) {
+  if (hook_ != nullptr && step_ < free_step_ &&
+      hook_->wants_checkpoint(0, num_cores())) {
     hook_->on_checkpoint(0);
   }
   // Lowest id runs first among the all-zero clocks — unless a policy
   // overrides this very first decision too.
-  current_ = 0;
-  if (policy_ != nullptr) {
-    current_ = consult_policy(/*yielding=*/-1);
-    PMC_CHECK(current_ != -1);
-  }
+  current_ = next_core(/*yielding=*/-1);
   if (tracing()) trace_switch(-1, current_, false);
   drive();
 }
@@ -477,7 +486,7 @@ void Scheduler::switch_to(void*& from_sp, int to, bool from_dies) {
 }
 
 void Scheduler::maybe_checkpoint_yield(int core) {
-  if (hook_ == nullptr) return;
+  if (hook_ == nullptr || step_ >= free_step_) return;
   if (!hook_->wants_checkpoint(step_, static_cast<int>(ready_.size()))) return;
   resume_core_ = core;
   switch_to(fibers_[static_cast<size_t>(core)].sp, /*to=*/-1);
@@ -536,23 +545,20 @@ void Scheduler::drive() {
     // then hand control straight back to it.
     hook_->on_checkpoint(step_);
   }
+  if (policy_ != nullptr) policy_->on_run_end(step_);
   if (error_) std::rethrow_exception(error_);
 }
 
 void Scheduler::resume() {
   PMC_CHECK_MSG(!fibers_.empty(), "resume() needs a prior run()");
   tl_fiber_sched = this;
-  defer_ok_ = !observed();
+  start_observing();
   if (resume_core_ == -1) {
     // Pre-dispatch snapshot: redo the initial consult (the hook is not
     // re-offered — the restored pool already holds this checkpoint). The
     // restored recorder predates the original initial-dispatch event, so
     // re-recording it here reproduces the original buffer exactly.
-    current_ = 0;
-    if (policy_ != nullptr) {
-      current_ = consult_policy(/*yielding=*/-1);
-      PMC_CHECK(current_ != -1);
-    }
+    current_ = next_core(/*yielding=*/-1);
     if (tracing()) trace_switch(-1, current_, false);
   }
   drive();
@@ -563,7 +569,7 @@ void Scheduler::snapshot(Snapshot& s) const {
   s.slots.resize(slots_.size());
   for (size_t i = 0; i < slots_.size(); ++i) {
     const Slot& sl = slots_[i];
-    // Only unobserved runs defer, and they never reach a checkpoint.
+    // Only free-running stretches defer, and they never reach a checkpoint.
     PMC_CHECK_MSG(!sl.stale, "snapshot() of core " << i
                                  << " with deferred advances pending");
     Snapshot::SlotState& out = s.slots[i];

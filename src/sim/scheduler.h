@@ -5,12 +5,15 @@
 // and every fiber of a scheduler runs on the host thread that called run().
 // Exactly one core executes at any moment: the one with the smallest
 // (local_time, core_id), kept at the top of an indexed min-heap of runnable
-// cores. Every simulator call advances the caller's local clock. In a run
-// that a policy, checkpoint hook or trace recorder observes, every advance
-// is a potential handoff point (a direct fiber-to-fiber switch). In an
-// unobserved run, a core on the application data path only moves its clock
-// and hands off when it settles, just before its next touch of shared
-// machine state (set_deferring()/settle(); DESIGN.md §2). A core may also
+// cores. Every simulator call advances the caller's local clock, and every
+// advance is a decision point. While a policy, checkpoint hook or trace
+// recorder still needs the decision points, every advance is a potential
+// handoff point (a direct fiber-to-fiber switch). Once no one needs the
+// rest of them — from the start of an unobserved run, or past a policed
+// run's free point (DESIGN.md §6) — the run is free-running: a core on the
+// application data path only moves its clock and hands off when it
+// settles, just before its next touch of shared machine state
+// (set_deferring()/settle(); DESIGN.md §2). A free-running core may also
 // sleep in the heap until a named time, which a later event can only bring
 // forward (sleep_until()/wake_by(); DESIGN.md §2).
 // Consequences:
@@ -89,6 +92,13 @@ class SchedulePolicy {
   /// Off by default: recording costs heap traffic on every memory access,
   /// and only partial-order-reduction consumers read it (DESIGN.md §8).
   virtual bool wants_footprints() const { return false; }
+  /// The first decision step this policy no longer needs: from it on, pick()
+  /// would return 0 and record nothing, so the scheduler stops calling it
+  /// (the free point, DESIGN.md §6). Read when a run starts or resumes.
+  virtual uint64_t free_step() const { return UINT64_MAX; }
+  /// Called once as the run ends with its total decision points, the
+  /// steps taken past the free point included.
+  virtual void on_run_end(uint64_t decisions) { (void)decisions; }
 };
 
 /// Checkpoint callback (DESIGN.md §10). Before each
@@ -104,6 +114,10 @@ class CheckpointHook {
   virtual bool wants_checkpoint(uint64_t step, int runnable_cores) = 0;
   /// Called on the main context; `step` is the decision about to be taken.
   virtual void on_checkpoint(uint64_t step) = 0;
+  /// The first decision step from which wants_checkpoint() is false for
+  /// good; the scheduler stops asking there. Read when a run starts or
+  /// resumes.
+  virtual uint64_t free_step() const { return UINT64_MAX; }
 };
 
 class Scheduler {
@@ -206,12 +220,13 @@ class Scheduler {
 
   /// Marks that `core` performed (or is mid-way through) a memory-system
   /// effect on `[addr, addr+len)` since its last advance (cheap no-op
-  /// without a policy). `sync` tags lock/barrier words. Called by the
-  /// machine layer from the running core's own fiber; accumulated into the
-  /// current segment's footprint and reported at the next yield.
+  /// unless a policy is still consulted). `sync` tags lock/barrier words.
+  /// Called by the machine layer from the running core's own fiber;
+  /// accumulated into the current segment's footprint and reported at the
+  /// next yield.
   void note_access(int core, uint64_t addr, uint32_t len, AccessKind kind,
                    bool sync = false) {
-    if (policy_ != nullptr) {
+    if (consulting_) {
       slots_[core].observable = true;
       if (record_fp_) slots_[core].fp.add(addr, len, kind, sync);
     }
@@ -223,13 +238,17 @@ class Scheduler {
   /// range and calls note_access — but new shared-state paths that cannot
   /// name one must call this rather than stay invisible to exploration.
   void note_effect(int core) {
-    if (policy_ != nullptr) {
+    if (consulting_) {
       slots_[core].observable = true;
       if (record_fp_) slots_[core].fp.add_wildcard();
     }
   }
 
-  /// Number of scheduling decisions taken so far (policy runs only).
+  /// Number of decision points so far: one per advance, one per
+  /// completion that leaves a core runnable, and the initial dispatch.
+  /// Free-running stretches count the advances they defer and the steps of
+  /// the polls they sleep through, so every run of a schedule gives the
+  /// same count whoever observes it (DESIGN.md §6).
   uint64_t decisions() const { return step_; }
 
   /// Advances the calling core's clock and yields if it is no longer the
@@ -240,36 +259,39 @@ class Scheduler {
   void advance(int core, uint64_t delta);
 
   /// Deferred handoffs (DESIGN.md §2): while `on`, the running `core`'s
-  /// advances skip their handoffs, in unobserved runs only (elsewhere the
-  /// core stays eager). The core must settle() before it touches state
-  /// another core can see.
+  /// advances skip their handoffs, while the run is free-running only
+  /// (elsewhere the core stays eager). The core must settle() before it
+  /// touches state another core can see.
   void set_deferring(int core, bool on) {
-    slots_[core].deferring = on && defer_ok_;
+    slots_[core].deferring = on && free_running_;
   }
   /// Re-keys the running `core` after deferred advances and hands off if
   /// it is no longer the (time, core) minimum; a no-op when its key is
-  /// current, so always in observed runs.
+  /// current, so always before the run is free-running.
   void settle(int core) {
     if (slots_[core].stale) settle_stale(core);
   }
   /// Fiber switches from one core into another in this run.
   uint64_t handoffs() const { return handoffs_; }
 
-  /// True when something sees every decision point: a policy, a checkpoint
-  /// hook or a trace recorder. Sleeping skips decision points, so only an
-  /// unobserved run may sleep.
-  bool observed() const {
-    return policy_ != nullptr || hook_ != nullptr || trace_ != nullptr;
-  }
+  /// True when no one needs the remaining decision points, so a core may
+  /// defer its handoffs and sleep through polls. That holds from the start
+  /// of a run with no policy, checkpoint hook or trace recorder, and from
+  /// the first decision past the free point of a run with no recorder once
+  /// the frontier warp is spent (DESIGN.md §6).
+  bool free_running() const { return free_running_; }
   /// Parks the running `core` with its clock at `t` (now < t < max_cycles)
   /// and hands off; it runs again once (t, core) is the minimum, where
-  /// wake_by() may have lowered t meanwhile. Unobserved runs only.
+  /// wake_by() may have lowered t meanwhile. Free-running only.
   void sleep_until(int core, uint64_t t);
   /// Lowers a sleeping `core`'s clock to `t` if that is earlier. `t` must
   /// be later than the running core's clock (checked), so the sleeper
   /// still runs after it and events keep executing in nondecreasing time.
   void wake_by(int core, uint64_t t);
-  /// Number of sleep_until() calls in this run (zero in observed runs).
+  /// Counts `n` decision points a free-running core passed without taking
+  /// them: the advances of the polls it slept through.
+  void count_skipped(uint64_t n) { step_ += n; }
+  /// Number of sleep_until() calls in this run (zero unless free-running).
   uint64_t polls_slept() const { return polls_slept_; }
 
   /// True once run() completed and some core threw.
@@ -280,10 +302,10 @@ class Scheduler {
     uint64_t time = 0;
     uint64_t warped = 0;      // cumulative frontier-warp cycles (see warped())
     bool done = false;
-    bool observable = false;  // effect since last yield (policy runs only)
+    bool observable = false;  // effect since last yield (while consulting)
     bool deferring = false;   // advances skip handoffs (set_deferring())
     bool stale = false;       // ready key predates the clock (see settle())
-    Footprint fp;             // footprint since last yield (policy runs only)
+    Footprint fp;             // footprint since last yield (while consulting)
   };
 
   /// munmaps a fiber stack together with the guard page below it.
@@ -307,13 +329,36 @@ class Scheduler {
   int pick_next() const {
     return ready_.empty() ? -1 : key_core(ready_[0]);
   }
+  /// Reads the observers' free steps; run() and resume() call it once the
+  /// step counter is set.
+  void start_observing();
   /// Consults the policy, warps the chosen core's clock to the frontier and
   /// advances the frontier; returns the chosen core or -1 when all done.
   int consult_policy(int yielding);
-  /// pick_next() or consult_policy(), whichever applies.
-  int next_core(int yielding) {
-    return policy_ != nullptr ? consult_policy(yielding) : pick_next();
+  /// The decision without a policy, or past the free point: the min-time
+  /// pick, warped to the frontier while a bypassed core still trails it.
+  /// The first pick past the free point that finds no core behind the
+  /// frontier makes an untraced run free-running.
+  int pick_unpoliced() {
+    if (ready_.empty()) return -1;
+    ++step_;
+    const int core = pick_next();
+    if (!free_running_) {
+      if (slots_[core].time < frontier_) {
+        warp_to_frontier(core);
+      } else if (step_ >= free_step_ && trace_ == nullptr) {
+        free_running_ = true;
+      }
+      frontier_ = slots_[core].time;
+    }
+    return core;
   }
+  /// consult_policy() or pick_unpoliced(), whichever applies.
+  int next_core(int yielding) {
+    return consulting_ ? consult_policy(yielding) : pick_unpoliced();
+  }
+  /// Moves `core`'s clock up to the frontier, tallying the warped cycles.
+  void warp_to_frontier(int core);
 
   // Ready queue: a binary min-heap of the runnable cores keyed by
   // time << kCoreBits | core — a strict order, so its top is exactly the
@@ -369,11 +414,13 @@ class Scheduler {
   SchedulePolicy* policy_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;  // not owned; nullptr = detached
   bool record_fp_ = false;  // policy_->wants_footprints(), cached
-  uint64_t step_ = 0;      // decision counter (policy runs only)
-  uint64_t frontier_ = 0;  // latest dispatch time (policy runs only)
-  uint64_t polls_slept_ = 0;  // sleep_until() calls (unobserved runs only)
+  uint64_t step_ = 0;      // decision counter
+  uint64_t frontier_ = 0;  // latest dispatch time (until free-running)
+  uint64_t free_step_ = 0;  // the observers' free point (start_observing())
+  bool consulting_ = false;     // a policy is called at the next decision
+  bool free_running_ = false;   // see free_running()
+  uint64_t polls_slept_ = 0;  // sleep_until() calls (free-running only)
   uint64_t handoffs_ = 0;     // core-to-core fiber switches
-  bool defer_ok_ = false;     // !observed(), cached by run() and resume()
 
   std::vector<Fiber> fibers_;  // allocated on the first run()
   void* main_sp_ = nullptr;    // the host context's SP while a fiber runs

@@ -4,7 +4,8 @@
 // next shared-memory touch. Every test runs the same program twice —
 // unobserved, where polls sleep and handoffs defer, and under a
 // pass-through policy, where every poll steps and every advance is a
-// decision point — and requires identical cycles, counters and memory.
+// decision point — and requires identical cycles, counters, memory and
+// decision counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -105,6 +106,7 @@ struct Outcome {
   uint64_t state_hash = 0;
   uint64_t port_wait = 0;  // cycles queued on the SDRAM port
   uint64_t polls_slept = 0;
+  uint64_t decisions = 0;
   std::string error;  // what() of a CheckFailure, empty when none
 };
 
@@ -127,6 +129,7 @@ Outcome run(const MachineConfig& cfg, const MakeBody& make, bool policed) {
   o.state_hash = m.state_hash();
   o.port_wait = m.sdram().port_stats().wait_cycles;
   o.polls_slept = m.polls_slept();
+  o.decisions = m.decisions();
   return o;
 }
 
@@ -139,6 +142,7 @@ Outcome run_both(const MachineConfig& cfg, const MakeBody& make) {
   EXPECT_EQ(slept.error, stepped.error);
   EXPECT_EQ(slept.state_hash, stepped.state_hash);
   EXPECT_EQ(slept.port_wait, stepped.port_wait);
+  EXPECT_EQ(slept.decisions, stepped.decisions);
   EXPECT_EQ(slept.stats.size(), stepped.stats.size());
   for (size_t c = 0; c < slept.stats.size(); ++c) {
     EXPECT_TRUE(same_stats(slept.stats[c], stepped.stats[c])) << "core " << c;
@@ -489,6 +493,7 @@ struct AppRun {
   uint64_t checksum = 0;
   uint64_t polls_slept = 0;
   uint64_t handoffs = 0;
+  uint64_t decisions = 0;
   std::vector<model::TraceEvent> trace;  // validated runs only
   std::optional<model::TraceVerdict> verdict;
 };
@@ -523,6 +528,7 @@ AppRun run_app(apps::App& app, rt::Target target, bool policed,
   r.state_hash = m.state_hash();
   r.polls_slept = m.polls_slept();
   r.handoffs = m.handoffs();
+  r.decisions = m.decisions();
   r.trace = prog.trace();
   if (prog.verdict() != nullptr) r.verdict = *prog.verdict();
   return r;
@@ -533,6 +539,7 @@ void expect_same_run(const AppRun& slept, const AppRun& stepped) {
   EXPECT_EQ(slept.makespan, stepped.makespan);
   EXPECT_EQ(slept.checksum, stepped.checksum);
   EXPECT_EQ(slept.state_hash, stepped.state_hash);
+  EXPECT_EQ(slept.decisions, stepped.decisions);
   ASSERT_EQ(slept.stats.size(), stepped.stats.size());
   for (size_t c = 0; c < slept.stats.size(); ++c) {
     EXPECT_TRUE(same_stats(slept.stats[c], stepped.stats[c])) << "core " << c;

@@ -6,11 +6,13 @@
 #include <algorithm>
 #include <cfenv>
 #include <cstddef>
+#include <cstring>
 #include <random>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "sim/machine.h"
 #include "util/check.h"
 
 namespace pmc::sim {
@@ -599,6 +601,200 @@ TEST(Scheduler, SnapshotRestoreRebuildsTheReadyQueue) {
   s.restore(hook.snap);
   s.resume();
   EXPECT_EQ(log, full);
+}
+
+// ---------------------------------------------------------------------------
+// Free-running tails (DESIGN.md §6)
+// ---------------------------------------------------------------------------
+
+/// The min-time pick but for one override, consulted below `free` only
+/// (UINT64_MAX: at every decision point, the full-consult reference).
+class TailPolicy final : public SchedulePolicy {
+ public:
+  explicit TailPolicy(uint64_t free, uint64_t step = UINT64_MAX, int choice = 0)
+      : free_(free), step_(step), choice_(choice) {}
+  int pick(const YieldPoint& yp,
+           const std::vector<ScheduleCandidate>& cands) override {
+    EXPECT_LT(yp.step, free_) << "consulted past the free step";
+    ++picks;
+    if (yp.step != step_ || choice_ >= static_cast<int>(cands.size())) {
+      return 0;
+    }
+    override_cands = cands;
+    return choice_;
+  }
+  uint64_t free_step() const override { return free_; }
+  void on_run_end(uint64_t decisions) override { total = decisions; }
+
+  uint64_t picks = 0;
+  uint64_t total = 0;  // handed back by the scheduler
+  std::vector<ScheduleCandidate> override_cands;  // empty: never overrode
+
+ private:
+  uint64_t free_, step_;
+  int choice_;
+};
+
+MachineConfig tail_machine() {
+  MachineConfig c = MachineConfig::ml605(2);
+  c.lm_bytes = 4096;
+  c.sdram_bytes = 64 * 1024;
+  c.max_cycles = 50'000'000;
+  return c;
+}
+
+/// Core 1 spins on a flag in its own local memory while core 0 runs the
+/// deferrable data path (compute and cached SDRAM traffic) and then posts
+/// the flag; core 1 then takes the data path too.
+void tail_body(Core& c) {
+  const Addr flag = c.machine().lm_base(1);
+  const auto data_path = [&c](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      Core::Deferred defer(c);
+      c.compute(37 + static_cast<uint64_t>(i % 5));
+      c.store_u32(kSdramBase + 64 * static_cast<Addr>(i % 9),
+                  static_cast<uint32_t>(i), MemClass::kSharedData);
+      c.load_u32(kSdramBase + 64 * static_cast<Addr>((i + 4) % 9),
+                 MemClass::kSharedData);
+    }
+  };
+  if (c.id() == 0) {
+    data_path(40);
+    const uint32_t one = 1;
+    c.remote_write(1, flag, &one, 4);
+    data_path(10);
+  } else {
+    c.poll_u32(flag, MemClass::kSync, [](uint32_t v) { return v == 1; });
+    data_path(20);
+  }
+}
+
+struct TailRun {
+  std::vector<CoreStats> stats;
+  uint64_t decisions = 0;
+  uint64_t makespan = 0;
+  uint64_t polls_slept = 0;
+  uint64_t handoffs = 0;
+  std::vector<obs::TraceEvent> events;
+};
+
+TailRun run_tail(TailPolicy& policy, obs::TraceRecorder* rec = nullptr) {
+  Machine m(tail_machine());
+  m.set_schedule_policy(&policy);
+  m.set_trace_recorder(rec);
+  m.run(tail_body);
+  TailRun r;
+  for (int c = 0; c < m.num_cores(); ++c) {
+    r.stats.push_back(m.stats(c));
+    r.makespan = std::max(r.makespan, m.stats(c).cycles_total);
+  }
+  r.decisions = m.decisions();
+  r.polls_slept = m.polls_slept();
+  r.handoffs = m.handoffs();
+  if (rec != nullptr) r.events = rec->events();
+  EXPECT_EQ(policy.total, r.decisions) << "the count handed to the policy";
+  return r;
+}
+
+void expect_same_stats(const TailRun& a, const TailRun& b) {
+  ASSERT_EQ(a.stats.size(), b.stats.size());
+  for (size_t c = 0; c < a.stats.size(); ++c) {
+    EXPECT_EQ(std::memcmp(&a.stats[c], &b.stats[c], sizeof(CoreStats)), 0)
+        << "core " << c;
+  }
+  EXPECT_EQ(a.makespan, b.makespan);
+}
+
+TEST(Scheduler, FreeTailCountsEveryDecision) {
+  // Past step 3 no one needs the decision points: the tail defers
+  // handoffs and sleeps through core 1's polls, and still counts each
+  // decision point the full-consult run takes.
+  constexpr uint64_t kFree = 3;
+  TailPolicy freed(kFree), full(UINT64_MAX);
+  const TailRun a = run_tail(freed);
+  const TailRun b = run_tail(full);
+  EXPECT_EQ(freed.picks, kFree);
+  EXPECT_EQ(full.picks, b.decisions);
+  EXPECT_EQ(a.decisions, b.decisions);
+  expect_same_stats(a, b);
+  EXPECT_GT(a.polls_slept, 0u);
+  EXPECT_EQ(b.polls_slept, 0u);
+  EXPECT_LT(a.handoffs, b.handoffs);
+}
+
+TEST(Scheduler, FreeTailWaitsForTheWarp) {
+  // One step dispatches the latest of three cores at distinct clocks, so
+  // the other two trail the frontier when the policy frees at the next
+  // step. The tail warps each of them as the min-time pick reaches it, and
+  // free-runs only after that.
+  const auto run = [](SchedulePolicy& policy, std::vector<uint64_t>* warped) {
+    Scheduler s(3);
+    s.set_policy(&policy);
+    std::vector<std::pair<int, uint64_t>> log;  // (core, clock) per segment
+    s.run([&](int core) {
+      for (int i = 0; i < 12; ++i) {
+        s.settle(core);
+        log.emplace_back(core, s.now(core));
+        s.set_deferring(core, true);
+        s.advance(core, static_cast<uint64_t>(3 + 2 * core));
+        s.advance(core, static_cast<uint64_t>(1 + (i + core) % 3));
+        s.set_deferring(core, false);
+      }
+    });
+    for (int c = 0; c < 3; ++c) warped->push_back(s.warped(c));
+    return std::make_pair(log, s.handoffs());
+  };
+  // The first step where three cores are runnable at distinct clocks.
+  class Probe final : public SchedulePolicy {
+   public:
+    int pick(const YieldPoint& yp,
+             const std::vector<ScheduleCandidate>& cands) override {
+      if (step == UINT64_MAX && cands.size() == 3 &&
+          cands[0].time < cands[1].time && cands[1].time < cands[2].time) {
+        step = yp.step;
+      }
+      return 0;
+    }
+    uint64_t step = UINT64_MAX;
+  } probe;
+  std::vector<uint64_t> unused;
+  run(probe, &unused);
+  const uint64_t kStep = probe.step;
+  ASSERT_NE(kStep, UINT64_MAX);
+  TailPolicy freed(kStep + 1, kStep, 2), full(UINT64_MAX, kStep, 2);
+  std::vector<uint64_t> warped_free, warped_full;
+  const auto a = run(freed, &warped_free);
+  const auto b = run(full, &warped_full);
+  ASSERT_EQ(freed.override_cands.size(), 3u);
+  EXPECT_EQ(freed.total, full.total);
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(warped_free, warped_full);
+  EXPECT_EQ(std::count_if(warped_free.begin(), warped_free.end(),
+                          [](uint64_t w) { return w > 0; }),
+            2);
+  EXPECT_LT(a.second, b.second);  // the rest of the run free-ran
+}
+
+TEST(Scheduler, TracedFreeTailStaysEager) {
+  // A recorder sees every handoff, so past the free point the run keeps a
+  // handoff at every advance: the recorded events, the frontier warp of
+  // the step after the override included, match full consult byte for
+  // byte, and no poll sleeps.
+  constexpr uint64_t kStep = 5;
+  TailPolicy freed(kStep + 1, kStep, 1), full(UINT64_MAX, kStep, 1);
+  obs::TraceRecorder rec_free, rec_full;
+  const TailRun a = run_tail(freed, &rec_free);
+  const TailRun b = run_tail(full, &rec_full);
+  ASSERT_FALSE(freed.override_cands.empty());
+  EXPECT_EQ(a.decisions, b.decisions);
+  expect_same_stats(a, b);
+  EXPECT_EQ(a.polls_slept, 0u);
+  EXPECT_EQ(a.handoffs, b.handoffs);
+  ASSERT_EQ(rec_free.dropped(), 0u);
+  EXPECT_TRUE(a.events == b.events);
+  EXPECT_TRUE(std::any_of(a.events.begin(), a.events.end(), [](const auto& e) {
+    return e.kind == obs::EventKind::kWarp;
+  }));
 }
 
 /// Recurses `levels` deep; the volatile frame keeps every level real.
