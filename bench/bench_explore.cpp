@@ -9,14 +9,12 @@
 //
 // Explores fig5_mp_annotated (message passing, the paper's running example)
 // on every simulated back-end under a fixed preemption bound and horizon,
-// reporting the explored and pruned counts. The DPOR section measures the
-// partial-order-reduction ratio (`dpor_reduction`, DESIGN.md §8) over the
-// whole annotatable suite; the stateful section reports the snapshot-engine
-// counters over the same suite at a deep horizon (DESIGN.md §10). Then come
-// the apps-layer workload (MFifo + TaskCounter on every back-end), the
-// hb-class discovery curve, a bounded coverage-guided farm pass (DESIGN.md
-// §14), and how many schedules the seeded-bug mode needs before each
-// back-end's injected fault is found.
+// reporting the explored and pruned counts. The stateful section reports
+// the snapshot-engine counters over the whole annotatable suite at a deep
+// horizon (DESIGN.md §10). Then come the apps-layer workload (MFifo +
+// TaskCounter on every back-end), the hb-class discovery curve, a bounded
+// coverage-guided farm pass (DESIGN.md §14), and how many schedules the
+// seeded-bug mode needs before each back-end's injected fault is found.
 //
 //   bench_explore [--preemptions=N] [--horizon=H] [--fuzz-execs=N]
 //                 [--json[=PATH]]
@@ -87,70 +85,6 @@ int main(int argc, char** argv) {
                : static_cast<double>(total_pruned) /
                      static_cast<double>(total_explored + total_pruned));
 
-  // The annotatable suite's (test, back-end) targets, built once for the
-  // DPOR and stateful sections: each build enumerates the test's model
-  // outcomes, which costs more than exploring it at these bounds.
-  std::vector<explore::LitmusTarget> suite;
-  const auto tests = explore::annotatable_tests();
-  suite.reserve(rt::sim_targets().size() * tests.size());
-  for (rt::Target t : rt::sim_targets()) {
-    for (const auto& test : tests) suite.emplace_back(test, t);
-  }
-
-  // DPOR: explored-schedule reduction at identical failing sets (DESIGN.md
-  // §8). The reduction is a property of the fixed schedule tree, not of the
-  // host, so the ratio is deterministic and assertable even on one vCPU.
-  std::printf("partial-order reduction (annotatable suite, all back-ends)\n\n");
-  util::Table dpor_table;
-  dpor_table.add_row({"dpor", "explored", "dpor-pruned", "reduction"});
-  uint64_t dpor_explored[2] = {0, 0};
-  uint64_t dpor_pruned_total = 0;
-  const explore::DporMode modes[2] = {explore::DporMode::kOff,
-                                      explore::DporMode::kSleepSet};
-  for (int i = 0; i < 2; ++i) {
-    explore::SessionOptions dopts = sopts;
-    dopts.explore.dpor = modes[i];
-    const explore::CheckSession dpor_session(dopts);
-    for (const auto& target : suite) {
-      const auto rep = dpor_session.explore(target);
-      if (rep.failing != 0) {
-        std::fprintf(stderr, "!! %s dpor=%s: %llu model-invalid schedule(s)\n",
-                     target.name().c_str(), explore::to_string(modes[i]),
-                     static_cast<unsigned long long>(rep.failing));
-        return 1;
-      }
-      if (rep.truncated) {
-        // A clipped count would fake a ~1.0x reduction; the ratio is only
-        // meaningful over the complete bounded space.
-        std::fprintf(stderr, "!! %s dpor=%s: truncated at max_schedules "
-                     "— dpor_reduction would be meaningless; lower "
-                     "--preemptions/--horizon\n",
-                     target.name().c_str(), explore::to_string(modes[i]));
-        return 1;
-      }
-      dpor_explored[i] += rep.explored;
-      if (i == 1) dpor_pruned_total += rep.dpor_pruned;
-    }
-    const double reduction =
-        i == 0 || dpor_explored[1] == 0
-            ? 1.0
-            : static_cast<double>(dpor_explored[0]) /
-                  static_cast<double>(dpor_explored[1]);
-    char red[32];
-    std::snprintf(red, sizeof red, "%.1fx", reduction);
-    dpor_table.add_row({explore::to_string(modes[i]),
-                        bench::fmt_u64(dpor_explored[i]),
-                        bench::fmt_u64(i == 1 ? dpor_pruned_total : 0), red});
-  }
-  std::printf("%s\n", dpor_table.render().c_str());
-  json.add("dpor_off_explored", dpor_explored[0]);
-  json.add("dpor_sleepset_explored", dpor_explored[1]);
-  json.add("dpor_reduction",
-           dpor_explored[1] == 0
-               ? 0.0
-               : static_cast<double>(dpor_explored[0]) /
-                     static_cast<double>(dpor_explored[1]));
-
   // Stateful exploration: the snapshot engine over the annotatable suite at
   // a deep horizon (snapshots amortize best when the pre-branch prefix
   // being skipped is long — DESIGN.md §10). It runs at jobs = 1, where the
@@ -158,27 +92,27 @@ int main(int argc, char** argv) {
   {
     explore::ExploreConfig scfg = cfg;
     scfg.horizon = std::max<uint64_t>(cfg.horizon, 24);
-    // DPOR off: the reduction shrinks the tree to a handful of schedules
-    // per target, leaving nothing for snapshots to amortize over.
-    scfg.dpor = explore::DporMode::kOff;
     std::printf("stateful exploration (annotatable suite, all back-ends, "
-                "horizon=%llu, dpor=off)\n\n",
+                "horizon=%llu)\n\n",
                 static_cast<unsigned long long>(scfg.horizon));
     const explore::CheckSession suite_session(scfg);
     uint64_t explored = 0;
     uint64_t pool_hits = 0;
     uint64_t snapshots_taken = 0;
-    for (const auto& target : suite) {
-      const auto rep = suite_session.explore(target);
-      if (rep.failing != 0) {
-        std::fprintf(stderr, "!! %s: %llu model-invalid schedule(s)\n",
-                     target.name().c_str(),
-                     static_cast<unsigned long long>(rep.failing));
-        return 1;
+    for (rt::Target t : rt::sim_targets()) {
+      for (const auto& test : explore::annotatable_tests()) {
+        const explore::LitmusTarget target(test, t);
+        const auto rep = suite_session.explore(target);
+        if (rep.failing != 0) {
+          std::fprintf(stderr, "!! %s: %llu model-invalid schedule(s)\n",
+                       target.name().c_str(),
+                       static_cast<unsigned long long>(rep.failing));
+          return 1;
+        }
+        explored += rep.explored;
+        pool_hits += rep.snapshot_hits;
+        snapshots_taken += rep.snapshots_taken;
       }
-      explored += rep.explored;
-      pool_hits += rep.snapshot_hits;
-      snapshots_taken += rep.snapshots_taken;
     }
     util::Table stateful;
     stateful.add_row({"explored", "snapshots", "hits"});
@@ -191,23 +125,20 @@ int main(int argc, char** argv) {
   }
 
   // Apps-layer workload (ROADMAP): MFifo + TaskCounter on every back-end
-  // through the session, reduced search. App schedules re-execute a whole
-  // kernel (locks, polls, payload copies), so these counts follow the
-  // model-checking of a real workload, not a litmus microbenchmark.
+  // through the session. App schedules re-execute a whole kernel (locks,
+  // polls, payload copies), so these counts follow the model-checking of a
+  // real workload, not a litmus microbenchmark.
   {
     explore::SessionOptions aopts;
     aopts.explore.preemption_bound = 1;
     aopts.explore.horizon = 14;
-    aopts.explore.dpor = explore::DporMode::kSleepSet;
     const explore::CheckSession apps_session(aopts);
-    std::printf("apps-layer model checking (mfifo + taskcounter, "
-                "dpor=sleepset)\n\n");
+    std::printf("apps-layer model checking (mfifo + taskcounter)\n\n");
     util::Table apps_table;
-    apps_table.add_row({"app", "explored", "dpor-pruned"});
+    apps_table.add_row({"app", "explored"});
     uint64_t apps_explored = 0;
     for (const explore::AppKind kind : explore::all_app_kinds()) {
       uint64_t explored = 0;
-      uint64_t dpor_pruned = 0;
       for (rt::Target t : rt::sim_targets()) {
         const auto target = explore::make_app_target(kind, t);
         const auto rep = apps_session.explore(*target);
@@ -218,11 +149,9 @@ int main(int argc, char** argv) {
           return 1;
         }
         explored += rep.explored;
-        dpor_pruned += rep.dpor_pruned;
       }
       apps_explored += explored;
-      apps_table.add_row({explore::to_string(kind), bench::fmt_u64(explored),
-                          bench::fmt_u64(dpor_pruned)});
+      apps_table.add_row({explore::to_string(kind), bench::fmt_u64(explored)});
       json.add(std::string("apps_") + explore::to_string(kind) + "_explored",
                explored);
     }
@@ -232,16 +161,13 @@ int main(int argc, char** argv) {
 
   // hb-class discovery curve: distinct happens-before classes after
   // 1, 2, 4, ... explored schedules of the fig4_exclusive sweep on SWCC
-  // (jobs = 1, dpor off: a deterministic saturation curve). A
-  // curve that flattens long before the space exhausts is the signal that
-  // raising the bounds buys coverage, not behaviors.
+  // (jobs = 1: a deterministic saturation curve). A curve that flattens
+  // long before the space exhausts is the signal that raising the bounds
+  // buys coverage, not behaviors.
   {
-    explore::SessionOptions hopts = sopts;
-    hopts.explore.dpor = explore::DporMode::kOff;
-    const explore::CheckSession hb_session(hopts);
     const explore::LitmusTarget target(model::litmus::fig4_exclusive(),
                                        rt::Target::kSWCC);
-    const auto rep = hb_session.explore(target);
+    const auto rep = session.explore(target);
     std::printf("hb-class discovery (fig4_exclusive@swcc): %llu classes in "
                 "%llu schedules, curve",
                 static_cast<unsigned long long>(rep.distinct_traces),
@@ -279,7 +205,6 @@ int main(int argc, char** argv) {
                 fr.growth.size());
     json.add("fuzz_execs", fr.execs);
     json.add("fuzz_schedules", fr.schedules);
-    json.add("fuzz_dpor_pruned", fr.dpor_pruned);
     json.add("fuzz_corpus_entries", fr.corpus_size);
     json.add("fuzz_corpus_growth_samples",
              static_cast<uint64_t>(fr.growth.size()));

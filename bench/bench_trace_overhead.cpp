@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   const auto run_default = [&](obs::TraceRecorder* recorder) {
     explore::StatefulSpec spec = target.make_spec();
     spec.opts.trace = recorder;
-    explore::ReplayPolicy policy({}, horizon, /*record_footprints=*/false);
+    explore::ReplayPolicy policy({}, horizon);
     return explore::run_spec_once(spec, policy).ok;
   };
   double detached = 1e300;

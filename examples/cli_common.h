@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
-#include "explore/explorer.h"
 #include "runtime/backends/registry.h"
 #include "util/check.h"
 
@@ -25,22 +23,6 @@ inline std::vector<rt::Target> parse_backends(const char* arg) {
                              "' (want " + rt::backend_names() + "|all)");
   }
   return {*target};
-}
-
-/// --dpor[=off|sleepset]: `def` when absent; the bare flag means sleepset
-/// (DESIGN.md §8).
-inline explore::DporMode parse_dpor(int argc, char** argv,
-                                    explore::DporMode def) {
-  if (const char* d = bench::flag_str(argc, argv, "dpor", nullptr)) {
-    const auto mode = explore::dpor_mode_from_string(d);
-    if (!mode) {
-      throw util::CheckFailure("unknown --dpor mode '" + std::string(d) +
-                               "' (want off|sleepset)");
-    }
-    return *mode;
-  }
-  return bench::flag_set(argc, argv, "dpor") ? explore::DporMode::kSleepSet
-                                             : def;
 }
 
 /// Machine-requirement gate (DESIGN.md §13): throws the first selected

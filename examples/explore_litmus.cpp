@@ -4,17 +4,17 @@
 // batch differential fuzzer is fuzz_farm --no-mutate).
 //
 // Every mode drives a CheckTarget through the CheckSession facade
-// (DESIGN.md §9): the session owns bounds, DPOR mode, worker count
-// (--jobs), and failure minimization, so reports are deterministic at any
-// job count. Clean modes must find zero failures; --seed-bug injects the
-// per-back-end "missing flush" fault that only reordered schedules expose,
-// and the session must find, minimize, and replay it.
+// (DESIGN.md §9): the session owns bounds, worker count (--jobs), and
+// failure minimization, so reports are deterministic at any job count.
+// Clean modes must find zero failures; --seed-bug injects the per-back-end
+// "missing flush" fault that only reordered schedules expose, and the
+// session must find, minimize, and replay it.
 //
 //   explore_litmus --backend=swcc --preemptions=2 --horizon=24 --jobs=4
-//   explore_litmus --dpor=sleepset --seed-bug --backend=all
+//   explore_litmus --seed-bug --backend=all
 //   explore_litmus --backend=dsm --test=fig4_exclusive --replay=3:1,4:1
-//   explore_litmus --app=mfifo --backend=all --dpor=sleepset
-//   explore_litmus --app=all --seed-bug --dpor=sleepset
+//   explore_litmus --app=mfifo --backend=all
+//   explore_litmus --app=all --seed-bug
 //   explore_litmus --fuzz-seed=3 --backend=swcc --replay=2:1
 //   explore_litmus --progress --backend=swcc   # live schedules/s + ETA line
 //   explore_litmus --seed-bug --backend=dsm --trace-out=fault.json
@@ -185,10 +185,10 @@ int run_apps(const std::vector<explore::AppKind>& kinds,
              const explore::CheckSession& session, bench::JsonReport& json) {
   const auto& cfg = session.options().explore;
   std::printf("apps-layer model checking: preemptions<=%d, horizon=%llu, "
-              "jobs=%d, dpor=%s%s\n\n",
+              "jobs=%d%s\n\n",
               cfg.preemption_bound,
               static_cast<unsigned long long>(cfg.horizon),
-              session.options().jobs, explore::to_string(cfg.dpor),
+              session.options().jobs,
               seed_bug ? ", seeded faults injected" : "");
   const rt::FaultInjection faults =
       seed_bug ? explore::all_seeded_faults() : rt::FaultInjection{};
@@ -204,8 +204,8 @@ int run_apps(const std::vector<explore::AppKind>& kinds,
     return 0;
   }
   util::Table table;
-  table.add_row({"app", "back-end", "explored", "pruned", "dpor-pruned",
-                 "traces", "failing"});
+  table.add_row(
+      {"app", "back-end", "explored", "pruned", "traces", "failing"});
   int rc = 0;
   for (const explore::AppKind kind : kinds) {
     // In seed-bug mode each app must expose a seeded fault on at least one
@@ -218,13 +218,11 @@ int run_apps(const std::vector<explore::AppKind>& kinds,
       table.add_row({explore::to_string(kind), rt::to_string(t),
                      std::to_string(rep.explored) + (rep.truncated ? "+" : ""),
                      std::to_string(rep.pruned),
-                     std::to_string(rep.dpor_pruned),
                      std::to_string(rep.distinct_traces),
                      std::to_string(rep.failing)});
       const std::string key = std::string("app_") + explore::to_string(kind) +
                               "_" + rt::to_string(t);
       json.add(key + "_explored", rep.explored);
-      json.add(key + "_dpor_pruned", rep.dpor_pruned);
       json.add(key + "_traces", rep.distinct_traces);
       json.add(key + "_failing", rep.failing);
       const bool expect_failure = seed_bug && explore::has_seeded_fault(t);
@@ -376,10 +374,9 @@ int run_main(int argc, char** argv) {
   bench::require_known_flags(
       argc, argv,
       {"dot", "outcomes", "preemptions=", "horizon=", "max-schedules=",
-       "no-prune", "dpor", "dpor=", "jobs=", "progress", "backend=", "test=",
-       "replay=", "trace-out=", "app=", "seed-bug", "fuzz-seed=",
-       "fuzz-cores=", "fuzz-objects=", "fuzz-steps=", "config=", "json",
-       "json="});
+       "no-prune", "jobs=", "progress", "backend=", "test=", "replay=",
+       "trace-out=", "app=", "seed-bug", "fuzz-seed=", "fuzz-cores=",
+       "fuzz-objects=", "fuzz-steps=", "config=", "json", "json="});
   if (const std::string conflict = mode_conflict(argc, argv);
       !conflict.empty()) {
     std::fprintf(stderr, "%s\n", conflict.c_str());
@@ -404,7 +401,6 @@ int run_main(int argc, char** argv) {
   cfg.max_schedules =
       static_cast<uint64_t>(flag_int(argc, argv, "max-schedules", 50'000));
   cfg.prune_delay = !flag_set(argc, argv, "no-prune");
-  cfg.dpor = cli::parse_dpor(argc, argv, explore::DporMode::kOff);
   sopts.jobs = static_cast<int>(flag_int(argc, argv, "jobs", 1));
   if (flag_set(argc, argv, "progress")) {
     // Telemetry-only live line on stderr: schedules/s plus the worst-case
@@ -463,7 +459,6 @@ int run_main(int argc, char** argv) {
 
   bench::JsonReport json("explore_litmus");
   json.add("jobs", jobs);
-  json.add("dpor", std::string(explore::to_string(cfg.dpor)));
 
   // -- Apps-layer mode --------------------------------------------------------
   if (app != nullptr) {
@@ -540,14 +535,13 @@ int run_main(int argc, char** argv) {
   }
 
   std::printf("schedule exploration: preemptions<=%d, horizon=%llu, "
-              "jobs=%d, dpor=%s%s\n\n",
+              "jobs=%d%s\n\n",
               cfg.preemption_bound,
               static_cast<unsigned long long>(cfg.horizon), jobs,
-              explore::to_string(cfg.dpor),
               cfg.prune_delay ? "" : ", pruning off");
   util::Table table;
-  table.add_row({"back-end", "test", "explored", "pruned", "dpor-pruned",
-                 "traces", "failing"});
+  table.add_row(
+      {"back-end", "test", "explored", "pruned", "traces", "failing"});
   int rc = 0;
   uint64_t failing_total = 0;
   for (rt::Target t : backends) {
@@ -558,7 +552,6 @@ int run_main(int argc, char** argv) {
                      std::to_string(rep.explored) +
                          (rep.truncated ? "+" : ""),
                      std::to_string(rep.pruned),
-                     std::to_string(rep.dpor_pruned),
                      std::to_string(rep.distinct_traces),
                      std::to_string(rep.failing)});
       // Per-(back-end, test) outcome set, so CI can assert the numbers
@@ -567,7 +560,6 @@ int run_main(int argc, char** argv) {
           std::string(rt::to_string(t)) + "_" + test.name;
       json.add(key + "_explored", rep.explored);
       json.add(key + "_pruned", rep.pruned);
-      json.add(key + "_dpor_pruned", rep.dpor_pruned);
       json.add(key + "_traces", rep.distinct_traces);
       json.add(key + "_failing", rep.failing);
       json.add(key + "_allowed_outcomes",

@@ -11,7 +11,7 @@
 //   fuzz_farm --corpus=corpus --time=10 --resume       # keeps growing
 //   fuzz_farm --max-execs=120 --seed=7 --jobs=1        # deterministic run
 //   fuzz_farm --no-mutate --max-execs=120 --seed=7     # blind baseline
-//   fuzz_farm --no-mutate --seeds=6 --dpor=off         # scan 6 seeds x roster
+//   fuzz_farm --no-mutate --seeds=6                    # scan 6 seeds x roster
 //   fuzz_farm --seed-bug --corpus=soak --time=30       # self-test soak
 //   fuzz_farm --crash=corpus/crash_0.json              # replay a mutant repro
 #include <cstdio>
@@ -61,10 +61,9 @@ int run_crash(const char* path, const explore::SessionOptions& sopts) {
 int run_main(int argc, char** argv) {
   bench::require_known_flags(
       argc, argv,
-      {"preemptions=", "horizon=", "max-schedules=", "dpor", "dpor=",
-       "crash=", "corpus=", "time=", "max-execs=", "jobs=", "backend=",
-       "seed=", "seeds=", "no-mutate", "resume", "seed-bug", "quiet", "json",
-       "json="});
+      {"preemptions=", "horizon=", "max-schedules=", "crash=", "corpus=",
+       "time=", "max-execs=", "jobs=", "backend=", "seed=", "seeds=",
+       "no-mutate", "resume", "seed-bug", "quiet", "json", "json="});
   explore::SessionOptions sopts = fuzz::default_farm_session();
   sopts.explore.preemption_bound = static_cast<int>(
       flag_int(argc, argv, "preemptions", sopts.explore.preemption_bound));
@@ -73,7 +72,6 @@ int run_main(int argc, char** argv) {
   sopts.explore.max_schedules = static_cast<uint64_t>(
       flag_int(argc, argv, "max-schedules",
                static_cast<int64_t>(sopts.explore.max_schedules)));
-  sopts.explore.dpor = cli::parse_dpor(argc, argv, sopts.explore.dpor);
 
   if (const char* crash = flag_str(argc, argv, "crash", nullptr)) {
     return run_crash(crash, sopts);
@@ -136,15 +134,13 @@ int run_main(int argc, char** argv) {
   fuzz::Farm farm(fopts);
   const fuzz::FarmResult res = farm.run();
 
-  std::printf("\n%llu exec(s) in %.1fs (%.1f/s), %llu schedule(s), "
-              "%llu dpor-pruned\n"
+  std::printf("\n%llu exec(s) in %.1fs (%.1f/s), %llu schedule(s)\n"
               "hb-classes: +%llu new this run, %llu total across %zu "
               "back-end(s); corpus %llu entr%s\n",
               static_cast<unsigned long long>(res.execs), res.seconds,
               res.seconds > 0 ? static_cast<double>(res.execs) / res.seconds
                               : 0.0,
               static_cast<unsigned long long>(res.schedules),
-              static_cast<unsigned long long>(res.dpor_pruned),
               static_cast<unsigned long long>(res.new_classes),
               static_cast<unsigned long long>(res.total_classes),
               farm.corpus().classes().size(),

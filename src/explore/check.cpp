@@ -704,9 +704,7 @@ RunOutcome CheckSession::replay(const CheckTarget& target,
                                 const DecisionString& schedule,
                                 bool* fully_applied,
                                 obs::TraceRecorder* recorder) const {
-  // Replays only consume the verdict, never the DPOR recording.
-  ReplayPolicy policy(schedule, opts_.explore.horizon,
-                      /*record_footprints=*/false);
+  ReplayPolicy policy(schedule, opts_.explore.horizon);
   RunOutcome out;
   if (recorder != nullptr && target.stateful_capable()) {
     StatefulSpec spec = target.make_spec();
@@ -751,7 +749,6 @@ CheckReport CheckSession::check(const CheckTarget& target) const {
   rep.telemetry.hb_curve = r.hb_curve;
   rep.explored = r.explored;
   rep.pruned = r.pruned;
-  rep.dpor_pruned = r.dpor_pruned;
   rep.distinct_traces = r.distinct_traces;
   rep.failing = r.failing;
   rep.max_decision_points = r.max_decision_points;

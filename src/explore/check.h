@@ -12,7 +12,7 @@
 // schedule" into a generic session step.
 //
 // A CheckSession owns the knobs every caller used to wire by hand — the
-// ExploreConfig bounds, DPOR mode and worker count (--jobs) — and produces
+// ExploreConfig bounds and the worker count (--jobs) — and produces
 // one canonical CheckReport per target: totals, the lexicographically least
 // failing schedule, the shrunk target, and the minimized schedule on it.
 // Targets with a StatefulSpec run on the snapshot engine (DESIGN.md §10);
@@ -46,8 +46,8 @@ namespace pmc::explore {
 /// location; writes after that location's last write and every read since;
 /// acquire/release after the location's last acquire/release), and the
 /// per-event hashes fold commutatively. Two schedules that differ only by
-/// commuting independent events — exactly what DPOR prunes — therefore hash
-/// identically, which makes `distinct_traces` a true behavior count.
+/// commuting independent events therefore hash identically, which makes
+/// `distinct_traces` a true behavior count.
 /// Consecutive identical stale reads of one location by one processor (poll
 /// loops spinning on an unchanged version) collapse to one event, so the
 /// iteration count of a spin loop — pure timing — does not split classes.
@@ -318,6 +318,8 @@ struct CheckReport {
   std::string target;
   uint64_t explored = 0;
   uint64_t pruned = 0;
+  /// Always 0 since the partial-order reduction was deleted; kept, with its
+  /// to_text()/to_json() rendering, only because bench/pmcbench reads it.
   uint64_t dpor_pruned = 0;
   uint64_t distinct_traces = 0;
   uint64_t failing = 0;
@@ -360,7 +362,7 @@ struct CheckReport {
   std::string to_json() const;
 };
 
-/// Owns the bounds, DPOR mode, worker count, and failure minimization — the
+/// Owns the bounds, worker count, and failure minimization — the
 /// one front door to the exploration stack. Cheap to construct; check()
 /// borrows the target only for the duration of the call.
 class CheckSession {

@@ -14,69 +14,10 @@
 
 namespace pmc::explore {
 
-const char* to_string(DporMode mode) {
-  switch (mode) {
-    case DporMode::kOff: return "off";
-    case DporMode::kSleepSet: return "sleepset";
-  }
-  return "?";
-}
-
-std::optional<DporMode> dpor_mode_from_string(std::string_view text) {
-  if (text == "off") return DporMode::kOff;
-  if (text == "sleepset") return DporMode::kSleepSet;
-  return std::nullopt;
-}
-
 namespace {
 
 /// Completed schedules between two ExploreConfig::progress callbacks.
 constexpr uint64_t kProgressStride = 64;
-
-/// One sleeping alternative: core `core`'s pending segment (footprint `fp`)
-/// was already explored from a commuting sibling branch; do not branch it
-/// again until a dependent segment wakes it (or the core runs by default).
-struct SleepEntry {
-  int core = -1;
-  sim::Footprint fp;
-};
-using SleepSet = std::vector<SleepEntry>;
-
-/// A frontier node of the (possibly reduced) schedule tree: the decision
-/// prefix to replay plus the sleep set inherited from its parent. A stolen
-/// entry carries its sleep set, so the reduced tree — and with it every
-/// total — stays job-count-invariant.
-struct FrontierNode {
-  DecisionString prefix;
-  SleepSet sleep;
-};
-
-struct ExpandStats {
-  uint64_t delay_pruned = 0;
-  uint64_t dpor_pruned = 0;
-};
-
-bool asleep(const SleepSet& sleep, int core) {
-  for (const SleepEntry& e : sleep) {
-    if (e.core == core) return true;
-  }
-  return false;
-}
-
-/// Footprint of candidate `core`'s pending segment at step `p`: the segment
-/// it runs at its first dispatch >= p in this run. The core is not dispatched
-/// in between, so its program state — and with it the addresses the segment
-/// touches — is the same whether it runs at `p` (the branch) or at its
-/// default spot. nullptr when the dispatch or its footprint fell outside the
-/// recording window: callers must then assume dependence.
-const sim::Footprint* pending_segment(const ReplayPolicy& policy, uint64_t p,
-                                      int core) {
-  for (uint64_t q = p;; ++q) {
-    const int chosen = policy.chosen_core(q);
-    if (chosen < 0) return nullptr;  // beyond the recording window
-    if (chosen == core) return policy.segment_footprint(q);
-  }
-}
 
 /// One worker's slice of the frontier. Owner pushes/pops at the back (LIFO
 /// keeps the search depth-first); thieves pop at the front (FIFO hands them
@@ -84,7 +25,7 @@ const sim::Footprint* pending_segment(const ReplayPolicy& policy, uint64_t p,
 /// ample: each queue operation amortizes a full program re-execution.
 struct Shard {
   std::mutex mu;
-  std::deque<FrontierNode> dq;
+  std::deque<DecisionString> dq;
 };
 
 /// Runs `schedule` once on `runner`. When `fully_applied` is non-null it
@@ -93,8 +34,7 @@ struct Shard {
 RunOutcome replay_on(const ScheduleRunner& runner,
                      const DecisionString& schedule, uint64_t horizon,
                      bool* fully_applied) {
-  // Replays only consume the verdict, never the DPOR recording.
-  ReplayPolicy policy(schedule, horizon, /*record_footprints=*/false);
+  ReplayPolicy policy(schedule, horizon);
   RunOutcome out = runner(policy);
   // An override whose choice no longer matches the candidate count aborts
   // the run mid-way (unconsumed as well), so unused_overrides() == 0 is
@@ -105,110 +45,35 @@ RunOutcome replay_on(const ScheduleRunner& runner,
   return out;
 }
 
-/// Enumerates the children of `node` from its completed run `policy`.
-/// Pure function of (node, the run's recording, cfg), which is what makes
-/// the tree identical on every worker, whoever expands a node.
-void expand_node(const FrontierNode& node, const ReplayPolicy& policy,
-                 const ExploreConfig& cfg, std::vector<FrontierNode>* children,
-                 ExpandStats* stats) {
-  if (static_cast<int>(node.prefix.size()) >= cfg.preemption_bound) return;
+/// Enumerates the children of `prefix` from its completed run `policy` and
+/// returns how many alternatives delay pruning skipped. A pure function of
+/// (prefix, the run's recording, cfg), which is what makes the tree
+/// identical on every worker, whoever expands a node.
+uint64_t expand_node(const DecisionString& prefix, const ReplayPolicy& policy,
+                     const ExploreConfig& cfg,
+                     std::vector<DecisionString>* children) {
+  if (static_cast<int>(prefix.size()) >= cfg.preemption_bound) return 0;
   // This run's decisions up to the horizon are shared by every child
   // (identical override prefix ⇒ identical deterministic execution up to
   // the new override), so the recorded candidate counts enumerate the
   // children exactly. Children extend strictly after the last override,
   // which generates every bounded schedule exactly once.
-  const uint64_t start = node.prefix.empty() ? 0 : node.prefix.back().step + 1;
+  const uint64_t start = prefix.empty() ? 0 : prefix.back().step + 1;
   const uint64_t end = std::min(policy.decision_points(), cfg.horizon);
-  const bool dpor = cfg.dpor == DporMode::kSleepSet;
-  SleepSet sleep = node.sleep;  // evolves along the node's default path
+  uint64_t delay_pruned = 0;
   for (uint64_t p = start; p < end; ++p) {
     const int alternatives = policy.candidates_at(p) - 1;
-    if (alternatives > 0) {
-      if (cfg.prune_delay && policy.pure_segment(p)) {
-        stats->delay_pruned += static_cast<uint64_t>(alternatives);
-      } else {
-        const sim::Footprint* def_fp =
-            dpor ? policy.segment_footprint(p) : nullptr;
-        SleepSet branched;  // alternatives branched earlier at this step
-        for (int c = 1; c <= alternatives; ++c) {
-          const int cand = policy.candidate_core(p, c);
-          const sim::Footprint* cand_fp = nullptr;
-          if (dpor) {
-            if (asleep(sleep, cand)) {
-              // This core's pending segment was already explored from a
-              // commuting sibling branch; re-branching it here would reach
-              // a Mazurkiewicz-equivalent schedule from the other side.
-              ++stats->dpor_pruned;
-              continue;
-            }
-            cand_fp = pending_segment(policy, p, cand);
-            const sim::Footprint& cfp =
-                cand_fp != nullptr ? *cand_fp : sim::Footprint::wildcard();
-            const sim::Footprint& dfp =
-                def_fp != nullptr ? *def_fp : sim::Footprint::wildcard();
-            // Prune only a reordering of two *effectful* segments whose
-            // footprints commute: (p, c) is then equivalent to branching
-            // one step later (or, if the candidate commutes all the way to
-            // its default dispatch, to not branching at all) — the retained
-            // class representative is the branch right before the first
-            // dependent segment. When either segment is pure delay that
-            // argument does not apply: dispatching the candidate stalls the
-            // bypassed default core and the frontier warp shifts every
-            // later posted-write arrival, which can flip timing races that
-            // footprints cannot see. Pure-delay preemptions are only ever
-            // skipped by the explicit prune_delay trade-off.
-            if (!cfp.empty() && !dfp.empty() && !conflicts(cfp, dfp)) {
-              ++stats->dpor_pruned;
-              continue;
-            }
-          }
-          FrontierNode child;
-          child.prefix = node.prefix;
-          child.prefix.push_back({p, c});
-          if (dpor) {
-            // A pure or unknown pending segment is treated as a wildcard
-            // here: the child inherits no sleep entries (its timing-only
-            // move could interact with anything) and the candidate itself
-            // never goes to sleep — only effectful, known segments carry
-            // the commutation argument.
-            const bool cand_known =
-                cand_fp != nullptr && !cand_fp->empty() &&
-                !cand_fp->is_wildcard();
-            const sim::Footprint& cfp =
-                cand_known ? *cand_fp : sim::Footprint::wildcard();
-            // Inherit every sleeping entry that commutes with this move;
-            // dependent ones wake. Earlier commuting siblings go to sleep:
-            // their reorderings against this branch are covered from their
-            // own subtrees.
-            for (const SleepEntry& e : sleep) {
-              if (!conflicts(e.fp, cfp)) child.sleep.push_back(e);
-            }
-            for (const SleepEntry& e : branched) {
-              if (!conflicts(e.fp, cfp)) child.sleep.push_back(e);
-            }
-            std::sort(child.sleep.begin(), child.sleep.end(),
-                      [](const SleepEntry& a, const SleepEntry& b) {
-                        return a.core < b.core;
-                      });
-            if (cand_known) branched.push_back({cand, *cand_fp});
-          }
-          children->push_back(std::move(child));
-        }
-      }
+    if (alternatives <= 0) continue;
+    if (cfg.prune_delay && policy.pure_segment(p)) {
+      delay_pruned += static_cast<uint64_t>(alternatives);
+      continue;
     }
-    // Advance the sleep set past the default segment at p: an entry whose
-    // core just ran is consumed (its pending segment is behind us), and a
-    // dependent segment wakes everything it conflicts with.
-    if (dpor && !sleep.empty()) {
-      const int chosen = policy.chosen_core(p);
-      const sim::Footprint* seg = policy.segment_footprint(p);
-      const sim::Footprint& sfp =
-          seg != nullptr ? *seg : sim::Footprint::wildcard();
-      std::erase_if(sleep, [&](const SleepEntry& e) {
-        return chosen < 0 || e.core == chosen || conflicts(e.fp, sfp);
-      });
+    for (int c = 1; c <= alternatives; ++c) {
+      DecisionString& child = children->emplace_back(prefix);
+      child.push_back({p, c});
     }
   }
+  return delay_pruned;
 }
 
 }  // namespace
@@ -230,7 +95,6 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
   std::atomic<uint64_t> claimed{0};
   std::atomic<uint64_t> explored{0};
   std::atomic<uint64_t> pruned{0};
-  std::atomic<uint64_t> dpor_pruned{0};
   std::atomic<uint64_t> failing{0};
   std::atomic<uint64_t> in_flight{1};
   std::atomic<uint64_t> first_fail_at{0};
@@ -266,7 +130,7 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
     Shard& own = shards[static_cast<size_t>(self)];
     const ScheduleRunner runner = factory_();
     while (in_flight.load() != 0) {
-      std::optional<FrontierNode> task;
+      std::optional<DecisionString> task;
       {
         std::lock_guard<std::mutex> lk(own.mu);
         if (!own.dq.empty()) {
@@ -297,8 +161,7 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
         if (in_flight.fetch_sub(1) == 1) idle_cv.notify_all();
         continue;
       }
-      ReplayPolicy policy(task->prefix, cfg.horizon,
-                          /*record_footprints=*/cfg.dpor != DporMode::kOff);
+      ReplayPolicy policy(*task, cfg.horizon);
       const RunOutcome out = runner(policy);
       const uint64_t done = explored.fetch_add(1) + 1;
       uint64_t distinct = 0;
@@ -316,8 +179,7 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
         }
       }
       if (cfg.progress && done % kProgressStride == 0) {
-        cfg.progress({done, pruned.load(), dpor_pruned.load(), failing.load(),
-                      distinct});
+        cfg.progress({done, pruned.load(), failing.load(), distinct});
       }
       uint64_t prev = max_points.load();
       while (prev < policy.decision_points() &&
@@ -328,22 +190,20 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
         // Canonicalize to the lexicographic minimum, so the reported
         // failure is a property of the space, not of the traversal order.
         std::lock_guard<std::mutex> lk(best_mu);
-        fails.push_back(task->prefix);
-        if (!have_best || lex_less(task->prefix, best)) {
-          best = task->prefix;
+        fails.push_back(*task);
+        if (!have_best || lex_less(*task, best)) {
+          best = *task;
           best_message = out.message;
           have_best = true;
         }
       }
 
-      // Child enumeration is a pure function of this run, so the (reduced)
-      // tree is the same whichever worker expands the node; only the
-      // traversal order depends on the job count.
-      ExpandStats stats;
-      std::vector<FrontierNode> children;
-      expand_node(*task, policy, cfg, &children, &stats);
-      if (stats.delay_pruned != 0) pruned.fetch_add(stats.delay_pruned);
-      if (stats.dpor_pruned != 0) dpor_pruned.fetch_add(stats.dpor_pruned);
+      // Child enumeration is a pure function of this run, so the tree is
+      // the same whichever worker expands the node; only the traversal
+      // order depends on the job count.
+      std::vector<DecisionString> children;
+      const uint64_t delay_pruned = expand_node(*task, policy, cfg, &children);
+      if (delay_pruned != 0) pruned.fetch_add(delay_pruned);
       if (!children.empty()) {
         in_flight.fetch_add(children.size());
         {
@@ -367,7 +227,6 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
   ExploreReport rep;
   rep.explored = explored.load();
   rep.pruned = pruned.load();
-  rep.dpor_pruned = dpor_pruned.load();
   rep.truncated = truncated.load();
   rep.failing = failing.load();
   rep.first_failing = std::move(best);
@@ -387,7 +246,7 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
     rep.hb_curve.back() = rep.distinct_traces;
   }
   if (cfg.progress) {
-    cfg.progress({rep.explored, rep.pruned, rep.dpor_pruned, rep.failing,
+    cfg.progress({rep.explored, rep.pruned, rep.failing,
                   rep.distinct_traces});
   }
   rep.worker_steals = std::move(steals);

@@ -1,5 +1,4 @@
-// Preemption-bounded schedule exploration (DESIGN.md §6/§7) with optional
-// happens-before dynamic partial-order reduction (DESIGN.md §8).
+// Preemption-bounded schedule exploration (DESIGN.md §6/§7).
 //
 // The Explorer enumerates interleavings of one deterministic simulated
 // program: each schedule is a decision string, the runner executes it under
@@ -21,42 +20,26 @@
 // thread and only jobs − 1 threads are spawned, so jobs = 1 is a plain
 // depth-first search on the caller with a fixed traversal order.
 //
-// DPOR collapses the remaining commuting reorderings: a branch (p, c) is
-// generated only when the bypassed candidate's pending segment *conflicts*
-// with the segment the default pick runs at p, and per-node sleep sets stop
-// a commuted pair of alternatives from being explored from both sides. The
-// reduction is a pure function of the parent's deterministic run, and a
-// frontier entry carries its sleep set when stolen, so the reduced space is
-// still a fixed tree.
+// There is no partial-order reduction (DESIGN.md §8 says why): every
+// bounded schedule that delay pruning keeps is run.
 //
-// Determinism: because the tree is fixed, `explored`, `pruned`,
-// `dpor_pruned`, `failing` and `distinct_traces` are identical for every
-// job count (absent truncation), and the reported failure is canonicalized
-// to the lexicographically least failing decision string — so reports are
+// Determinism: the children of a node are a pure function of its
+// deterministic run, so the tree is fixed: `explored`, `pruned`, `failing`
+// and `distinct_traces` are identical for every job count (absent
+// truncation), and the reported failure is canonicalized to the
+// lexicographically least failing decision string — so reports are
 // byte-identical run to run and job count to job count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "explore/decision.h"
 #include "explore/replay_policy.h"
 
 namespace pmc::explore {
-
-/// Partial-order-reduction level (ExploreConfig::dpor, CLI --dpor=).
-enum class DporMode {
-  kOff,       // enumerate every bounded schedule (the reduction's oracle)
-  kSleepSet,  // branch only on dependent candidates, plus per-node sleep sets
-};
-
-const char* to_string(DporMode mode);
-/// "off" | "sleepset"; nullopt on anything else.
-std::optional<DporMode> dpor_mode_from_string(std::string_view text);
 
 /// Live exploration counters handed to ExploreConfig::progress. All values
 /// are monotone totals as of the callback. At jobs = 1 the sequence of
@@ -65,7 +48,6 @@ std::optional<DporMode> dpor_mode_from_string(std::string_view text);
 struct ProgressUpdate {
   uint64_t explored = 0;
   uint64_t pruned = 0;
-  uint64_t dpor_pruned = 0;
   uint64_t failing = 0;
   uint64_t distinct_traces = 0;
 };
@@ -83,11 +65,6 @@ struct ExploreConfig {
   /// re-applies anyway. A pruned schedule is counted, not run; its deeper
   /// extensions are not enumerated (bounded-search trade-off, DESIGN.md §6).
   bool prune_delay = true;
-  /// Happens-before dynamic partial-order reduction (DESIGN.md §8). Off by
-  /// default: reduction skips schedules that are Mazurkiewicz-equivalent to
-  /// explored ones, so counts shrink while the set of distinct failures
-  /// (after minimization) stays the same.
-  DporMode dpor = DporMode::kOff;
   /// Telemetry-only progress callback, invoked every 64 completed
   /// schedules plus once when the space is exhausted. It runs on
   /// whichever worker crosses the stride, so with jobs > 1 the callback
@@ -110,9 +87,6 @@ using ScheduleRunner = std::function<RunOutcome(ReplayPolicy& policy)>;
 struct ExploreReport {
   uint64_t explored = 0;  // schedules executed
   uint64_t pruned = 0;    // schedules enumerated but skipped by delay pruning
-  /// Schedules skipped because DPOR proved them equivalent to an explored
-  /// representative (independent-candidate branches + sleep-set hits).
-  uint64_t dpor_pruned = 0;
   bool truncated = false;
   uint64_t distinct_traces = 0;
   uint64_t failing = 0;

@@ -6,12 +6,8 @@
 
 namespace pmc::explore {
 
-ReplayPolicy::ReplayPolicy(DecisionString overrides, uint64_t horizon,
-                           bool record_footprints)
-    : overrides_(std::move(overrides)),
-      horizon_(horizon),
-      record_limit_(horizon + kRecordWindow),
-      record_(record_footprints) {
+ReplayPolicy::ReplayPolicy(DecisionString overrides, uint64_t horizon)
+    : overrides_(std::move(overrides)), horizon_(horizon) {
   for (size_t i = 1; i < overrides_.size(); ++i) {
     PMC_CHECK_MSG(overrides_[i - 1].step < overrides_[i].step,
                   "replay overrides must have strictly increasing steps");
@@ -24,20 +20,9 @@ int ReplayPolicy::pick(const sim::YieldPoint& yp,
   steps_ = yp.step + 1;
   if (yp.step < horizon_) {
     cand_count_.push_back(static_cast<int>(cands.size()));
-    if (record_) {
-      std::vector<int> cores;
-      cores.reserve(cands.size());
-      for (const sim::ScheduleCandidate& c : cands) cores.push_back(c.core);
-      cand_cores_.push_back(std::move(cores));
-    }
   }
   if (yp.step < horizon_ + 1) {
     observable_.push_back(yp.observable ? 1 : 0);
-  }
-  // The yield at step q reports on the segment dispatched at step q-1 (the
-  // dispatched core runs exactly until its next advance).
-  if (record_ && yp.step >= 1 && yp.step <= record_limit_) {
-    seg_fp_.push_back(yp.footprint);
   }
   int choice = 0;
   if (next_ < overrides_.size() && overrides_[next_].step == yp.step) {
@@ -49,17 +34,13 @@ int ReplayPolicy::pick(const sim::YieldPoint& yp,
                            << cands.size() << " runnable cores at that step)");
     ++next_;
   }
-  if (record_ && yp.step < record_limit_) {
-    chosen_.push_back(cands[static_cast<size_t>(choice)].core);
-  }
   return choice;
 }
 
 uint64_t ReplayPolicy::free_step() const {
   // pick() records candidates below the horizon and the observable bit up
-  // to it; with DPOR recording on, the footprints reach record_limit_.
+  // to it.
   uint64_t free = horizon_ + 1;
-  if (record_) free = std::max(free, record_limit_ + 1);
   if (!overrides_.empty()) free = std::max(free, overrides_.back().step + 1);
   return free;
 }
@@ -74,9 +55,6 @@ void ReplayPolicy::seed(const Recording& r) {
   steps_ = r.steps;
   cand_count_ = r.cand_count;
   observable_ = r.observable;
-  cand_cores_ = r.cand_cores;
-  chosen_ = r.chosen;
-  seg_fp_ = r.seg_fp;
   next_ = 0;
   while (next_ < overrides_.size() && overrides_[next_].step < steps_) {
     ++next_;

@@ -132,7 +132,6 @@ std::string entry_to_json(const SeedEntry& e) {
        std::to_string(e.stats.classes_discovered) +
        ", \"schedules_explored\": " +
        std::to_string(e.stats.schedules_explored) +
-       ", \"dpor_pruned\": " + std::to_string(e.stats.dpor_pruned) +
        ", \"wall_micros\": " + std::to_string(e.stats.wall_micros) +
        ", \"last_new_exec\": " + std::to_string(e.stats.last_new_exec) +
        "},\n";
@@ -155,7 +154,6 @@ SeedEntry entry_from_json(const JsonValue& v, const std::string& origin) {
   e.stats.execs = stat("execs");
   e.stats.classes_discovered = stat("classes_discovered");
   e.stats.schedules_explored = stat("schedules_explored");
-  e.stats.dpor_pruned = stat("dpor_pruned");
   e.stats.wall_micros = stat("wall_micros");
   e.stats.last_new_exec = stat("last_new_exec");
   e.program = program_from_json(v.get("program", origin, "program"), origin);

@@ -31,7 +31,6 @@ struct SeedStats {
   uint64_t execs = 0;                // (program, back-end) checks run
   uint64_t classes_discovered = 0;   // new-to-corpus classes it contributed
   uint64_t schedules_explored = 0;
-  uint64_t dpor_pruned = 0;          // basis of the per-seed budget scaling
   uint64_t wall_micros = 0;          // telemetry only; never in decisions
   uint64_t last_new_exec = 0;        // farm exec count at the last discovery
 

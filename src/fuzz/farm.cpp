@@ -44,12 +44,10 @@ bool seed_reproducible(const GenProgram& prog) {
 explore::SessionOptions default_farm_session() {
   explore::SessionOptions s;
   // Breadth over depth: one preemption and a short horizon keep an exec in
-  // the low milliseconds, the schedule cap bounds the worst case, and
-  // sleep-set DPOR spends that cap on distinct behaviors only.
+  // the low milliseconds, and the schedule cap bounds the worst case.
   s.explore.preemption_bound = 1;
   s.explore.horizon = 12;
   s.explore.max_schedules = 192;
-  s.explore.dpor = explore::DporMode::kSleepSet;
   s.jobs = 1;
   return s;
 }
@@ -122,23 +120,6 @@ uint64_t Farm::pick_parent(util::Rng& rng) const {
   return entries.back().id;
 }
 
-uint64_t Farm::schedule_budget(uint64_t entry_id) const {
-  const uint64_t base = opts_.session.explore.max_schedules;
-  const SeedStats* st = nullptr;
-  for (const SeedEntry& e : corpus_.entries()) {
-    if (e.id == entry_id) {
-      st = &e.stats;
-      break;
-    }
-  }
-  if (st == nullptr || st->schedules_explored == 0) return base;
-  // Spaces the sleep-set pruner collapses well are cheap per distinct
-  // behavior, so they earn a deeper cap: base × (1 + 3·reduction), i.e. up
-  // to 4× base when nearly everything gets pruned.
-  const uint64_t denom = st->schedules_explored + st->dpor_pruned;
-  return base + 3 * base * st->dpor_pruned / denom;
-}
-
 Farm::Job Farm::next_job(util::Rng& rng) {
   if (!queue_.empty()) {
     Job j = std::move(queue_.front());
@@ -153,12 +134,10 @@ Farm::Job Farm::next_job(util::Rng& rng) {
     j.program =
         mutate(corpus_.entry(j.entry_id).program, rng, opts_.limits, &what);
     j.origin = "mutant:" + std::to_string(j.entry_id) + ":" + what;
-    j.budget = schedule_budget(j.entry_id);
   } else {
     const uint64_t seed = opts_.seed_base + next_blind_++;
     j.program = explore::generate_program(explore::shape_for_seed(seed));
     j.origin = "seed:" + std::to_string(seed);
-    j.budget = opts_.session.explore.max_schedules;
   }
   return j;
 }
@@ -168,7 +147,6 @@ void Farm::process(const Job& job, const CheckReport& rep,
   corpus_.count_exec();
   ++result.execs;
   result.schedules += rep.explored;
-  result.dpor_pruned += rep.dpor_pruned;
   const uint64_t fresh =
       corpus_.note_classes(rt::to_string(job.target), rep.trace_hashes);
   result.new_classes += fresh;
@@ -178,7 +156,6 @@ void Farm::process(const Job& job, const CheckReport& rep,
     ++st.execs;
     st.classes_discovered += fresh;
     st.schedules_explored += rep.explored;
-    st.dpor_pruned += rep.dpor_pruned;
     st.wall_micros += wall_micros;
     if (fresh > 0) st.last_new_exec = now;
   } else if (fresh > 0) {
@@ -190,7 +167,6 @@ void Farm::process(const Job& job, const CheckReport& rep,
     st.execs = 1;
     st.classes_discovered = fresh;
     st.schedules_explored = rep.explored;
-    st.dpor_pruned = rep.dpor_pruned;
     st.wall_micros = wall_micros;
     st.last_new_exec = now;
     if (opts_.mutate) {
@@ -202,7 +178,6 @@ void Farm::process(const Job& job, const CheckReport& rep,
         scan.from_corpus = true;
         scan.program = corpus_.entry(id).program;
         scan.target = t;
-        scan.budget = schedule_budget(id);
         queue_.push_back(std::move(scan));
       }
     }
@@ -279,7 +254,6 @@ FarmResult Farm::run() {
         scan.from_corpus = true;
         scan.program = corpus_.entry(id).program;
         scan.target = t;
-        scan.budget = opts_.session.explore.max_schedules;
         queue_.push_back(std::move(scan));
       }
     }
@@ -308,7 +282,6 @@ FarmResult Farm::run() {
       const auto t0 = Clock::now();
       explore::SessionOptions s = opts_.session;
       s.jobs = 1;
-      s.explore.max_schedules = round[i].budget;
       const explore::CheckSession session(s);
       const explore::GenProgramTarget target(round[i].program,
                                              round[i].target, opts_.faults);

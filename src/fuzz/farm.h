@@ -11,9 +11,7 @@
 //    selection — parents that recently contributed new hb-classes are drawn
 //    more often — and a mutant is promoted into the corpus (triggering its
 //    own roster scan) only when its exec reached classes no earlier exec
-//    had. Each exec's schedule budget scales with the parent's observed
-//    DPOR reduction ratio: spaces the sleep-set pruner collapses well are
-//    cheap to search deeper (the PR 4 scheduler item);
+//    had;
 //  * with mutation off (the blind baseline the acceptance test compares
 //    against), further execs are fresh canonical shape_for_seed programs —
 //    identical initial seeds, identical per-exec budget, no feedback.
@@ -45,9 +43,9 @@ namespace pmc::fuzz {
 
 /// The per-exec session defaults the farm and its benches share: shallow
 /// bounds (one preemption, short horizon, small schedule cap) so an exec is
-/// milliseconds and the budget buys breadth, sleep-set DPOR so the cap buys
-/// distinct behaviors, and hb-class export on — the farm's entire feedback
-/// signal.
+/// milliseconds and the budget buys breadth. Every exec explores under the
+/// same cap, max_schedules, and reports its hb-class set — the farm's
+/// entire feedback signal.
 explore::SessionOptions default_farm_session();
 
 struct FarmOptions {
@@ -99,7 +97,6 @@ struct FarmResult {
   uint64_t new_classes = 0;  // hb-classes first reached this run
   uint64_t total_classes = 0;  // corpus-wide, after the run
   uint64_t schedules = 0;
-  uint64_t dpor_pruned = 0;
   uint64_t corpus_size = 0;
   double seconds = 0;
   std::vector<FarmFailure> failures;
@@ -138,11 +135,9 @@ class Farm {
     explore::GenProgram program;  // the program this exec runs
     std::string origin;           // promotion origin for non-corpus programs
     rt::Target target = rt::Target::kNoCC;
-    uint64_t budget = 0;  // per-exec schedule cap (max_schedules)
   };
   Job next_job(util::Rng& rng);
   uint64_t pick_parent(util::Rng& rng) const;
-  uint64_t schedule_budget(uint64_t entry_id) const;
   void process(const Job& job, const explore::CheckReport& rep,
                uint64_t wall_micros, FarmResult& result);
 

@@ -213,13 +213,6 @@ uint64_t Machine::digest(const Snapshot& s) {
     mix(sl.warped);
     mix(sl.done);
     mix(sl.observable);
-    mix(sl.fp.is_wildcard());
-    for (const auto& a : sl.fp.accesses()) {
-      mix(a.addr);
-      mix(a.len);
-      mix(static_cast<uint64_t>(a.kind));
-      mix(a.sync);
-    }
   }
   for (const auto& f : s.sched.fibers) {
     // The fiber switch saves the callee-saved registers and FP control
@@ -509,17 +502,14 @@ void Core::cached_access(Addr a, void* rd_out, const void* wr_data, size_t n) {
       data = cache.install(line, &victim);
       uint64_t pre_stall = 0;
       if (victim.dirty) {
-        // Post the writeback; the fill waits for the bus slot. The victim
-        // line is a *different* SDRAM range than the access — footprint it,
-        // or exploration would treat the eviction as invisible.
+        // Post the writeback; the fill waits for the bus slot. The eviction
+        // is an effect of its own: exploration must not see pure delay here.
         settle();
         const uint64_t start =
             m_.sdram_.reserve_port(now(), lb / 4);
         m_.sdram_.post_write(start + t.sdram_line_wb_visible, victim.addr,
                              victim.data.data(), victim.data.size());
-        m_.sched_.note_access(id_, victim.addr,
-                              static_cast<uint32_t>(victim.data.size()),
-                              AccessKind::kWrite, /*sync=*/false);
+        m_.sched_.note_effect(id_);
         s.writebacks++;
         pre_stall += t.sdram_line_wb_cost;
         if (m_.tracing()) {
@@ -536,7 +526,7 @@ void Core::cached_access(Addr a, void* rd_out, const void* wr_data, size_t n) {
                                        : &CoreStats::stall_shared_read;
       const uint64_t fill_t0 = now();
       charge(1, pre_stall + fill_req - 1, bucket);
-      m_.sched_.note_access(id_, line, lb, AccessKind::kRead, /*sync=*/false);
+      m_.sched_.note_effect(id_);
       settle();
       m_.sdram_.read(now(), line, data, lb);
       charge(0, t.sdram_line_fill - fill_req, bucket);
@@ -558,7 +548,6 @@ void Core::uncached_access(Addr a, void* rd_out, const void* wr_data, size_t n,
                            MemClass c) {
   const auto& t = m_.cfg_.timing;
   // Uncached SDRAM traffic moves word by word over the shared bus.
-  const bool sync = c == MemClass::kSync;
   size_t done = 0;
   while (done < n) {
     const size_t chunk = std::min<size_t>(4 - ((a + done) % 4), n - done);
@@ -569,8 +558,7 @@ void Core::uncached_access(Addr a, void* rd_out, const void* wr_data, size_t n,
       // under kFlat, preserving its timing exactly).
       charge(1, sdram_port_wait(1) + t.sdram_write_cost - 1,
              &CoreStats::stall_write);
-      m_.sched_.note_access(id_, chunk_addr, static_cast<uint32_t>(chunk),
-                            AccessKind::kWrite, sync);
+      m_.sched_.note_effect(id_);
       settle();
       m_.sdram_.post_write(now() + t.sdram_write_visible, chunk_addr,
                            static_cast<const uint8_t*>(wr_data) + done, chunk);
@@ -578,8 +566,7 @@ void Core::uncached_access(Addr a, void* rd_out, const void* wr_data, size_t n,
       // Sample at request arrival (half the round trip), not at completion.
       const uint64_t req = std::max<uint64_t>(t.sdram_read / 2, 1);
       charge(1, req - 1, read_bucket(c));
-      m_.sched_.note_access(id_, chunk_addr, static_cast<uint32_t>(chunk),
-                            AccessKind::kRead, sync);
+      m_.sched_.note_effect(id_);
       settle();
       m_.sdram_.read(now(), chunk_addr,
                      static_cast<uint8_t*>(rd_out) + done, chunk);
@@ -593,7 +580,6 @@ void Core::cluster_access(Addr a, void* rd_out, const void* wr_data, size_t n,
                           MemClass c) {
   const auto& t = m_.cfg_.timing;
   MemModule& cl = *m_.cluster_;
-  const bool sync = c == MemClass::kSync;
   // Word-interleaved banks behind a logarithmic interconnect: word-at-a-time
   // like the uncached SDRAM path, but a few cycles each and effects are
   // immediate (the interconnect is the only distance — there is no posted
@@ -611,15 +597,13 @@ void Core::cluster_access(Addr a, void* rd_out, const void* wr_data, size_t n,
     }
     if (wr_data != nullptr) {
       charge(1, wait + t.cluster_store - 1, &CoreStats::stall_write);
-      m_.sched_.note_access(id_, chunk_addr, static_cast<uint32_t>(chunk),
-                            AccessKind::kWrite, sync);
+      m_.sched_.note_effect(id_);
       settle();
       cl.write(now(), chunk_addr,
                static_cast<const uint8_t*>(wr_data) + done, chunk);
     } else {
       charge(1, wait + t.cluster_load - 1, read_bucket(c));
-      m_.sched_.note_access(id_, chunk_addr, static_cast<uint32_t>(chunk),
-                            AccessKind::kRead, sync);
+      m_.sched_.note_effect(id_);
       settle();
       cl.read(now(), chunk_addr, static_cast<uint8_t*>(rd_out) + done, chunk);
     }
@@ -630,9 +614,6 @@ void Core::cluster_access(Addr a, void* rd_out, const void* wr_data, size_t n,
 void Core::access(Addr a, void* rd_out, const void* wr_data, size_t n,
                   MemClass c) {
   PMC_CHECK(n > 0);
-  const AccessKind kind =
-      wr_data != nullptr ? AccessKind::kWrite : AccessKind::kRead;
-  const bool sync = c == MemClass::kSync;
   const int tile = m_.tile_of(a);
   const bool in_cluster =
       m_.cluster_ != nullptr && m_.cluster_->contains(a, n);
@@ -640,25 +621,13 @@ void Core::access(Addr a, void* rd_out, const void* wr_data, size_t n,
   // so it stays uncached even in cache_shared machines.
   const bool cached = tile < 0 && !in_cluster &&
                       c == MemClass::kSharedData && m_.cfg_.cache_shared;
-  // Cached traffic moves line-at-a-time through SDRAM (fills read and
-  // writebacks write whole lines), so its footprint is line-aligned: false
-  // sharing is a real dependence under SWCC.
-  uint64_t fp_addr = a;
-  uint32_t fp_len = static_cast<uint32_t>(n);
-  if (cached) {
-    const auto& cache = m_.cores_[id_]->dcache;
-    const uint32_t lb = cache.line_bytes();
-    fp_addr = cache.line_base(a);
-    fp_len = static_cast<uint32_t>(
-        cache.line_base(a + static_cast<Addr>(n) - 1) + lb - fp_addr);
-  }
   // Memory effects happen between this call's clock advances (e.g. a posted
-  // write is enqueued after its cost was charged), so record the footprint
-  // both entering and leaving: the enclosing advances — and the next advance
-  // after the trailing effect — must not be treated as independent of this
-  // access by schedule exploration. Chunked paths additionally note each
-  // module touch so mid-access segments carry their own effects.
-  m_.sched_.note_access(id_, fp_addr, fp_len, kind, sync);
+  // write is enqueued after its cost was charged), so note the effect both
+  // entering and leaving: neither the enclosing advances nor the next
+  // advance after the trailing effect may count as pure delay. Chunked
+  // paths additionally note each module touch so mid-access segments carry
+  // their own effects.
+  m_.sched_.note_effect(id_);
   const uint64_t trace_t0 = now();
   const obs::EventKind trace_kind =
       wr_data != nullptr ? obs::EventKind::kStore : obs::EventKind::kLoad;
@@ -685,7 +654,7 @@ void Core::access(Addr a, void* rd_out, const void* wr_data, size_t n,
       settle();
       lm.read(now(), a, rd_out, n);
     }
-    m_.sched_.note_access(id_, fp_addr, fp_len, kind, sync);
+    m_.sched_.note_effect(id_);
     if (m_.tracing()) {
       trace(trace_kind, trace_t0, a, static_cast<uint32_t>(n),
             static_cast<uint16_t>(c));
@@ -694,7 +663,7 @@ void Core::access(Addr a, void* rd_out, const void* wr_data, size_t n,
   }
   if (in_cluster) {
     cluster_access(a, rd_out, wr_data, n, c);
-    m_.sched_.note_access(id_, fp_addr, fp_len, kind, sync);
+    m_.sched_.note_effect(id_);
     if (m_.tracing()) {
       trace(trace_kind, trace_t0, a, static_cast<uint32_t>(n),
             static_cast<uint16_t>(c));
@@ -707,7 +676,7 @@ void Core::access(Addr a, void* rd_out, const void* wr_data, size_t n,
   } else {
     uncached_access(a, rd_out, wr_data, n, c);
   }
-  m_.sched_.note_access(id_, fp_addr, fp_len, kind, sync);
+  m_.sched_.note_effect(id_);
   if (m_.tracing()) {
     trace(trace_kind, trace_t0, a, static_cast<uint32_t>(n),
           static_cast<uint16_t>(c));
@@ -746,8 +715,7 @@ void Core::write_block(Addr a, const void* data, size_t n, MemClass c) {
 
 uint64_t Core::remote_write(int dst_tile, Addr dst_addr, const void* data,
                             size_t n) {
-  m_.sched_.note_access(id_, dst_addr, static_cast<uint32_t>(n),
-                        AccessKind::kWrite, /*sync=*/false);
+  m_.sched_.note_effect(id_);
   PMC_CHECK(dst_tile >= 0 && dst_tile < m_.cfg_.num_cores);
   PMC_CHECK_MSG(dst_tile != id_, "remote_write to own tile: use store");
   MemModule& dst = *m_.lms_[dst_tile];
@@ -762,8 +730,7 @@ uint64_t Core::remote_write(int dst_tile, Addr dst_addr, const void* data,
   dst.post_write(arrival, dst_addr, data, n);
   s.remote_writes++;
   s.noc_bytes_sent += n;
-  m_.sched_.note_access(id_, dst_addr, static_cast<uint32_t>(n),
-                        AccessKind::kWrite, /*sync=*/false);
+  m_.sched_.note_effect(id_);
   if (m_.tracing()) {
     // The deterministic NoC model reveals the arrival at send time, so one
     // event carries the whole flow arc (the exporter adds the arrow).
@@ -782,9 +749,7 @@ uint64_t Core::remote_write(int dst_tile, Addr dst_addr, const void* data,
 
 void Core::dma_read(Addr src, void* out, size_t n, MemClass c) {
   PMC_CHECK(n > 0);
-  const bool sync = c == MemClass::kSync;
-  m_.sched_.note_access(id_, src, static_cast<uint32_t>(n), AccessKind::kRead,
-                        sync);
+  m_.sched_.note_effect(id_);
   PMC_CHECK_MSG(m_.sdram_.contains(src, n), "dma_read is SDRAM-only");
   const auto& t = m_.cfg_.timing;
   const uint64_t words = (n + 3) / 4;
@@ -792,13 +757,11 @@ void Core::dma_read(Addr src, void* out, size_t n, MemClass c) {
   const uint64_t req = std::max<uint64_t>(t.sdram_read / 2, 1);
   const uint64_t trace_t0 = now();
   charge(1, req - 1, read_bucket(c));
-  m_.sched_.note_access(id_, src, static_cast<uint32_t>(n), AccessKind::kRead,
-                        sync);
+  m_.sched_.note_effect(id_);
   m_.sdram_.read(now(), src, out, n);
   charge(0, t.sdram_read - req + words * t.dma_per_word, read_bucket(c));
   m_.stats_[id_].loads++;
-  m_.sched_.note_access(id_, src, static_cast<uint32_t>(n), AccessKind::kRead,
-                        sync);
+  m_.sched_.note_effect(id_);
   if (m_.tracing()) {
     trace(obs::EventKind::kDmaRead, trace_t0, src, static_cast<uint32_t>(n),
           static_cast<uint16_t>(c));
@@ -807,9 +770,7 @@ void Core::dma_read(Addr src, void* out, size_t n, MemClass c) {
 
 uint64_t Core::dma_write(Addr dst, const void* data, size_t n, MemClass c) {
   PMC_CHECK(n > 0);
-  const bool sync = c == MemClass::kSync;
-  m_.sched_.note_access(id_, dst, static_cast<uint32_t>(n), AccessKind::kWrite,
-                        sync);
+  m_.sched_.note_effect(id_);
   PMC_CHECK_MSG(m_.sdram_.contains(dst, n), "dma_write is SDRAM-only");
   const auto& t = m_.cfg_.timing;
   const uint64_t words = (n + 3) / 4;
@@ -818,8 +779,7 @@ uint64_t Core::dma_write(Addr dst, const void* data, size_t n, MemClass c) {
          &CoreStats::stall_write);
   const uint64_t start = m_.sdram_.reserve_port(now(), words);
   const uint64_t arrival = start + t.sdram_write_visible;
-  m_.sched_.note_access(id_, dst, static_cast<uint32_t>(n), AccessKind::kWrite,
-                        sync);
+  m_.sched_.note_effect(id_);
   m_.sdram_.post_write(arrival, dst, data, n);
   m_.stats_[id_].stores++;
   if (m_.tracing()) {
@@ -856,21 +816,17 @@ uint64_t Core::cache_wbinval(Addr a, size_t n) {
   auto& cache = m_.cores_[id_]->dcache;
   const auto& t = m_.cfg_.timing;
   const uint32_t lb = cache.line_bytes();
-  // Footprint the whole line-aligned range as a write: which lines actually
-  // write back depends on private cache state, so the conservative extent
-  // keeps exploration sound without leaking cache internals.
-  const Addr fp_base = cache.line_base(a);
-  const uint32_t fp_len = static_cast<uint32_t>(
-      cache.line_base(a + static_cast<Addr>(n) - 1) + lb - fp_base);
-  m_.sched_.note_access(id_, fp_base, fp_len, AccessKind::kWrite,
-                        /*sync=*/false);
+  const Addr base = cache.line_base(a);
+  const uint32_t span = static_cast<uint32_t>(
+      cache.line_base(a + static_cast<Addr>(n) - 1) + lb - base);
+  m_.sched_.note_effect(id_);
   const uint64_t trace_t0 = now();
   uint16_t traced_lines = 0;
   // Per-core scratch: a vector local would sit on the fiber stack across the
   // charge() yields in the loop (see CoreState::wb_scratch).
   std::vector<uint8_t>& dirty = m_.cores_[id_]->wb_scratch;
   uint64_t last_arrival = 0;
-  for (Addr line = cache.line_base(a); line < a + n; line += lb) {
+  for (Addr line = base; line < a + n; line += lb) {
     uint64_t stall = t.cache_op_per_line;
     if (cache.wbinval_line(line, &dirty)) {
       s.lines_flushed++;
@@ -878,8 +834,7 @@ uint64_t Core::cache_wbinval(Addr a, size_t n) {
       if (!dirty.empty()) {
         const uint64_t start = m_.sdram_.reserve_port(now(), lb / 4);
         const uint64_t arrival = start + t.sdram_line_wb_visible;
-        m_.sched_.note_access(id_, line, lb, AccessKind::kWrite,
-                              /*sync=*/false);
+        m_.sched_.note_effect(id_);
         m_.sdram_.post_write(arrival, line, dirty.data(), dirty.size());
         last_arrival = std::max(last_arrival, arrival);
         s.writebacks++;
@@ -891,10 +846,9 @@ uint64_t Core::cache_wbinval(Addr a, size_t n) {
     }
     charge(0, stall, &CoreStats::stall_flush);
   }
-  m_.sched_.note_access(id_, fp_base, fp_len, AccessKind::kWrite,
-                        /*sync=*/false);
+  m_.sched_.note_effect(id_);
   if (m_.tracing()) {
-    trace(obs::EventKind::kFlush, trace_t0, fp_base, fp_len, traced_lines);
+    trace(obs::EventKind::kFlush, trace_t0, base, span, traced_lines);
   }
   return last_arrival;
 }
@@ -909,18 +863,15 @@ void Core::cache_inval(Addr a, size_t n) {
   auto& cache = m_.cores_[id_]->dcache;
   const auto& t = m_.cfg_.timing;
   const uint32_t lb = cache.line_bytes();
-  // Invalidation touches only the private cache; the later fill performs
-  // the shared-memory read. Footprint it as a read of the range so the
-  // segment stays observable (as before) and conservatively ordered against
-  // writers, without claiming a write it never does.
-  const Addr fp_base = cache.line_base(a);
-  const uint32_t fp_len = static_cast<uint32_t>(
-      cache.line_base(a + static_cast<Addr>(n) - 1) + lb - fp_base);
-  m_.sched_.note_access(id_, fp_base, fp_len, AccessKind::kRead,
-                        /*sync=*/false);
+  const Addr base = cache.line_base(a);
+  const uint32_t span = static_cast<uint32_t>(
+      cache.line_base(a + static_cast<Addr>(n) - 1) + lb - base);
+  // Invalidation touches only the private cache and the later fill performs
+  // the shared-memory read, but the segment still counts as observable.
+  m_.sched_.note_effect(id_);
   const uint64_t trace_t0 = now();
   uint16_t traced_lines = 0;
-  for (Addr line = cache.line_base(a); line < a + n; line += lb) {
+  for (Addr line = base; line < a + n; line += lb) {
     if (cache.inval_line(line)) {
       s.lines_flushed++;
       ++traced_lines;
@@ -928,12 +879,12 @@ void Core::cache_inval(Addr a, size_t n) {
     charge(0, t.cache_op_per_line, &CoreStats::stall_flush);
   }
   if (m_.tracing()) {
-    trace(obs::EventKind::kFlush, trace_t0, fp_base, fp_len, traced_lines);
+    trace(obs::EventKind::kFlush, trace_t0, base, span, traced_lines);
   }
 }
 
 uint32_t Core::atomic_swap(Addr a, uint32_t value) {
-  m_.sched_.note_access(id_, a, 4, AccessKind::kAtomic, /*sync=*/true);
+  m_.sched_.note_effect(id_);
   PMC_CHECK(a % 4 == 0);
   PMC_CHECK_MSG(m_.sdram_.contains(a, 4), "atomics live on the SDRAM port");
   const auto& t = m_.cfg_.timing;
@@ -947,14 +898,14 @@ uint32_t Core::atomic_swap(Addr a, uint32_t value) {
          &CoreStats::stall_sync_read);
   m_.stats_[id_].atomics++;
   const uint32_t old = m_.sdram_.atomic_swap_u32(now(), a, value);
-  m_.sched_.note_access(id_, a, 4, AccessKind::kAtomic, /*sync=*/true);
+  m_.sched_.note_effect(id_);
   charge(0, total - req, &CoreStats::stall_sync_read);
   if (m_.tracing()) trace(obs::EventKind::kAtomic, trace_t0, a, 4, 0);
   return old;
 }
 
 uint32_t Core::atomic_add(Addr a, uint32_t delta) {
-  m_.sched_.note_access(id_, a, 4, AccessKind::kAtomic, /*sync=*/true);
+  m_.sched_.note_effect(id_);
   PMC_CHECK(a % 4 == 0);
   PMC_CHECK_MSG(m_.sdram_.contains(a, 4), "atomics live on the SDRAM port");
   const auto& t = m_.cfg_.timing;
@@ -968,14 +919,14 @@ uint32_t Core::atomic_add(Addr a, uint32_t delta) {
          &CoreStats::stall_sync_read);
   m_.stats_[id_].atomics++;
   const uint32_t old = m_.sdram_.atomic_add_u32(now(), a, delta);
-  m_.sched_.note_access(id_, a, 4, AccessKind::kAtomic, /*sync=*/true);
+  m_.sched_.note_effect(id_);
   charge(0, total - req, &CoreStats::stall_sync_read);
   if (m_.tracing()) trace(obs::EventKind::kAtomic, trace_t0, a, 4, 1);
   return old;
 }
 
 uint32_t Core::atomic_cas(Addr a, uint32_t expected, uint32_t desired) {
-  m_.sched_.note_access(id_, a, 4, AccessKind::kAtomic, /*sync=*/true);
+  m_.sched_.note_effect(id_);
   PMC_CHECK(a % 4 == 0);
   PMC_CHECK_MSG(m_.sdram_.contains(a, 4), "atomics live on the SDRAM port");
   const auto& t = m_.cfg_.timing;
@@ -989,7 +940,7 @@ uint32_t Core::atomic_cas(Addr a, uint32_t expected, uint32_t desired) {
          &CoreStats::stall_sync_read);
   m_.stats_[id_].atomics++;
   const uint32_t old = m_.sdram_.atomic_cas_u32(now(), a, expected, desired);
-  m_.sched_.note_access(id_, a, 4, AccessKind::kAtomic, /*sync=*/true);
+  m_.sched_.note_effect(id_);
   charge(0, total - req, &CoreStats::stall_sync_read);
   if (m_.tracing()) trace(obs::EventKind::kAtomic, trace_t0, a, 4, 2);
   return old;

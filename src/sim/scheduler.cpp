@@ -281,8 +281,6 @@ int Scheduler::consult_policy(int yielding) {
   if (yielding >= 0) {
     yp.observable = slots_[yielding].observable;
     slots_[yielding].observable = false;
-    yp.footprint = std::move(slots_[yielding].fp);
-    slots_[yielding].fp.clear();
   }
   const int choice = policy_->pick(yp, cands_);
   PMC_CHECK_MSG(choice >= 0 && choice < static_cast<int>(cands_.size()),
@@ -383,7 +381,6 @@ void Scheduler::run(const std::function<void(int)>& body) {
     s.observable = false;
     s.deferring = false;
     s.stale = false;
-    s.fp.clear();
   }
   error_ = nullptr;
   step_ = 0;
@@ -577,7 +574,6 @@ void Scheduler::snapshot(Snapshot& s) const {
     out.warped = sl.warped;
     out.done = sl.done;
     out.observable = sl.observable;
-    out.fp = sl.fp;
   }
   s.step = step_;
   s.frontier = frontier_;
@@ -629,7 +625,6 @@ void Scheduler::restore(const Snapshot& s) {
     sl.observable = s.slots[i].observable;
     sl.deferring = false;
     sl.stale = false;
-    sl.fp = s.slots[i].fp;
   }
   step_ = s.step;
   frontier_ = s.frontier;

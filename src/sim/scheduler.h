@@ -46,7 +46,6 @@
 #endif
 
 #include "obs/trace.h"
-#include "sim/footprint.h"
 
 namespace pmc::sim {
 
@@ -70,13 +69,6 @@ struct YieldPoint {
   /// means the segment that just ended was pure delay (compute/idle), which
   /// schedule explorers use to prune equivalent interleavings.
   bool observable = false;
-  /// Shared-memory footprint of the segment that just ended (empty for the
-  /// initial dispatch and for pure-delay segments). Schedule explorers use
-  /// footprint commutativity for happens-before partial-order reduction
-  /// (DESIGN.md §8). Populated only when the policy opts in via
-  /// SchedulePolicy::wants_footprints(); then `observable ==
-  /// !footprint.empty()` by construction.
-  Footprint footprint;
 };
 
 /// Overrides the scheduler's pick at each decision point. pick() runs on the
@@ -88,10 +80,6 @@ class SchedulePolicy {
   virtual ~SchedulePolicy() = default;
   virtual int pick(const YieldPoint& yp,
                    const std::vector<ScheduleCandidate>& cands) = 0;
-  /// Opt-in to per-segment footprint accumulation (YieldPoint::footprint).
-  /// Off by default: recording costs heap traffic on every memory access,
-  /// and only partial-order-reduction consumers read it (DESIGN.md §8).
-  virtual bool wants_footprints() const { return false; }
   /// The first decision step this policy no longer needs: from it on, pick()
   /// would return 0 and record nothing, so the scheduler stops calling it
   /// (the free point, DESIGN.md §6). Read when a run starts or resumes.
@@ -138,10 +126,7 @@ class Scheduler {
 
   /// Installs a decision-point override (nullptr restores the default
   /// min-time pick). Must be called before run(); not owned.
-  void set_policy(SchedulePolicy* policy) {
-    policy_ = policy;
-    record_fp_ = policy != nullptr && policy->wants_footprints();
-  }
+  void set_policy(SchedulePolicy* policy) { policy_ = policy; }
 
   /// Attaches an event recorder (nullptr detaches; not owned). Dispatch,
   /// park, and frontier-warp events are recorded while armed (DESIGN.md
@@ -180,7 +165,6 @@ class Scheduler {
       uint64_t warped = 0;
       bool done = false;
       bool observable = false;
-      Footprint fp;
     };
     struct FiberImage {
       void* sp = nullptr;          // saved stack pointer
@@ -219,29 +203,11 @@ class Scheduler {
   uint64_t now(int core) const { return slots_[core].time; }
 
   /// Marks that `core` performed (or is mid-way through) a memory-system
-  /// effect on `[addr, addr+len)` since its last advance (cheap no-op
-  /// unless a policy is still consulted). `sync` tags lock/barrier words.
-  /// Called by the machine layer from the running core's own fiber;
-  /// accumulated into the current segment's footprint and reported at the
-  /// next yield.
-  void note_access(int core, uint64_t addr, uint32_t len, AccessKind kind,
-                   bool sync = false) {
-    if (consulting_) {
-      slots_[core].observable = true;
-      if (record_fp_) slots_[core].fp.add(addr, len, kind, sync);
-    }
-  }
-
-  /// Escape hatch for effects with no addressable range: the segment stays
-  /// observable and its footprint conflicts with everything (never enables
-  /// pruning). No machine path uses it today — every current effect has a
-  /// range and calls note_access — but new shared-state paths that cannot
-  /// name one must call this rather than stay invisible to exploration.
+  /// effect since its last advance (cheap no-op unless a policy is still
+  /// consulted). Called by the machine layer from the running core's own
+  /// fiber; reported as YieldPoint::observable at the next yield.
   void note_effect(int core) {
-    if (consulting_) {
-      slots_[core].observable = true;
-      if (record_fp_) slots_[core].fp.add_wildcard();
-    }
+    if (consulting_) slots_[core].observable = true;
   }
 
   /// Number of decision points so far: one per advance, one per
@@ -305,7 +271,6 @@ class Scheduler {
     bool observable = false;  // effect since last yield (while consulting)
     bool deferring = false;   // advances skip handoffs (set_deferring())
     bool stale = false;       // ready key predates the clock (see settle())
-    Footprint fp;             // footprint since last yield (while consulting)
   };
 
   /// munmaps a fiber stack together with the guard page below it.
@@ -413,7 +378,6 @@ class Scheduler {
   std::exception_ptr error_;
   SchedulePolicy* policy_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;  // not owned; nullptr = detached
-  bool record_fp_ = false;  // policy_->wants_footprints(), cached
   uint64_t step_ = 0;      // decision counter
   uint64_t frontier_ = 0;  // latest dispatch time (until free-running)
   uint64_t free_step_ = 0;  // the observers' free point (start_observing())

@@ -17,11 +17,10 @@ namespace {
 
 using test_support::ReplayReference;
 
-SessionOptions app_opts(DporMode dpor = DporMode::kSleepSet, int jobs = 1) {
+SessionOptions app_opts(int jobs = 1) {
   SessionOptions opts;
   opts.explore.preemption_bound = 1;
   opts.explore.horizon = 14;
-  opts.explore.dpor = dpor;
   opts.jobs = jobs;
   return opts;
 }
@@ -52,7 +51,7 @@ TEST(CheckTargetNames, AreStableAndBackendQualified) {
 RunOutcome own_verdict(const CheckTarget& target, const DecisionString& ds,
                        uint64_t horizon) {
   const StatefulSpec spec = target.make_spec();
-  ReplayPolicy policy(ds, horizon, /*record_footprints=*/false);
+  ReplayPolicy policy(ds, horizon);
   rt::ProgramOptions opts = spec.opts;
   opts.schedule_policy = &policy;
   rt::Program prog(opts);
@@ -69,7 +68,7 @@ TEST(CheckSession, Definition12VerdictBeatsTheTargetsOwnOracle) {
   // validator's verdict must win.
   const MFifoTarget target(rt::Target::kSWCC, MFifoShape{},
                            seeded_fault(rt::Target::kSWCC));
-  const SessionOptions opts = app_opts(DporMode::kSleepSet, 1);
+  const SessionOptions opts = app_opts(1);
   const CheckReport rep = CheckSession(opts).check(target);
   ASSERT_FALSE(rep.ok);
   const RunOutcome own =
@@ -91,7 +90,7 @@ TEST(CheckSession, EngineFollowsTheTarget) {
   const LitmusTarget target(model::litmus::fig5_mp_annotated(),
                             rt::Target::kSWCC);
   const FnTarget fn("always-ok", [](ReplayPolicy&) { return RunOutcome{}; });
-  const CheckSession session(app_opts(DporMode::kOff));
+  const CheckSession session(app_opts());
   EXPECT_GT(session.check(target).telemetry.snapshots_taken, 0u);
   EXPECT_EQ(session.check(ReplayReference(target)).telemetry.snapshots_taken,
             0u);
@@ -112,7 +111,7 @@ TEST(FnTarget, WrapsAdHocRunners) {
   EXPECT_EQ(rep.distinct_traces, 1u);
 }
 
-// -- Apps on every back-end under the reduced search (ISSUE 5 satellite) -----
+// -- Apps on every back-end ---------------------------------------------------
 
 class AppSweep : public ::testing::TestWithParam<rt::Target> {};
 
@@ -124,8 +123,6 @@ TEST_P(AppSweep, MFifoBroadcastHoldsOnEveryExploredSchedule) {
       << rt::to_string(GetParam()) << ": schedule \""
       << to_string(rep.first_failing) << "\": " << rep.first_failing_message;
   EXPECT_GE(rep.explored, 1u);
-  // The reduced search accounts for every bypassed alternative.
-  EXPECT_GT(rep.dpor_pruned, 0u);
 }
 
 TEST_P(AppSweep, TaskCounterPartitionHoldsOnEveryExploredSchedule) {
@@ -133,7 +130,6 @@ TEST_P(AppSweep, TaskCounterPartitionHoldsOnEveryExploredSchedule) {
   const CheckReport rep = CheckSession(app_opts()).check(target);
   EXPECT_TRUE(rep.ok) << rep.to_text();
   EXPECT_GE(rep.explored, 1u);
-  EXPECT_GT(rep.dpor_pruned, 0u);
   // The chunk counter is racy-by-design (which core grabs which chunk), so
   // exploration must reach more than one partition-assignment class.
   EXPECT_GE(rep.distinct_traces, 2u);
@@ -155,11 +151,11 @@ TEST(AppCheck, ReportsAreByteIdenticalAcrossEnginesAndJobs) {
     const auto target =
         make_app_target(kind, rt::Target::kSWCC, all_seeded_faults());
     const CheckReport ref =
-        CheckSession(app_opts(DporMode::kSleepSet, 1)).check(*target);
+        CheckSession(app_opts(1)).check(*target);
     ASSERT_GT(ref.failing, 0u) << to_string(kind);
     const ReplayReference replay(*target);
     for (int jobs : {1, 2, 8}) {
-      const CheckSession session(app_opts(DporMode::kSleepSet, jobs));
+      const CheckSession session(app_opts(jobs));
       EXPECT_EQ(session.check(*target).to_text(), ref.to_text())
           << to_string(kind) << " jobs=" << jobs;
       // jobs > 1 here runs the shared-runner path FnTargets take.
@@ -172,11 +168,11 @@ TEST(AppCheck, ReportsAreByteIdenticalAcrossEnginesAndJobs) {
 TEST(AppCheck, CleanReportsAreByteIdenticalAcrossJobs) {
   const MFifoTarget target(rt::Target::kDSM);
   const CheckReport ref =
-      CheckSession(app_opts(DporMode::kSleepSet, 1)).check(target);
+      CheckSession(app_opts(1)).check(target);
   EXPECT_TRUE(ref.ok);
   for (int jobs : {2, 8}) {
     const CheckReport rep =
-        CheckSession(app_opts(DporMode::kSleepSet, jobs)).check(target);
+        CheckSession(app_opts(jobs)).check(target);
     EXPECT_EQ(rep.to_text(), ref.to_text()) << "jobs=" << jobs;
   }
 }

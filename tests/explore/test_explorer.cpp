@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "explore/litmus_driver.h"
 #include "model/litmus_library.h"
 #include "sim/machine.h"
@@ -51,8 +55,8 @@ TEST(CheckSession, ClosedFormCountWithoutPruning) {
 // pure-delay segments: back-to-back compute() calls yield decision points
 // whose just-ended segment performed no memory-system effect. (Litmus
 // programs have none in-horizon: every segment of a memory op — including
-// the mid-op stall slices — now carries its footprint, closing the PR 2 gap
-// where those slices were silently treated as preemptible pure delay.)
+// the mid-op stall slices — is marked observable, so none of those slices
+// is treated as preemptible pure delay.)
 RunOutcome run_compute_heavy(ReplayPolicy& policy) {
   sim::MachineConfig mc = sim::MachineConfig::ml605(2);
   sim::Machine m(mc);
@@ -209,6 +213,50 @@ INSTANTIATE_TEST_SUITE_P(SimTargets, BackendSweep,
                            return std::string(rt::to_string(info.param));
                          });
 
+// A raw 2-core timing race: core 0 posts ten stores to disjoint addresses
+// and then X=1; core 1 computes for 50k cycles and then stores X=2. The
+// final value of X depends on *when* segments run, not only on their
+// conflict order: every non-default dispatch shifts the frontier warp and
+// with it all later posted-write arrivals. The program is deliberately
+// outside the annotation discipline (naked racy stores).
+RunOutcome run_timing_race(ReplayPolicy& policy) {
+  sim::MachineConfig mc = sim::MachineConfig::ml605(2);
+  mc.cache_shared = false;  // uncached: posted-write visibility is timed
+  sim::Machine m(mc);
+  m.set_schedule_policy(&policy);
+  const sim::Addr x = sim::kSdramBase + 0x400;
+  m.run([&](sim::Core& core) {
+    if (core.id() == 0) {
+      for (uint32_t i = 0; i < 10; ++i) {
+        core.store_u32(sim::kSdramBase + 0x40 * (i + 1), i,
+                       sim::MemClass::kSharedData);
+      }
+      core.store_u32(x, 1, sim::MemClass::kSharedData);
+    } else {
+      core.compute(50'000);
+      core.store_u32(x, 2, sim::MemClass::kSharedData);
+    }
+  });
+  uint32_t v = 0;
+  m.peek(x, &v, 4);
+  RunOutcome out;
+  out.trace_hash = v;  // the behavior under test IS the final value of X
+  return out;
+}
+
+TEST(CheckSession, ReachesBothFinalValuesOfANakedTimingRace) {
+  // Reordering two disjoint stores shifts how far the frontier warp pushes
+  // the bypassed core, which can flip the cycle-level arbitration of the
+  // same-address race. Running every bounded schedule reaches both values
+  // (DESIGN.md §8: this is one reason the explorer has no reduction).
+  ExploreConfig cfg;
+  cfg.preemption_bound = 1;
+  cfg.horizon = 40;
+  cfg.prune_delay = false;
+  const FnTarget target("timing-race", run_timing_race);
+  EXPECT_EQ(CheckSession(cfg).explore(target).distinct_traces, 2u);
+}
+
 // -- Seeded-bug discovery and minimization ----------------------------------
 
 class SeededBug : public ::testing::TestWithParam<rt::Target> {};
@@ -239,13 +287,51 @@ TEST_P(SeededBug, HiddenUnderDefaultScheduleFoundByExploration) {
   EXPECT_EQ(again.message, rep.minimized_message);
 }
 
+std::vector<rt::Target> faultable_targets() {
+  std::vector<rt::Target> out;
+  for (const rt::Target t : rt::sim_targets()) {
+    if (has_seeded_fault(t)) out.push_back(t);
+  }
+  return out;
+}
+
+std::string target_name(const ::testing::TestParamInfo<rt::Target>& info) {
+  return rt::to_string(info.param);
+}
+
 INSTANTIATE_TEST_SUITE_P(FaultableTargets, SeededBug,
-                         ::testing::Values(rt::Target::kSWCC,
-                                           rt::Target::kDSM,
-                                           rt::Target::kSPM),
-                         [](const auto& info) {
-                           return std::string(rt::to_string(info.param));
-                         });
+                         ::testing::ValuesIn(faultable_targets()), target_name);
+
+class SeededFault : public ::testing::TestWithParam<rt::Target> {};
+
+TEST_P(SeededFault, EveryFailingScheduleMinimizesToAReplayableFault) {
+  // Not just the canonical failure: each failing schedule of the space
+  // minimizes to a string that applies in full and still fails, and the
+  // minimized strings collapse to a handful of distinct repros.
+  const LitmusTarget target = seeded_bug_check(GetParam());
+  ExploreConfig cfg;
+  cfg.preemption_bound = 2;
+  cfg.horizon = 16;
+  const CheckSession session(cfg);
+  const ExploreReport rep = session.explore(target);
+  ASSERT_GT(rep.failing, 0u) << "the seeded fault must be found";
+  ASSERT_EQ(rep.failing_schedules.size(), rep.failing);
+  std::set<std::string> minimized;
+  for (const DecisionString& f : rep.failing_schedules) {
+    const DecisionString minimal = session.minimize(target, f);
+    ASSERT_FALSE(minimal.empty()) << to_string(f);
+    EXPECT_LE(minimal.size(), f.size());
+    bool applied = false;
+    EXPECT_FALSE(session.replay(target, minimal, &applied).ok)
+        << to_string(minimal);
+    EXPECT_TRUE(applied) << to_string(minimal);
+    minimized.insert(to_string(minimal));
+  }
+  EXPECT_LT(minimized.size(), rep.failing_schedules.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(FaultableTargets, SeededFault,
+                         ::testing::ValuesIn(faultable_targets()), target_name);
 
 TEST(SeededBugCoverage, NoCCHasNoSeedableFault) {
   EXPECT_FALSE(has_seeded_fault(rt::Target::kNoCC));

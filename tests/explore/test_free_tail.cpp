@@ -50,7 +50,6 @@ class FullConsult final : public sim::SchedulePolicy {
     frontier_ = std::max(frontier_, cands[static_cast<size_t>(choice)].time);
     return choice;
   }
-  bool wants_footprints() const override { return inner_.wants_footprints(); }
   void on_run_end(uint64_t decisions) override { inner_.on_run_end(decisions); }
 
   /// Runnable cores behind the frontier at decision `step`.
@@ -149,41 +148,38 @@ ExploreReport explore_stateful(const CheckTarget& target,
   return ex.explore(cfg);
 }
 
-ExploreConfig config(DporMode dpor) {
+ExploreConfig config() {
   ExploreConfig cfg;
   cfg.preemption_bound = kBound;
   cfg.horizon = kHorizon;
-  cfg.dpor = dpor;
   return cfg;
 }
 
 class FreeTail : public ::testing::TestWithParam<rt::Target> {};
 
 TEST_P(FreeTail, ReportsAndDecisionCountsMatchFullConsult) {
-  for (const DporMode dpor : {DporMode::kOff, DporMode::kSleepSet}) {
-    const CheckSession session(config(dpor));
-    for (const model::LitmusTest& test : annotatable_tests()) {
-      SCOPED_TRACE(test.name + " dpor=" + to_string(dpor));
-      const LitmusTarget bare(test, GetParam());
-      PointsLog free_log, full_log, stateful_log;
-      const CheckReport free_rep = session.check(bare);
-      const CheckReport ref_rep = session.check(FreeStateless(bare, &free_log));
-      const CheckReport full_rep =
-          session.check(FullConsultTarget(bare, &full_log));
-      EXPECT_EQ(free_rep.to_text(), full_rep.to_text());
-      EXPECT_EQ(ref_rep.to_text(), full_rep.to_text());
-      EXPECT_EQ(free_rep.trace_hashes, full_rep.trace_hashes);
-      EXPECT_EQ(ref_rep.trace_hashes, full_rep.trace_hashes);
-      EXPECT_EQ(free_log.points, full_log.points);
+  const CheckSession session(config());
+  for (const model::LitmusTest& test : annotatable_tests()) {
+    SCOPED_TRACE(test.name);
+    const LitmusTarget bare(test, GetParam());
+    PointsLog free_log, full_log, stateful_log;
+    const CheckReport free_rep = session.check(bare);
+    const CheckReport ref_rep = session.check(FreeStateless(bare, &free_log));
+    const CheckReport full_rep =
+        session.check(FullConsultTarget(bare, &full_log));
+    EXPECT_EQ(free_rep.to_text(), full_rep.to_text());
+    EXPECT_EQ(ref_rep.to_text(), full_rep.to_text());
+    EXPECT_EQ(free_rep.trace_hashes, full_rep.trace_hashes);
+    EXPECT_EQ(ref_rep.trace_hashes, full_rep.trace_hashes);
+    EXPECT_EQ(free_log.points, full_log.points);
 
-      const ExploreReport stateful =
-          explore_stateful(bare, config(dpor), &stateful_log);
-      EXPECT_EQ(stateful.max_decision_points, full_rep.max_decision_points);
-      EXPECT_EQ(stateful_log.points, full_log.points);
-      ASSERT_FALSE(full_log.points.empty());
-      // The tail is real: runs go well past the horizon.
-      EXPECT_GT(full_rep.max_decision_points, kHorizon + 1);
-    }
+    const ExploreReport stateful =
+        explore_stateful(bare, config(), &stateful_log);
+    EXPECT_EQ(stateful.max_decision_points, full_rep.max_decision_points);
+    EXPECT_EQ(stateful_log.points, full_log.points);
+    ASSERT_FALSE(full_log.points.empty());
+    // The tail is real: runs go well past the horizon.
+    EXPECT_GT(full_rep.max_decision_points, kHorizon + 1);
   }
 }
 
@@ -191,21 +187,18 @@ class FreeTailSeeded : public ::testing::TestWithParam<rt::Target> {};
 
 TEST_P(FreeTailSeeded, FaultsFailTheSameSchedules) {
   const LitmusTarget bare = seeded_bug_check(GetParam());
-  for (const DporMode dpor : {DporMode::kOff, DporMode::kSleepSet}) {
-    SCOPED_TRACE(to_string(dpor));
-    const CheckSession session(config(dpor));
-    PointsLog full_log;
-    const ExploreReport free_rep = session.explore(bare);
-    const ExploreReport full_rep =
-        session.explore(FullConsultTarget(bare, &full_log));
-    EXPECT_EQ(free_rep.explored, full_rep.explored);
-    EXPECT_EQ(free_rep.failing, full_rep.failing);
-    EXPECT_EQ(free_rep.failing_schedules, full_rep.failing_schedules);
-    EXPECT_EQ(free_rep.first_failing_message, full_rep.first_failing_message);
-    EXPECT_EQ(free_rep.max_decision_points, full_rep.max_decision_points);
-    EXPECT_EQ(free_rep.trace_hashes, full_rep.trace_hashes);
-    EXPECT_GT(full_rep.failing, 0u);
-  }
+  const CheckSession session(config());
+  PointsLog full_log;
+  const ExploreReport free_rep = session.explore(bare);
+  const ExploreReport full_rep =
+      session.explore(FullConsultTarget(bare, &full_log));
+  EXPECT_EQ(free_rep.explored, full_rep.explored);
+  EXPECT_EQ(free_rep.failing, full_rep.failing);
+  EXPECT_EQ(free_rep.failing_schedules, full_rep.failing_schedules);
+  EXPECT_EQ(free_rep.first_failing_message, full_rep.first_failing_message);
+  EXPECT_EQ(free_rep.max_decision_points, full_rep.max_decision_points);
+  EXPECT_EQ(free_rep.trace_hashes, full_rep.trace_hashes);
+  EXPECT_GT(full_rep.failing, 0u);
 }
 
 /// What one run leaves behind, for field-by-field comparison.
@@ -261,25 +254,24 @@ TEST_P(FreeTail, SampledSchedulesLeaveIdenticalMachines) {
   for (const model::LitmusTest& test : annotatable_tests()) {
     const LitmusTarget target(test, GetParam());
     const StatefulSpec spec = target.make_spec();
-    ReplayPolicy probe({}, kHorizon, /*record_footprints=*/false);
+    ReplayPolicy probe({}, kHorizon);
     run_fresh(spec, probe);
     struct Sample {
       DecisionString ds;
       uint64_t horizon;
-      bool record;
     };
-    std::vector<Sample> samples = {{{}, kHorizon, false}, {{}, kHorizon, true}};
+    std::vector<Sample> samples = {{{}, kHorizon}};
     for (uint64_t p = 0; p < kHorizon; ++p) {
       const int cands = probe.candidates_at(p);
       if (cands < 2) continue;
-      samples.push_back({{{p, 1}}, kHorizon, p % 2 == 0});
-      samples.push_back({{{p, cands - 1}}, p, false});
+      samples.push_back({{{p, 1}}, kHorizon});
+      samples.push_back({{{p, cands - 1}}, p});
     }
     for (const Sample& s : samples) {
       SCOPED_TRACE(test.name + " \"" + to_string(s.ds) + "\" horizon " +
                    std::to_string(s.horizon));
-      ReplayPolicy free_policy(s.ds, s.horizon, s.record);
-      ReplayPolicy full_policy(s.ds, s.horizon, s.record);
+      ReplayPolicy free_policy(s.ds, s.horizon);
+      ReplayPolicy full_policy(s.ds, s.horizon);
       FullConsult full(full_policy);
       const RunState a = run_state(spec, free_policy, free_policy);
       const RunState b = run_state(spec, full_policy, full);

@@ -1,10 +1,11 @@
-// hb_trace_hash stability: the farm's entire coverage signal is the set of
-// hb-class hashes an exploration reports, so that set must be a pure
-// function of (target, bounds) — identical between stateless replay and the
-// snapshot engine and across job counts, on every back-end. A drift here
-// would silently corrupt every persisted corpus. The one shared trace set
-// also closes the discovery curve and lists every failing schedule, so the
-// sweep checks those against the totals at every job count.
+// hb_trace_hash: which event orders it tells apart, and its stability. The
+// farm's entire coverage signal is the set of hb-class hashes an
+// exploration reports, so that set must be a pure function of (target,
+// bounds) — identical between stateless replay and the snapshot engine and
+// across job counts, on every back-end. A drift here would silently corrupt
+// every persisted corpus. The one shared trace set also closes the
+// discovery curve and lists every failing schedule, so the sweep checks
+// those against the totals at every job count.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -16,17 +17,89 @@
 
 #include "explore/check.h"
 #include "explore/litmus_driver.h"
+#include "model/trace.h"
 #include "runtime/program.h"
 #include "../support/replay_reference.h"
 
 namespace pmc::explore {
 namespace {
 
+TEST(HbTraceHash, CommutingEventOrdersHashIdentically) {
+  using E = model::TraceEvent;
+  // Two procs touching different locations: the interleaving commutes, so
+  // the happens-before quotient — and with it the hash — is the same.
+  const std::vector<E> ab = {E::write(0, 0, 1), E::write(1, 1, 2),
+                             E::read(0, 0, 1)};
+  const std::vector<E> ba = {E::write(1, 1, 2), E::write(0, 0, 1),
+                             E::read(0, 0, 1)};
+  EXPECT_EQ(hb_trace_hash(ab), hb_trace_hash(ba));
+  // Same-location same-value reads by different procs commute too.
+  const std::vector<E> rr = {E::read(0, 0, 0), E::read(1, 0, 0)};
+  const std::vector<E> rr2 = {E::read(1, 0, 0), E::read(0, 0, 0)};
+  EXPECT_EQ(hb_trace_hash(rr), hb_trace_hash(rr2));
+}
+
+TEST(HbTraceHash, DependentEventOrdersHashDifferently) {
+  using E = model::TraceEvent;
+  // Write/write to one location: the conflict order is the behavior.
+  const std::vector<E> ww = {E::write(0, 0, 1), E::write(1, 0, 2)};
+  const std::vector<E> ww2 = {E::write(1, 0, 2), E::write(0, 0, 1)};
+  EXPECT_NE(hb_trace_hash(ww), hb_trace_hash(ww2));
+  // Read before vs after the write it races with.
+  const std::vector<E> rw = {E::read(1, 0, 0), E::write(0, 0, 1)};
+  const std::vector<E> wr = {E::write(0, 0, 1), E::read(1, 0, 0)};
+  EXPECT_NE(hb_trace_hash(rw), hb_trace_hash(wr));
+  // Acquire order on one location is a total chain.
+  const std::vector<E> aa = {E::acquire(0, 0), E::release(0, 0),
+                             E::acquire(1, 0), E::release(1, 0)};
+  const std::vector<E> aa2 = {E::acquire(1, 0), E::release(1, 0),
+                              E::acquire(0, 0), E::release(0, 0)};
+  EXPECT_NE(hb_trace_hash(aa), hb_trace_hash(aa2));
+}
+
+TEST(HbTraceHash, PollIterationCountsCollapse) {
+  using E = model::TraceEvent;
+  // A poll loop spinning on an unchanged version re-issues identical stale
+  // reads; their count is pure timing, not behavior.
+  const std::vector<E> two = {E::read(1, 0, 0), E::read(1, 0, 0),
+                              E::write(0, 0, 1), E::read(1, 0, 1)};
+  const std::vector<E> five = {E::read(1, 0, 0), E::read(1, 0, 0),
+                               E::read(1, 0, 0), E::read(1, 0, 0),
+                               E::read(1, 0, 0), E::write(0, 0, 1),
+                               E::read(1, 0, 1)};
+  EXPECT_EQ(hb_trace_hash(two), hb_trace_hash(five));
+  // But whether the poll ever observed the stale value is behavior.
+  const std::vector<E> fresh = {E::write(0, 0, 1), E::read(1, 0, 1)};
+  EXPECT_NE(hb_trace_hash(two), hb_trace_hash(fresh));
+}
+
+TEST(HbTraceHash, CollapsesTheLitmusSuiteToFewClasses) {
+  // Behavior classes, not interleavings: the annotatable suite on every
+  // back-end explores two orders of magnitude more schedules than it has
+  // happens-before classes, and every schedule is model-valid.
+  ExploreConfig cfg;
+  cfg.preemption_bound = 2;
+  cfg.horizon = 24;
+  const CheckSession session(cfg);
+  uint64_t explored = 0;
+  uint64_t classes = 0;
+  for (const rt::Target t : rt::sim_targets()) {
+    for (const model::LitmusTest& test : annotatable_tests()) {
+      const ExploreReport rep = session.explore(LitmusTarget(test, t));
+      EXPECT_EQ(rep.failing, 0u) << test.name << " on " << rt::to_string(t);
+      explored += rep.explored;
+      classes += rep.distinct_traces;
+    }
+  }
+  ASSERT_GT(classes, 0u);
+  EXPECT_GE(explored, 50 * classes)
+      << "the quotient hash must collapse commuting interleavings";
+}
+
 SessionOptions base_options() {
   SessionOptions s;
   s.explore.preemption_bound = 1;
   s.explore.horizon = 10;
-  s.explore.dpor = DporMode::kSleepSet;
   s.jobs = 1;
   return s;
 }

@@ -102,7 +102,7 @@ SessionOptions opts_for(uint64_t horizon, int preemptions) {
   SessionOptions opts;
   opts.explore.preemption_bound = preemptions;
   opts.explore.horizon = horizon;
-  return opts;  // DPOR off, jobs 1
+  return opts;  // jobs 1
 }
 
 /// Explores `target` under the decorator and checks the jobs = 1 memo

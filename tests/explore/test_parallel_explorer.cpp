@@ -33,7 +33,7 @@ DecisionString first_accept_scan(const ScheduleRunner& runner,
     for (size_t i = 0; i < failing.size(); ++i) {
       DecisionString shorter = failing;
       shorter.erase(shorter.begin() + static_cast<ptrdiff_t>(i));
-      ReplayPolicy policy(shorter, horizon, /*record_footprints=*/false);
+      ReplayPolicy policy(shorter, horizon);
       if (!runner(policy).ok && policy.unused_overrides() == 0) {
         failing = std::move(shorter);
         changed = true;

@@ -1,8 +1,8 @@
 // Stateful exploration (DESIGN.md §10). The snapshot engine's whole claim
 // is observational equivalence: forking schedules from machine snapshots
 // must produce byte-identical CheckReports to full stateless replay (the
-// ReplayReference decorator), over every target family, DPOR mode, job
-// count, and fault seed. These suites pin that claim (the differential
+// ReplayReference decorator), over every target family, job count, and
+// fault seed. These suites pin that claim (the differential
 // grid), the snapshot/restore round-trip properties underneath it, the
 // bounded-pool fallback, and the ReplayPolicy recording contract that keeps
 // scheduler state outside the machine from tearing on restore.
@@ -29,12 +29,11 @@ namespace {
 
 using test_support::ReplayReference;
 
-SessionOptions grid_opts(DporMode dpor = DporMode::kOff, int jobs = 1,
-                         uint64_t horizon = 12, int preemptions = 2) {
+SessionOptions grid_opts(int jobs = 1, uint64_t horizon = 12,
+                         int preemptions = 2) {
   SessionOptions opts;
   opts.explore.preemption_bound = preemptions;
   opts.explore.horizon = horizon;
-  opts.explore.dpor = dpor;
   opts.jobs = jobs;
   return opts;
 }
@@ -55,14 +54,13 @@ class LitmusDifferential : public ::testing::TestWithParam<rt::Target> {};
 
 TEST_P(LitmusDifferential, EveryAnnotatableTestMatchesReplay) {
   // The CLI's default litmus grid bounds (preemptions 2, horizon 16), with
-  // the unreduced tree sharded over 1 and 4 workers: the report, explored
+  // the tree sharded over 1 and 4 workers: the report, explored
   // count included, must not depend on the job count.
   for (const auto& test : annotatable_tests()) {
     const LitmusTarget target(test, GetParam());
-    const std::string ref =
-        replay_text(target, grid_opts(DporMode::kOff, 1, 16));
+    const std::string ref = replay_text(target, grid_opts(1, 16));
     for (const int jobs : {1, 4}) {
-      EXPECT_EQ(check_text(target, grid_opts(DporMode::kOff, jobs, 16)), ref)
+      EXPECT_EQ(check_text(target, grid_opts(jobs, 16)), ref)
           << target.name() << " jobs=" << jobs;
     }
   }
@@ -74,21 +72,17 @@ INSTANTIATE_TEST_SUITE_P(SimTargets, LitmusDifferential,
                            return std::string(rt::to_string(info.param));
                          });
 
-TEST(StatefulDifferential, DporModesAndJobCountsMatchReplay) {
+TEST(StatefulDifferential, JobCountsMatchReplay) {
   const LitmusTarget mp(model::litmus::fig5_mp_annotated(), rt::Target::kSWCC);
   const LitmusTarget ex(model::litmus::fig4_exclusive(), rt::Target::kDSM);
   for (const CheckTarget* target : {
            static_cast<const CheckTarget*>(&mp),
            static_cast<const CheckTarget*>(&ex),
        }) {
-    for (const DporMode dpor :
-         {DporMode::kOff, DporMode::kSleepSet}) {
-      const std::string ref = replay_text(*target, grid_opts(dpor));
-      for (const int jobs : {1, 2, 8}) {
-        EXPECT_EQ(check_text(*target, grid_opts(dpor, jobs)), ref)
-            << target->name() << " dpor=" << to_string(dpor)
-            << " jobs=" << jobs;
-      }
+    const std::string ref = replay_text(*target, grid_opts());
+    for (const int jobs : {1, 2, 8}) {
+      EXPECT_EQ(check_text(*target, grid_opts(jobs)), ref)
+          << target->name() << " jobs=" << jobs;
     }
   }
 }
@@ -99,7 +93,7 @@ TEST(StatefulDifferential, AppTargetsMatchReplayOnEveryBackend) {
   for (const rt::Target t : rt::sim_targets()) {
     for (const AppKind kind : all_app_kinds()) {
       const auto target = make_app_target(kind, t);
-      const SessionOptions opts = grid_opts(DporMode::kSleepSet, 1, 14, 1);
+      const SessionOptions opts = grid_opts(1, 14, 1);
       EXPECT_EQ(check_text(*target, opts), replay_text(*target, opts))
           << target->name();
     }
@@ -111,7 +105,7 @@ TEST(StatefulDifferential, FuzzProgramsMatchReplay) {
     const GenProgram prog = generate_program(shape_for_seed(seed));
     for (const rt::Target t : {rt::Target::kNoCC, rt::Target::kSWCC}) {
       const GenProgramTarget target(prog, t);
-      const SessionOptions opts = grid_opts(DporMode::kOff, 1, 10, 1);
+      const SessionOptions opts = grid_opts(1, 10, 1);
       EXPECT_EQ(check_text(target, opts), replay_text(target, opts))
           << target.name();
     }
@@ -123,12 +117,10 @@ TEST(StatefulDifferential, SeededFaultReportsMatchReplayIncludingMinimization) {
   // minimization, replay confirmation — so byte-equality here covers the
   // minimized schedule/message set, not just the totals.
   const LitmusTarget litmus = seeded_bug_check(rt::Target::kSWCC);
-  const std::string litmus_ref =
-      replay_text(litmus, grid_opts(DporMode::kOff, 1, 16));
+  const std::string litmus_ref = replay_text(litmus, grid_opts(1, 16));
   ASSERT_NE(litmus_ref.find("failing"), std::string::npos);
   for (const int jobs : {1, 2}) {
-    EXPECT_EQ(check_text(litmus, grid_opts(DporMode::kOff, jobs, 16)),
-              litmus_ref)
+    EXPECT_EQ(check_text(litmus, grid_opts(jobs, 16)), litmus_ref)
         << "jobs=" << jobs;
   }
 
@@ -136,13 +128,10 @@ TEST(StatefulDifferential, SeededFaultReportsMatchReplayIncludingMinimization) {
     const auto target =
         make_app_target(kind, rt::Target::kSWCC, all_seeded_faults());
     const CheckReport ref =
-        CheckSession(grid_opts(DporMode::kSleepSet, 1, 14, 1))
-            .check(ReplayReference(*target));
+        CheckSession(grid_opts(1, 14, 1)).check(ReplayReference(*target));
     ASSERT_GT(ref.failing, 0u) << target->name();
     for (const int jobs : {1, 2}) {
-      EXPECT_EQ(
-          check_text(*target, grid_opts(DporMode::kSleepSet, jobs, 14, 1)),
-          ref.to_text())
+      EXPECT_EQ(check_text(*target, grid_opts(jobs, 14, 1)), ref.to_text())
           << target->name() << " jobs=" << jobs;
     }
   }
@@ -462,7 +451,7 @@ TEST(SnapshotPool, CountersAtJobsOneArePinned) {
   };
   for (const Pin& pin : pins) {
     const ExploreReport rep =
-        CheckSession(grid_opts(DporMode::kOff, 1, 24, 3)).explore(pin.target);
+        CheckSession(grid_opts(1, 24, 3)).explore(pin.target);
     EXPECT_EQ(rep.explored, pin.explored) << pin.target.name();
     EXPECT_EQ(rep.snapshots_taken, pin.taken) << pin.target.name();
     EXPECT_EQ(rep.snapshot_hits, pin.hits) << pin.target.name();
@@ -580,8 +569,8 @@ TEST(RecordingContract, ResumingWithAnUnseededPolicyThrowsOutOfOrder) {
 
   // A fresh policy that was never seeded believes the run starts at step 0;
   // the restored machine resumes at step 8. The policy must refuse loudly —
-  // silently re-numbering the steps would corrupt every recorded footprint
-  // and override match of the shared prefix.
+  // silently re-numbering the steps would corrupt every recorded candidate
+  // count and override match of the shared prefix.
   ReplayPolicy unseeded({}, /*horizon=*/24);
   rt.prog->restore(*rt.hook.snap);
   rt.prog->set_schedule_policy(&unseeded);
@@ -610,12 +599,10 @@ TEST(RecordingContract, SeededResumeRecordsWhatAFullReplayRecords) {
   rt.prog->resume();
   const ReplayPolicy::Recording resumed = p2.export_recording();
 
-  // DPOR consumes these post-run: a resumed policy must be indistinguishable
-  // from one that watched the whole run.
+  // The Explorer consumes these post-run: a resumed policy must be
+  // indistinguishable from one that watched the whole run.
   EXPECT_EQ(resumed.steps, full.steps);
   EXPECT_EQ(resumed.cand_count, full.cand_count);
-  EXPECT_EQ(resumed.cand_cores, full.cand_cores);
-  EXPECT_EQ(resumed.chosen, full.chosen);
   EXPECT_EQ(resumed.observable, full.observable);
 }
 

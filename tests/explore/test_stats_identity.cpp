@@ -27,7 +27,7 @@ std::vector<int> run_and_check(const model::LitmusTest& test,
                                rt::Target backend, const DecisionString& ds) {
   const LitmusTarget target(test, backend);
   StatefulSpec spec = target.make_spec();
-  ReplayPolicy policy(ds, kHorizon, /*record_footprints=*/false);
+  ReplayPolicy policy(ds, kHorizon);
   rt::ProgramOptions opts = spec.opts;
   opts.schedule_policy = &policy;
   rt::Program prog(opts);

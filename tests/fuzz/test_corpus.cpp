@@ -77,7 +77,6 @@ Corpus populated() {
   stats.execs = 5;
   stats.classes_discovered = 4;
   stats.schedules_explored = 120;
-  stats.dpor_pruned = 64;
   stats.wall_micros = 1234;
   stats.last_new_exec = 2;
   (void)c.take_crash_index();
@@ -115,22 +114,33 @@ TEST(Corpus, SaveLoadResaveIsByteIdentical) {
 }
 
 TEST(Corpus, LoadReconstructsEveryCounter) {
-  const ScratchDir dir("counters");
-  Corpus c = populated();
-  c.save(dir.str());
+  // Two inputs: the files as saved, and the same files as an older build
+  // wrote them, with the stats.dpor_pruned counter of the since-deleted
+  // partial-order reduction. Version 1 covers both; the extra key is
+  // ignored.
+  for (const bool with_dpor_pruned : {false, true}) {
+    SCOPED_TRACE(with_dpor_pruned ? "older entry" : "as saved");
+    const ScratchDir dir("counters");
+    Corpus c = populated();
+    c.save(dir.str());
+    if (with_dpor_pruned) {
+      patch_file(dir / "seed_0.json", "\"schedules_explored\": 120, ",
+                 "\"schedules_explored\": 120, \"dpor_pruned\": 64, ");
+    }
 
-  Corpus loaded = Corpus::load(dir.str());
-  EXPECT_EQ(loaded.total_execs(), 2u);
-  EXPECT_EQ(loaded.total_classes(), 5u);
-  ASSERT_EQ(loaded.entries().size(), 2u);
-  EXPECT_EQ(loaded.entries()[0].origin, "seed:0");
-  EXPECT_EQ(loaded.entries()[1].origin, "mutant:0:reshape");
-  EXPECT_EQ(loaded.entry(0).stats, c.entry(0).stats);
-  EXPECT_EQ(loaded.growth(), c.growth());
-  // next_crash persisted: the first crash file after resume is crash_1.
-  EXPECT_EQ(loaded.take_crash_index(), 1u);
-  // next_id persisted: a new entry continues the dense id sequence.
-  EXPECT_EQ(loaded.add("seed:9", generate_program(shape_for_seed(1))), 2u);
+    Corpus loaded = Corpus::load(dir.str());
+    EXPECT_EQ(loaded.total_execs(), 2u);
+    EXPECT_EQ(loaded.total_classes(), 5u);
+    ASSERT_EQ(loaded.entries().size(), 2u);
+    EXPECT_EQ(loaded.entries()[0].origin, "seed:0");
+    EXPECT_EQ(loaded.entries()[1].origin, "mutant:0:reshape");
+    EXPECT_EQ(loaded.entry(0).stats, c.entry(0).stats);
+    EXPECT_EQ(loaded.growth(), c.growth());
+    // next_crash persisted: the first crash file after resume is crash_1.
+    EXPECT_EQ(loaded.take_crash_index(), 1u);
+    // next_id persisted: a new entry continues the dense id sequence.
+    EXPECT_EQ(loaded.add("seed:9", generate_program(shape_for_seed(1))), 2u);
+  }
 }
 
 TEST(Corpus, NoteClassesCountsOnlyFreshHashes) {

@@ -85,7 +85,6 @@ TEST(Farm, RunsAreBitDeterministicAtJobsOne) {
   EXPECT_EQ(a.new_classes, b.new_classes);
   EXPECT_EQ(a.total_classes, b.total_classes);
   EXPECT_EQ(a.schedules, b.schedules);
-  EXPECT_EQ(a.dpor_pruned, b.dpor_pruned);
   EXPECT_EQ(a.corpus_size, b.corpus_size);
   EXPECT_EQ(a.growth, b.growth);
 }
@@ -107,7 +106,6 @@ TEST(Farm, CorpusOriginsAndStatsAreReproducible) {
     EXPECT_EQ(ea[i].stats.execs, eb[i].stats.execs);
     EXPECT_EQ(ea[i].stats.classes_discovered, eb[i].stats.classes_discovered);
     EXPECT_EQ(ea[i].stats.schedules_explored, eb[i].stats.schedules_explored);
-    EXPECT_EQ(ea[i].stats.dpor_pruned, eb[i].stats.dpor_pruned);
     EXPECT_EQ(ea[i].stats.last_new_exec, eb[i].stats.last_new_exec);
   }
 }
@@ -203,7 +201,6 @@ TEST(Farm, HandoffOrderRegression) {
   o.explore.preemption_bound = 1;
   o.explore.horizon = 12;
   o.explore.max_schedules = 512;
-  o.explore.dpor = explore::DporMode::kSleepSet;
   const explore::CheckSession session(o);
   for (const rt::Target t : rt::sim_targets()) {
     const explore::GenProgramTarget target(prog, t);

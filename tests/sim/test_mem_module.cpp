@@ -102,7 +102,7 @@ TEST(MemModule, OutOfRangeAccessIsChecked) {
 TEST(MemModule, ZeroLengthWriteDirtiesNoPage) {
   // A zero-byte write touches no storage, so it must not enter the dirty
   // page set — it used to mark the page under its address, inflating every
-  // later snapshot (and diverging footprints for no-op transfers).
+  // later snapshot.
   MemModule m("m", 0, 1024);
   const uint32_t v = 7;
   m.write(0, 512, &v, 0);

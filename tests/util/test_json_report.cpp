@@ -106,13 +106,14 @@ TEST(FlagInt, ParsesWholeIntegersAndRejectsEverythingElse) {
 
 TEST(RequireKnownFlags, AcceptsBareAndValuedFormsAndNamesTheFirstUnknown) {
   char prog[] = "test";
-  char bare[] = "--dpor";
-  char valued[] = "--dpor=off";
+  char bare[] = "--progress";
+  char valued[] = "--backend=dsm";
   char jobs[] = "--jobs=2";
   char empty[] = "--replay=";
   char* good[] = {prog, bare, valued, jobs, empty};
   EXPECT_NO_THROW(
-      require_known_flags(5, good, {"dpor", "dpor=", "jobs=", "replay="}));
+      require_known_flags(5, good,
+                          {"progress", "backend=", "jobs=", "replay="}));
 
   char typo[] = "--preemption=2";
   char positional[] = "preemptions=2";
