@@ -9,7 +9,7 @@
 //
 // Explores fig5_mp_annotated (message passing, the paper's running example)
 // on every simulated back-end under a fixed preemption bound and horizon,
-// reporting the explored and pruned counts. The stateful section reports
+// reporting the explored count. The stateful section reports
 // the snapshot-engine counters over the whole annotatable suite at a deep
 // horizon (DESIGN.md §10). Then come the apps-layer workload (MFifo +
 // TaskCounter on every back-end), the hb-class discovery curve, a bounded
@@ -53,9 +53,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cfg.horizon));
   const explore::CheckSession session(sopts);
   util::Table table;
-  table.add_row({"back-end", "explored", "pruned", "prune"});
+  table.add_row({"back-end", "explored"});
   uint64_t total_explored = 0;
-  uint64_t total_pruned = 0;
   for (rt::Target t : rt::sim_targets()) {
     const explore::LitmusTarget target(model::litmus::fig5_mp_annotated(), t);
     const auto rep = session.explore(target);
@@ -66,11 +65,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     total_explored += rep.explored;
-    total_pruned += rep.pruned;
-    table.add_row({rt::to_string(t), bench::fmt_u64(rep.explored),
-                   bench::fmt_u64(rep.pruned),
-                   bench::pc(static_cast<double>(rep.pruned),
-                             static_cast<double>(rep.explored + rep.pruned))});
+    table.add_row({rt::to_string(t), bench::fmt_u64(rep.explored)});
     // Keyed backend_<name>_* so consumers can discover the per-back-end
     // section by prefix no matter how many columns the registry grows.
     json.add("backend_" + std::string(rt::to_string(t)) + "_explored",
@@ -78,12 +73,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
   json.add("total_explored", total_explored);
-  json.add("total_pruned", total_pruned);
-  json.add("prune_ratio",
-           total_explored + total_pruned == 0
-               ? 0.0
-               : static_cast<double>(total_pruned) /
-                     static_cast<double>(total_explored + total_pruned));
 
   // Stateful exploration: the snapshot engine over the annotatable suite at
   // a deep horizon (snapshots amortize best when the pre-branch prefix

@@ -204,8 +204,7 @@ int run_apps(const std::vector<explore::AppKind>& kinds,
     return 0;
   }
   util::Table table;
-  table.add_row(
-      {"app", "back-end", "explored", "pruned", "traces", "failing"});
+  table.add_row({"app", "back-end", "explored", "traces", "failing"});
   int rc = 0;
   for (const explore::AppKind kind : kinds) {
     // In seed-bug mode each app must expose a seeded fault on at least one
@@ -217,7 +216,6 @@ int run_apps(const std::vector<explore::AppKind>& kinds,
       const explore::CheckReport rep = session.check(*target);
       table.add_row({explore::to_string(kind), rt::to_string(t),
                      std::to_string(rep.explored) + (rep.truncated ? "+" : ""),
-                     std::to_string(rep.pruned),
                      std::to_string(rep.distinct_traces),
                      std::to_string(rep.failing)});
       const std::string key = std::string("app_") + explore::to_string(kind) +
@@ -374,7 +372,7 @@ int run_main(int argc, char** argv) {
   bench::require_known_flags(
       argc, argv,
       {"dot", "outcomes", "preemptions=", "horizon=", "max-schedules=",
-       "no-prune", "jobs=", "progress", "backend=", "test=", "replay=",
+       "jobs=", "progress", "backend=", "test=", "replay=",
        "trace-out=", "app=", "seed-bug", "fuzz-seed=", "fuzz-cores=",
        "fuzz-objects=", "fuzz-steps=", "config=", "json", "json="});
   if (const std::string conflict = mode_conflict(argc, argv);
@@ -400,7 +398,6 @@ int run_main(int argc, char** argv) {
   }
   cfg.max_schedules =
       static_cast<uint64_t>(flag_int(argc, argv, "max-schedules", 50'000));
-  cfg.prune_delay = !flag_set(argc, argv, "no-prune");
   sopts.jobs = static_cast<int>(flag_int(argc, argv, "jobs", 1));
   if (flag_set(argc, argv, "progress")) {
     // Telemetry-only live line on stderr: schedules/s plus the worst-case
@@ -535,13 +532,11 @@ int run_main(int argc, char** argv) {
   }
 
   std::printf("schedule exploration: preemptions<=%d, horizon=%llu, "
-              "jobs=%d%s\n\n",
+              "jobs=%d\n\n",
               cfg.preemption_bound,
-              static_cast<unsigned long long>(cfg.horizon), jobs,
-              cfg.prune_delay ? "" : ", pruning off");
+              static_cast<unsigned long long>(cfg.horizon), jobs);
   util::Table table;
-  table.add_row(
-      {"back-end", "test", "explored", "pruned", "traces", "failing"});
+  table.add_row({"back-end", "test", "explored", "traces", "failing"});
   int rc = 0;
   uint64_t failing_total = 0;
   for (rt::Target t : backends) {
@@ -551,7 +546,6 @@ int run_main(int argc, char** argv) {
       table.add_row({rt::to_string(t), test.name,
                      std::to_string(rep.explored) +
                          (rep.truncated ? "+" : ""),
-                     std::to_string(rep.pruned),
                      std::to_string(rep.distinct_traces),
                      std::to_string(rep.failing)});
       // Per-(back-end, test) outcome set, so CI can assert the numbers
@@ -559,7 +553,6 @@ int run_main(int argc, char** argv) {
       const std::string key =
           std::string(rt::to_string(t)) + "_" + test.name;
       json.add(key + "_explored", rep.explored);
-      json.add(key + "_pruned", rep.pruned);
       json.add(key + "_traces", rep.distinct_traces);
       json.add(key + "_failing", rep.failing);
       json.add(key + "_allowed_outcomes",

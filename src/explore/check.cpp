@@ -4,6 +4,8 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "apps/mfifo.h"
@@ -560,10 +562,14 @@ StatefulSpec TaskCounterTarget::make_spec() const {
     for (;;) {
       const Chunk c = st->counter.grab(env, shape_.total, shape_.chunk);
       if (c.empty()) break;
-      PMC_CHECK_MSG(st->counts[me] < cap,
-                    "task counter ran away: core "
-                        << env.id() << " grabbed more than " << cap
-                        << " chunks of [0," << shape_.total << ")");
+      // A verdict, not an internal invariant: it names the oracle and no
+      // source location, so reports read the same in every checkout.
+      if (st->counts[me] >= cap) {
+        throw std::runtime_error(
+            "taskcounter runaway: core " + std::to_string(env.id()) +
+            " grabbed more than " + std::to_string(cap) + " chunks of [0," +
+            std::to_string(shape_.total) + ")");
+      }
       st->chunks[me * cap + st->counts[me]++] = c;
     }
   };
@@ -748,7 +754,6 @@ CheckReport CheckSession::check(const CheckTarget& target) const {
   rep.telemetry.worker_steals = r.worker_steals;
   rep.telemetry.hb_curve = r.hb_curve;
   rep.explored = r.explored;
-  rep.pruned = r.pruned;
   rep.distinct_traces = r.distinct_traces;
   rep.failing = r.failing;
   rep.max_decision_points = r.max_decision_points;

@@ -317,9 +317,10 @@ struct SessionTelemetry {
 struct CheckReport {
   std::string target;
   uint64_t explored = 0;
+  /// Both always 0: the explorer runs every bounded schedule since delay
+  /// pruning and the partial-order reduction were deleted. Kept, with their
+  /// to_text()/to_json() rendering, only because bench/pmcbench reads them.
   uint64_t pruned = 0;
-  /// Always 0 since the partial-order reduction was deleted; kept, with its
-  /// to_text()/to_json() rendering, only because bench/pmcbench reads it.
   uint64_t dpor_pruned = 0;
   uint64_t distinct_traces = 0;
   uint64_t failing = 0;

@@ -45,14 +45,13 @@ RunOutcome replay_on(const ScheduleRunner& runner,
   return out;
 }
 
-/// Enumerates the children of `prefix` from its completed run `policy` and
-/// returns how many alternatives delay pruning skipped. A pure function of
-/// (prefix, the run's recording, cfg), which is what makes the tree
-/// identical on every worker, whoever expands a node.
-uint64_t expand_node(const DecisionString& prefix, const ReplayPolicy& policy,
-                     const ExploreConfig& cfg,
-                     std::vector<DecisionString>* children) {
-  if (static_cast<int>(prefix.size()) >= cfg.preemption_bound) return 0;
+/// Enumerates the children of `prefix` from its completed run `policy`. A
+/// pure function of (prefix, the run's recording, cfg), which is what makes
+/// the tree identical on every worker, whoever expands a node.
+void expand_node(const DecisionString& prefix, const ReplayPolicy& policy,
+                 const ExploreConfig& cfg,
+                 std::vector<DecisionString>* children) {
+  if (static_cast<int>(prefix.size()) >= cfg.preemption_bound) return;
   // This run's decisions up to the horizon are shared by every child
   // (identical override prefix ⇒ identical deterministic execution up to
   // the new override), so the recorded candidate counts enumerate the
@@ -60,20 +59,12 @@ uint64_t expand_node(const DecisionString& prefix, const ReplayPolicy& policy,
   // which generates every bounded schedule exactly once.
   const uint64_t start = prefix.empty() ? 0 : prefix.back().step + 1;
   const uint64_t end = std::min(policy.decision_points(), cfg.horizon);
-  uint64_t delay_pruned = 0;
   for (uint64_t p = start; p < end; ++p) {
-    const int alternatives = policy.candidates_at(p) - 1;
-    if (alternatives <= 0) continue;
-    if (cfg.prune_delay && policy.pure_segment(p)) {
-      delay_pruned += static_cast<uint64_t>(alternatives);
-      continue;
-    }
-    for (int c = 1; c <= alternatives; ++c) {
+    for (int c = 1; c < policy.candidates_at(p); ++c) {
       DecisionString& child = children->emplace_back(prefix);
       child.push_back({p, c});
     }
   }
-  return delay_pruned;
 }
 
 }  // namespace
@@ -94,7 +85,6 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
   // it can only reach zero once the whole tree has been processed.
   std::atomic<uint64_t> claimed{0};
   std::atomic<uint64_t> explored{0};
-  std::atomic<uint64_t> pruned{0};
   std::atomic<uint64_t> failing{0};
   std::atomic<uint64_t> in_flight{1};
   std::atomic<uint64_t> first_fail_at{0};
@@ -179,7 +169,7 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
         }
       }
       if (cfg.progress && done % kProgressStride == 0) {
-        cfg.progress({done, pruned.load(), failing.load(), distinct});
+        cfg.progress({done, failing.load(), distinct});
       }
       uint64_t prev = max_points.load();
       while (prev < policy.decision_points() &&
@@ -202,8 +192,7 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
       // the same whichever worker expands the node; only the traversal
       // order depends on the job count.
       std::vector<DecisionString> children;
-      const uint64_t delay_pruned = expand_node(*task, policy, cfg, &children);
-      if (delay_pruned != 0) pruned.fetch_add(delay_pruned);
+      expand_node(*task, policy, cfg, &children);
       if (!children.empty()) {
         in_flight.fetch_add(children.size());
         {
@@ -226,7 +215,6 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
 
   ExploreReport rep;
   rep.explored = explored.load();
-  rep.pruned = pruned.load();
   rep.truncated = truncated.load();
   rep.failing = failing.load();
   rep.first_failing = std::move(best);
@@ -246,8 +234,7 @@ ExploreReport Explorer::explore(const ExploreConfig& cfg) {
     rep.hb_curve.back() = rep.distinct_traces;
   }
   if (cfg.progress) {
-    cfg.progress({rep.explored, rep.pruned, rep.failing,
-                  rep.distinct_traces});
+    cfg.progress({rep.explored, rep.failing, rep.distinct_traces});
   }
   rep.worker_steals = std::move(steals);
   rep.failing_schedules = std::move(fails);

@@ -9,8 +9,7 @@
 // snapshots (DESIGN.md §10), a stateless one re-runs the whole program.
 // The search is bounded by a preemption budget (max overrides per schedule)
 // and a horizon (only the first H decision points may branch), in the style
-// of CHESS-like systematic concurrency testing; delay-segment pruning skips
-// preemptions of segments that provably performed no memory-system effect.
+// of CHESS-like systematic concurrency testing.
 //
 // One engine at any worker count: the frontier of decision-string prefixes
 // still to expand is sharded over `jobs` workers with per-worker
@@ -20,12 +19,13 @@
 // thread and only jobs − 1 threads are spawned, so jobs = 1 is a plain
 // depth-first search on the caller with a fixed traversal order.
 //
-// There is no partial-order reduction (DESIGN.md §8 says why): every
-// bounded schedule that delay pruning keeps is run.
+// There is no reduction of any kind (DESIGN.md §8 says why): every bounded
+// schedule is run, so the tree holds exactly Σ_{j≤k} C(H, j) schedules when
+// every one of the first H decisions has two candidates.
 //
 // Determinism: the children of a node are a pure function of its
-// deterministic run, so the tree is fixed: `explored`, `pruned`, `failing`
-// and `distinct_traces` are identical for every job count (absent
+// deterministic run, so the tree is fixed: `explored`, `failing` and
+// `distinct_traces` are identical for every job count (absent
 // truncation), and the reported failure is canonicalized to the
 // lexicographically least failing decision string — so reports are
 // byte-identical run to run and job count to job count.
@@ -47,7 +47,6 @@ namespace pmc::explore {
 /// counters the other workers keep advancing.
 struct ProgressUpdate {
   uint64_t explored = 0;
-  uint64_t pruned = 0;
   uint64_t failing = 0;
   uint64_t distinct_traces = 0;
 };
@@ -59,12 +58,6 @@ struct ExploreConfig {
   uint64_t horizon = 24;
   /// Hard cap on executed schedules; hitting it sets `truncated`.
   uint64_t max_schedules = 50'000;
-  /// Skip preemptions of pure-delay segments (compute/idle backoff): moving
-  /// such a segment across the preempting core's operations cannot change
-  /// which values any read observes, only clock skews that the frontier warp
-  /// re-applies anyway. A pruned schedule is counted, not run; its deeper
-  /// extensions are not enumerated (bounded-search trade-off, DESIGN.md §6).
-  bool prune_delay = true;
   /// Telemetry-only progress callback, invoked every 64 completed
   /// schedules plus once when the space is exhausted. It runs on
   /// whichever worker crosses the stride, so with jobs > 1 the callback
@@ -86,7 +79,6 @@ using ScheduleRunner = std::function<RunOutcome(ReplayPolicy& policy)>;
 
 struct ExploreReport {
   uint64_t explored = 0;  // schedules executed
-  uint64_t pruned = 0;    // schedules enumerated but skipped by delay pruning
   bool truncated = false;
   uint64_t distinct_traces = 0;
   uint64_t failing = 0;

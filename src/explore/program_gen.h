@@ -50,7 +50,7 @@ struct GenOp {
     kUpdate,    // entry_x; st += arg; [flush; st += arg2;] exit_x
     kReadOnly,  // entry_ro; ld (value discarded: a "slow read"); exit_ro
     kNested,    // entry_x(obj); entry_ro(obj2); ld obj2; st obj += arg; exit both
-    kCompute,   // arg cycles of private work (pure-delay segment)
+    kCompute,   // arg cycles of private work (no memory access)
     kFence,
     kBarrier,   // slot-aligned across every core
   };

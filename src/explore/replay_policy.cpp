@@ -21,9 +21,6 @@ int ReplayPolicy::pick(const sim::YieldPoint& yp,
   if (yp.step < horizon_) {
     cand_count_.push_back(static_cast<int>(cands.size()));
   }
-  if (yp.step < horizon_ + 1) {
-    observable_.push_back(yp.observable ? 1 : 0);
-  }
   int choice = 0;
   if (next_ < overrides_.size() && overrides_[next_].step == yp.step) {
     choice = overrides_[next_].choice;
@@ -38,9 +35,8 @@ int ReplayPolicy::pick(const sim::YieldPoint& yp,
 }
 
 uint64_t ReplayPolicy::free_step() const {
-  // pick() records candidates below the horizon and the observable bit up
-  // to it.
-  uint64_t free = horizon_ + 1;
+  // pick() records candidates below the horizon only.
+  uint64_t free = horizon_;
   if (!overrides_.empty()) free = std::max(free, overrides_.back().step + 1);
   return free;
 }
@@ -54,7 +50,6 @@ void ReplayPolicy::seed(const Recording& r) {
   PMC_CHECK_MSG(steps_ == 0, "seed() on a policy that already ran");
   steps_ = r.steps;
   cand_count_ = r.cand_count;
-  observable_ = r.observable;
   next_ = 0;
   while (next_ < overrides_.size() && overrides_[next_].step < steps_) {
     ++next_;

@@ -2,11 +2,10 @@
 //
 // At every scheduling decision the policy applies the next override if its
 // step matches, and otherwise picks the min-time default. While running it
-// records, for every decision step up to the horizon, how many candidates
-// were runnable and whether the segment that just ended touched the memory
-// system. This is exactly the information the Explorer needs to enumerate
-// and delay-prune the children of this schedule (DESIGN.md §6) without
-// re-running it. Past its last override and its last recorded step the
+// records, for every decision step below the horizon, how many candidates
+// were runnable. This is exactly the information the Explorer needs to
+// enumerate the children of this schedule (DESIGN.md §6) without re-running
+// it. Past its last override and its last recorded step the
 // policy declares itself free (free_step()): the scheduler runs the rest of
 // the schedule without consulting it and hands back the run's total
 // decision count at the end.
@@ -39,13 +38,6 @@ class ReplayPolicy final : public sim::SchedulePolicy {
   int candidates_at(uint64_t p) const {
     return p < cand_count_.size() ? cand_count_[p] : 0;
   }
-  /// True when the segment dispatched at step `p` performed no memory-system
-  /// effect (pure compute/idle delay) — established by the yield that ended
-  /// it. Unknown (last segment / beyond horizon) reports false, so callers
-  /// never prune on missing information.
-  bool pure_segment(uint64_t p) const {
-    return p + 1 < observable_.size() && observable_[p + 1] == 0;
-  }
   /// Overrides that never matched a decision step (stale replay string).
   size_t unused_overrides() const { return overrides_.size() - next_; }
 
@@ -59,7 +51,6 @@ class ReplayPolicy final : public sim::SchedulePolicy {
   struct Recording {
     uint64_t steps = 0;
     std::vector<int> cand_count;
-    std::vector<uint8_t> observable;
   };
   /// Captured pre-pick: call while decision `steps` has not executed yet
   /// (e.g. from CheckpointHook::on_checkpoint). Fills `r`, reusing its
@@ -67,7 +58,6 @@ class ReplayPolicy final : public sim::SchedulePolicy {
   void export_recording(Recording& r) const {
     r.steps = steps_;
     r.cand_count = cand_count_;
-    r.observable = observable_;
   }
   Recording export_recording() const {
     Recording r;
@@ -85,8 +75,7 @@ class ReplayPolicy final : public sim::SchedulePolicy {
   uint64_t horizon_;
   size_t next_ = 0;
   uint64_t steps_ = 0;
-  std::vector<int> cand_count_;      // indexed by step, up to horizon
-  std::vector<uint8_t> observable_;  // indexed by step, up to horizon + 1
+  std::vector<int> cand_count_;  // indexed by step, up to horizon
 };
 
 }  // namespace pmc::explore

@@ -2,7 +2,7 @@
 // histograms with deterministic JSON export (DESIGN.md §11).
 //
 // This is the aggregation vocabulary the exploration stack reports through:
-// explorer totals (explored/pruned), per-worker steal counts,
+// explorer totals (explored/failing), per-worker steal counts,
 // snapshot pool hits, shrink rounds, and per-back-end CoreStats sums all
 // land in one registry that merges across workers/back-ends and renders as
 // one JSON object. Storage is std::map so iteration — and therefore the

@@ -212,7 +212,6 @@ uint64_t Machine::digest(const Snapshot& s) {
     mix(sl.time);
     mix(sl.warped);
     mix(sl.done);
-    mix(sl.observable);
   }
   for (const auto& f : s.sched.fibers) {
     // The fiber switch saves the callee-saved registers and FP control
@@ -502,14 +501,12 @@ void Core::cached_access(Addr a, void* rd_out, const void* wr_data, size_t n) {
       data = cache.install(line, &victim);
       uint64_t pre_stall = 0;
       if (victim.dirty) {
-        // Post the writeback; the fill waits for the bus slot. The eviction
-        // is an effect of its own: exploration must not see pure delay here.
+        // Post the writeback; the fill waits for the bus slot.
         settle();
         const uint64_t start =
             m_.sdram_.reserve_port(now(), lb / 4);
         m_.sdram_.post_write(start + t.sdram_line_wb_visible, victim.addr,
                              victim.data.data(), victim.data.size());
-        m_.sched_.note_effect(id_);
         s.writebacks++;
         pre_stall += t.sdram_line_wb_cost;
         if (m_.tracing()) {
@@ -526,7 +523,6 @@ void Core::cached_access(Addr a, void* rd_out, const void* wr_data, size_t n) {
                                        : &CoreStats::stall_shared_read;
       const uint64_t fill_t0 = now();
       charge(1, pre_stall + fill_req - 1, bucket);
-      m_.sched_.note_effect(id_);
       settle();
       m_.sdram_.read(now(), line, data, lb);
       charge(0, t.sdram_line_fill - fill_req, bucket);
@@ -558,7 +554,6 @@ void Core::uncached_access(Addr a, void* rd_out, const void* wr_data, size_t n,
       // under kFlat, preserving its timing exactly).
       charge(1, sdram_port_wait(1) + t.sdram_write_cost - 1,
              &CoreStats::stall_write);
-      m_.sched_.note_effect(id_);
       settle();
       m_.sdram_.post_write(now() + t.sdram_write_visible, chunk_addr,
                            static_cast<const uint8_t*>(wr_data) + done, chunk);
@@ -566,7 +561,6 @@ void Core::uncached_access(Addr a, void* rd_out, const void* wr_data, size_t n,
       // Sample at request arrival (half the round trip), not at completion.
       const uint64_t req = std::max<uint64_t>(t.sdram_read / 2, 1);
       charge(1, req - 1, read_bucket(c));
-      m_.sched_.note_effect(id_);
       settle();
       m_.sdram_.read(now(), chunk_addr,
                      static_cast<uint8_t*>(rd_out) + done, chunk);
@@ -597,13 +591,11 @@ void Core::cluster_access(Addr a, void* rd_out, const void* wr_data, size_t n,
     }
     if (wr_data != nullptr) {
       charge(1, wait + t.cluster_store - 1, &CoreStats::stall_write);
-      m_.sched_.note_effect(id_);
       settle();
       cl.write(now(), chunk_addr,
                static_cast<const uint8_t*>(wr_data) + done, chunk);
     } else {
       charge(1, wait + t.cluster_load - 1, read_bucket(c));
-      m_.sched_.note_effect(id_);
       settle();
       cl.read(now(), chunk_addr, static_cast<uint8_t*>(rd_out) + done, chunk);
     }
@@ -621,13 +613,6 @@ void Core::access(Addr a, void* rd_out, const void* wr_data, size_t n,
   // so it stays uncached even in cache_shared machines.
   const bool cached = tile < 0 && !in_cluster &&
                       c == MemClass::kSharedData && m_.cfg_.cache_shared;
-  // Memory effects happen between this call's clock advances (e.g. a posted
-  // write is enqueued after its cost was charged), so note the effect both
-  // entering and leaving: neither the enclosing advances nor the next
-  // advance after the trailing effect may count as pure delay. Chunked
-  // paths additionally note each module touch so mid-access segments carry
-  // their own effects.
-  m_.sched_.note_effect(id_);
   const uint64_t trace_t0 = now();
   const obs::EventKind trace_kind =
       wr_data != nullptr ? obs::EventKind::kStore : obs::EventKind::kLoad;
@@ -654,7 +639,6 @@ void Core::access(Addr a, void* rd_out, const void* wr_data, size_t n,
       settle();
       lm.read(now(), a, rd_out, n);
     }
-    m_.sched_.note_effect(id_);
     if (m_.tracing()) {
       trace(trace_kind, trace_t0, a, static_cast<uint32_t>(n),
             static_cast<uint16_t>(c));
@@ -663,7 +647,6 @@ void Core::access(Addr a, void* rd_out, const void* wr_data, size_t n,
   }
   if (in_cluster) {
     cluster_access(a, rd_out, wr_data, n, c);
-    m_.sched_.note_effect(id_);
     if (m_.tracing()) {
       trace(trace_kind, trace_t0, a, static_cast<uint32_t>(n),
             static_cast<uint16_t>(c));
@@ -676,7 +659,6 @@ void Core::access(Addr a, void* rd_out, const void* wr_data, size_t n,
   } else {
     uncached_access(a, rd_out, wr_data, n, c);
   }
-  m_.sched_.note_effect(id_);
   if (m_.tracing()) {
     trace(trace_kind, trace_t0, a, static_cast<uint32_t>(n),
           static_cast<uint16_t>(c));
@@ -715,7 +697,6 @@ void Core::write_block(Addr a, const void* data, size_t n, MemClass c) {
 
 uint64_t Core::remote_write(int dst_tile, Addr dst_addr, const void* data,
                             size_t n) {
-  m_.sched_.note_effect(id_);
   PMC_CHECK(dst_tile >= 0 && dst_tile < m_.cfg_.num_cores);
   PMC_CHECK_MSG(dst_tile != id_, "remote_write to own tile: use store");
   MemModule& dst = *m_.lms_[dst_tile];
@@ -730,7 +711,6 @@ uint64_t Core::remote_write(int dst_tile, Addr dst_addr, const void* data,
   dst.post_write(arrival, dst_addr, data, n);
   s.remote_writes++;
   s.noc_bytes_sent += n;
-  m_.sched_.note_effect(id_);
   if (m_.tracing()) {
     // The deterministic NoC model reveals the arrival at send time, so one
     // event carries the whole flow arc (the exporter adds the arrow).
@@ -749,7 +729,6 @@ uint64_t Core::remote_write(int dst_tile, Addr dst_addr, const void* data,
 
 void Core::dma_read(Addr src, void* out, size_t n, MemClass c) {
   PMC_CHECK(n > 0);
-  m_.sched_.note_effect(id_);
   PMC_CHECK_MSG(m_.sdram_.contains(src, n), "dma_read is SDRAM-only");
   const auto& t = m_.cfg_.timing;
   const uint64_t words = (n + 3) / 4;
@@ -757,11 +736,9 @@ void Core::dma_read(Addr src, void* out, size_t n, MemClass c) {
   const uint64_t req = std::max<uint64_t>(t.sdram_read / 2, 1);
   const uint64_t trace_t0 = now();
   charge(1, req - 1, read_bucket(c));
-  m_.sched_.note_effect(id_);
   m_.sdram_.read(now(), src, out, n);
   charge(0, t.sdram_read - req + words * t.dma_per_word, read_bucket(c));
   m_.stats_[id_].loads++;
-  m_.sched_.note_effect(id_);
   if (m_.tracing()) {
     trace(obs::EventKind::kDmaRead, trace_t0, src, static_cast<uint32_t>(n),
           static_cast<uint16_t>(c));
@@ -770,7 +747,6 @@ void Core::dma_read(Addr src, void* out, size_t n, MemClass c) {
 
 uint64_t Core::dma_write(Addr dst, const void* data, size_t n, MemClass c) {
   PMC_CHECK(n > 0);
-  m_.sched_.note_effect(id_);
   PMC_CHECK_MSG(m_.sdram_.contains(dst, n), "dma_write is SDRAM-only");
   const auto& t = m_.cfg_.timing;
   const uint64_t words = (n + 3) / 4;
@@ -779,7 +755,6 @@ uint64_t Core::dma_write(Addr dst, const void* data, size_t n, MemClass c) {
          &CoreStats::stall_write);
   const uint64_t start = m_.sdram_.reserve_port(now(), words);
   const uint64_t arrival = start + t.sdram_write_visible;
-  m_.sched_.note_effect(id_);
   m_.sdram_.post_write(arrival, dst, data, n);
   m_.stats_[id_].stores++;
   if (m_.tracing()) {
@@ -819,7 +794,6 @@ uint64_t Core::cache_wbinval(Addr a, size_t n) {
   const Addr base = cache.line_base(a);
   const uint32_t span = static_cast<uint32_t>(
       cache.line_base(a + static_cast<Addr>(n) - 1) + lb - base);
-  m_.sched_.note_effect(id_);
   const uint64_t trace_t0 = now();
   uint16_t traced_lines = 0;
   // Per-core scratch: a vector local would sit on the fiber stack across the
@@ -834,7 +808,6 @@ uint64_t Core::cache_wbinval(Addr a, size_t n) {
       if (!dirty.empty()) {
         const uint64_t start = m_.sdram_.reserve_port(now(), lb / 4);
         const uint64_t arrival = start + t.sdram_line_wb_visible;
-        m_.sched_.note_effect(id_);
         m_.sdram_.post_write(arrival, line, dirty.data(), dirty.size());
         last_arrival = std::max(last_arrival, arrival);
         s.writebacks++;
@@ -846,7 +819,6 @@ uint64_t Core::cache_wbinval(Addr a, size_t n) {
     }
     charge(0, stall, &CoreStats::stall_flush);
   }
-  m_.sched_.note_effect(id_);
   if (m_.tracing()) {
     trace(obs::EventKind::kFlush, trace_t0, base, span, traced_lines);
   }
@@ -866,9 +838,6 @@ void Core::cache_inval(Addr a, size_t n) {
   const Addr base = cache.line_base(a);
   const uint32_t span = static_cast<uint32_t>(
       cache.line_base(a + static_cast<Addr>(n) - 1) + lb - base);
-  // Invalidation touches only the private cache and the later fill performs
-  // the shared-memory read, but the segment still counts as observable.
-  m_.sched_.note_effect(id_);
   const uint64_t trace_t0 = now();
   uint16_t traced_lines = 0;
   for (Addr line = base; line < a + n; line += lb) {
@@ -884,7 +853,6 @@ void Core::cache_inval(Addr a, size_t n) {
 }
 
 uint32_t Core::atomic_swap(Addr a, uint32_t value) {
-  m_.sched_.note_effect(id_);
   PMC_CHECK(a % 4 == 0);
   PMC_CHECK_MSG(m_.sdram_.contains(a, 4), "atomics live on the SDRAM port");
   const auto& t = m_.cfg_.timing;
@@ -898,14 +866,12 @@ uint32_t Core::atomic_swap(Addr a, uint32_t value) {
          &CoreStats::stall_sync_read);
   m_.stats_[id_].atomics++;
   const uint32_t old = m_.sdram_.atomic_swap_u32(now(), a, value);
-  m_.sched_.note_effect(id_);
   charge(0, total - req, &CoreStats::stall_sync_read);
   if (m_.tracing()) trace(obs::EventKind::kAtomic, trace_t0, a, 4, 0);
   return old;
 }
 
 uint32_t Core::atomic_add(Addr a, uint32_t delta) {
-  m_.sched_.note_effect(id_);
   PMC_CHECK(a % 4 == 0);
   PMC_CHECK_MSG(m_.sdram_.contains(a, 4), "atomics live on the SDRAM port");
   const auto& t = m_.cfg_.timing;
@@ -919,14 +885,12 @@ uint32_t Core::atomic_add(Addr a, uint32_t delta) {
          &CoreStats::stall_sync_read);
   m_.stats_[id_].atomics++;
   const uint32_t old = m_.sdram_.atomic_add_u32(now(), a, delta);
-  m_.sched_.note_effect(id_);
   charge(0, total - req, &CoreStats::stall_sync_read);
   if (m_.tracing()) trace(obs::EventKind::kAtomic, trace_t0, a, 4, 1);
   return old;
 }
 
 uint32_t Core::atomic_cas(Addr a, uint32_t expected, uint32_t desired) {
-  m_.sched_.note_effect(id_);
   PMC_CHECK(a % 4 == 0);
   PMC_CHECK_MSG(m_.sdram_.contains(a, 4), "atomics live on the SDRAM port");
   const auto& t = m_.cfg_.timing;
@@ -940,7 +904,6 @@ uint32_t Core::atomic_cas(Addr a, uint32_t expected, uint32_t desired) {
          &CoreStats::stall_sync_read);
   m_.stats_[id_].atomics++;
   const uint32_t old = m_.sdram_.atomic_cas_u32(now(), a, expected, desired);
-  m_.sched_.note_effect(id_);
   charge(0, total - req, &CoreStats::stall_sync_read);
   if (m_.tracing()) trace(obs::EventKind::kAtomic, trace_t0, a, 4, 2);
   return old;

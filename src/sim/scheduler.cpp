@@ -278,10 +278,6 @@ int Scheduler::consult_policy(int yielding) {
   yp.step = step_++;
   consulting_ = step_ < free_step_;
   yp.yielding = yielding;
-  if (yielding >= 0) {
-    yp.observable = slots_[yielding].observable;
-    slots_[yielding].observable = false;
-  }
   const int choice = policy_->pick(yp, cands_);
   PMC_CHECK_MSG(choice >= 0 && choice < static_cast<int>(cands_.size()),
                 "schedule policy returned candidate index "
@@ -378,7 +374,6 @@ void Scheduler::run(const std::function<void(int)>& body) {
     s.time = 0;
     s.warped = 0;
     s.done = false;
-    s.observable = false;
     s.deferring = false;
     s.stale = false;
   }
@@ -573,7 +568,6 @@ void Scheduler::snapshot(Snapshot& s) const {
     out.time = sl.time;
     out.warped = sl.warped;
     out.done = sl.done;
-    out.observable = sl.observable;
   }
   s.step = step_;
   s.frontier = frontier_;
@@ -622,7 +616,6 @@ void Scheduler::restore(const Snapshot& s) {
     sl.time = s.slots[i].time;
     sl.warped = s.slots[i].warped;
     sl.done = s.slots[i].done;
-    sl.observable = s.slots[i].observable;
     sl.deferring = false;
     sl.stale = false;
   }

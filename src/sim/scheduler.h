@@ -64,11 +64,6 @@ struct YieldPoint {
   /// Core whose advance (or completion) triggered this decision; -1 for the
   /// initial dispatch before any core ran.
   int yielding = -1;
-  /// True when the yielding core touched the memory system (load, store,
-  /// atomic, NoC, DMA, cache maintenance) since its previous yield. False
-  /// means the segment that just ended was pure delay (compute/idle), which
-  /// schedule explorers use to prune equivalent interleavings.
-  bool observable = false;
 };
 
 /// Overrides the scheduler's pick at each decision point. pick() runs on the
@@ -164,7 +159,6 @@ class Scheduler {
       uint64_t time = 0;
       uint64_t warped = 0;
       bool done = false;
-      bool observable = false;
     };
     struct FiberImage {
       void* sp = nullptr;          // saved stack pointer
@@ -201,14 +195,6 @@ class Scheduler {
 
   /// Local clock of `core`. Only meaningful from that core's own fiber.
   uint64_t now(int core) const { return slots_[core].time; }
-
-  /// Marks that `core` performed (or is mid-way through) a memory-system
-  /// effect since its last advance (cheap no-op unless a policy is still
-  /// consulted). Called by the machine layer from the running core's own
-  /// fiber; reported as YieldPoint::observable at the next yield.
-  void note_effect(int core) {
-    if (consulting_) slots_[core].observable = true;
-  }
 
   /// Number of decision points so far: one per advance, one per
   /// completion that leaves a core runnable, and the initial dispatch.
@@ -268,7 +254,6 @@ class Scheduler {
     uint64_t time = 0;
     uint64_t warped = 0;      // cumulative frontier-warp cycles (see warped())
     bool done = false;
-    bool observable = false;  // effect since last yield (while consulting)
     bool deferring = false;   // advances skip handoffs (set_deferring())
     bool stale = false;       // ready key predates the clock (see settle())
   };

@@ -227,6 +227,29 @@ TEST(AppCheck, CleanBackendsStayCleanUnderSeededFaults) {
   }
 }
 
+TEST(AppCheck, SeededFaultVerdictsNameNoSourceFile) {
+  // A verdict names the oracle that failed, never the file it lives in, so
+  // reports read the same in every checkout of one commit. The spm fault
+  // makes TaskCounter's runaway oracle fire.
+  const CheckSession session(app_opts());
+  bool saw_runaway = false;
+  for (const AppKind kind : all_app_kinds()) {
+    for (const rt::Target t : rt::sim_targets()) {
+      const auto target = make_app_target(kind, t, all_seeded_faults());
+      const CheckReport rep = session.check(*target);
+      const std::string text = rep.to_text();
+      EXPECT_EQ(rep.first_failing_message.find(".cpp:"), std::string::npos)
+          << target->name() << ": " << rep.first_failing_message;
+      EXPECT_EQ(text.find(".cpp:"), std::string::npos)
+          << target->name() << ": " << text;
+      saw_runaway = saw_runaway ||
+                    rep.first_failing_message.rfind("taskcounter runaway: ",
+                                                    0) == 0;
+    }
+  }
+  EXPECT_TRUE(saw_runaway);
+}
+
 // -- The generic shrinking contract ------------------------------------------
 
 TEST(GenProgramTargetShrink, FlattensThreadOpPairsInOrder) {

@@ -1,11 +1,11 @@
-// Session-driven enumeration, pruning accounting, back-end model checking,
-// and seeded-bug discovery (at the default jobs = 1).
+// Session-driven enumeration, back-end model checking, and seeded-bug
+// discovery (at the default jobs = 1).
 //
 // The closed-form counting tests pin the enumeration exactly: for a 2-core
 // litmus program every decision step below the horizon has exactly two
 // runnable cores (one alternative), so the number of schedules with at most
-// k preemptions in the first H steps is sum_{j<=k} C(H, j). The session's
-// explored (pruning off) — or explored + pruned (k = 1) — must match it.
+// k preemptions in the first H steps is sum_{j<=k} C(H, j). The explorer
+// runs every bounded schedule, so the session's explored must match it.
 #include "explore/check.h"
 
 #include <gtest/gtest.h>
@@ -42,68 +42,11 @@ TEST(CheckSession, ClosedFormCountWithoutPruning) {
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 10;
-  cfg.prune_delay = false;
   const auto rep = CheckSession(cfg).explore(target);
   // C(10,0) + C(10,1) + C(10,2) = 1 + 10 + 45.
   EXPECT_EQ(rep.explored, 56u);
-  EXPECT_EQ(rep.pruned, 0u);
   EXPECT_FALSE(rep.truncated);
   EXPECT_EQ(rep.failing, 0u);
-}
-
-// A 2-core raw-machine program whose schedule prefix contains genuine
-// pure-delay segments: back-to-back compute() calls yield decision points
-// whose just-ended segment performed no memory-system effect. (Litmus
-// programs have none in-horizon: every segment of a memory op — including
-// the mid-op stall slices — is marked observable, so none of those slices
-// is treated as preemptible pure delay.)
-RunOutcome run_compute_heavy(ReplayPolicy& policy) {
-  sim::MachineConfig mc = sim::MachineConfig::ml605(2);
-  sim::Machine m(mc);
-  m.set_schedule_policy(&policy);
-  m.run([](sim::Core& core) {
-    const sim::Addr a =
-        sim::kSdramBase + 64 * static_cast<sim::Addr>(core.id());
-    for (uint32_t i = 0; i < 4; ++i) {
-      core.store_u32(a, i, sim::MemClass::kSharedData);
-      core.compute(8);
-      core.compute(8);  // the segment between the computes is pure delay
-    }
-  });
-  RunOutcome out;
-  out.trace_hash = m.state_hash();
-  return out;
-}
-
-TEST(CheckSession, ClosedFormCountWithPruning) {
-  const FnTarget target("compute-heavy", run_compute_heavy);
-  ExploreConfig cfg;
-  cfg.preemption_bound = 1;  // depth 1: pruned schedules have no children
-  cfg.horizon = 10;
-  cfg.prune_delay = true;
-  const auto rep = CheckSession(cfg).explore(target);
-  // Every enumerated schedule is either run or pruned: C(10,0) + C(10,1).
-  EXPECT_EQ(rep.explored + rep.pruned, 11u);
-  EXPECT_GT(rep.pruned, 0u) << "back-to-back computes must prune";
-  EXPECT_EQ(rep.failing, 0u);
-}
-
-TEST(CheckSession, MemoryOpStallSegmentsAreNotPureDelay) {
-  // Regression for the PR 2 gap: the mid-operation stall segment of an
-  // uncached store contains the posted write, so preempting it is a real
-  // reordering — it must not be delay-pruned. With pruning on and off the
-  // litmus space is therefore the same size.
-  const LitmusTarget target(model::litmus::fig5_mp_annotated(),
-                            rt::Target::kNoCC);
-  ExploreConfig cfg;
-  cfg.preemption_bound = 1;
-  cfg.horizon = 10;
-  cfg.prune_delay = true;
-  const auto pruned_on = CheckSession(cfg).explore(target);
-  cfg.prune_delay = false;
-  const auto pruned_off = CheckSession(cfg).explore(target);
-  EXPECT_EQ(pruned_on.explored, pruned_off.explored);
-  EXPECT_EQ(pruned_on.pruned, 0u);
 }
 
 TEST(CheckSession, ThreeCoreClosedFormCount) {
@@ -112,7 +55,6 @@ TEST(CheckSession, ThreeCoreClosedFormCount) {
   ExploreConfig cfg;
   cfg.preemption_bound = 1;
   cfg.horizon = 8;
-  cfg.prune_delay = false;
   const auto rep = CheckSession(cfg).explore(target);
   EXPECT_EQ(rep.explored, 1u + 2u * 8u);
 }
@@ -150,7 +92,6 @@ TEST(CheckSession, MaxSchedulesTruncates) {
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 10;
-  cfg.prune_delay = false;
   cfg.max_schedules = 7;
   const auto rep = CheckSession(cfg).explore(target);
   EXPECT_TRUE(rep.truncated);
@@ -201,10 +142,25 @@ TEST_P(BackendSweep, ExplorationReachesDistinctTraces) {
   ExploreConfig cfg;
   cfg.preemption_bound = 1;
   cfg.horizon = 12;
-  cfg.prune_delay = false;
   const auto rep = CheckSession(cfg).explore(target);
   EXPECT_GT(rep.distinct_traces, 1u)
       << "preemptions should produce observably different interleavings";
+}
+
+TEST_P(BackendSweep, ClosedFormCountAtThreePreemptions) {
+  // Every bounded schedule runs on every back-end, whatever its segments do:
+  // C(24,0) + C(24,1) + C(24,2) + C(24,3) = 1 + 24 + 276 + 2024.
+  ExploreConfig cfg;
+  cfg.preemption_bound = 3;
+  cfg.horizon = 24;
+  const CheckSession session(cfg);
+  for (const auto& test :
+       {model::litmus::fig5_mp_annotated(), model::litmus::sb_locked()}) {
+    const auto rep = session.explore(LitmusTarget(test, GetParam()));
+    EXPECT_EQ(rep.explored, 2325u) << test.name;
+    EXPECT_FALSE(rep.truncated) << test.name;
+    EXPECT_EQ(rep.failing, 0u) << test.name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SimTargets, BackendSweep,
@@ -252,7 +208,6 @@ TEST(CheckSession, ReachesBothFinalValuesOfANakedTimingRace) {
   ExploreConfig cfg;
   cfg.preemption_bound = 1;
   cfg.horizon = 40;
-  cfg.prune_delay = false;
   const FnTarget target("timing-race", run_timing_race);
   EXPECT_EQ(CheckSession(cfg).explore(target).distinct_traces, 2u);
 }

@@ -173,9 +173,7 @@ TEST(HbCurve, LastPointIsTheFinalClassCountWhenInsertsRace) {
     const FnTarget target("late-insert", [&arrived](ReplayPolicy& p) {
       std::vector<sim::ScheduleCandidate> cands;
       for (int c = 0; c <= kChildren; ++c) cands.push_back({c, 0});
-      sim::YieldPoint yp;
-      yp.observable = true;
-      const int choice = p.pick(yp, cands);
+      const int choice = p.pick(sim::YieldPoint{}, cands);
       if (choice != 0) {
         arrived.fetch_add(1);
         // Bounded, in case fewer workers than children ever run at once.

@@ -66,32 +66,14 @@ TEST(ParallelEngine, MatchesSequentialTotalsOnCleanSweep) {
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 10;
-  cfg.prune_delay = false;
   const auto s = session_for(cfg, 1).explore(target);
   ASSERT_EQ(s.explored, 56u);  // Σ C(10, j), j ≤ 2 — the closed form
   for (int jobs : {2, 8}) {
     const auto p = session_for(cfg, jobs).explore(target);
     EXPECT_EQ(p.explored, s.explored) << "jobs=" << jobs;
-    EXPECT_EQ(p.pruned, s.pruned) << "jobs=" << jobs;
     EXPECT_EQ(p.distinct_traces, s.distinct_traces) << "jobs=" << jobs;
     EXPECT_EQ(p.failing, 0u);
     EXPECT_FALSE(p.truncated);
-  }
-}
-
-TEST(ParallelEngine, PruningAccountingMatchesSequential) {
-  const LitmusTarget target(model::litmus::fig5_mp_annotated(),
-                            rt::Target::kNoCC);
-  ExploreConfig cfg;
-  cfg.preemption_bound = 1;  // depth 1: explored + pruned is the closed form
-  cfg.horizon = 10;
-  cfg.prune_delay = true;
-  const auto s = session_for(cfg, 1).explore(target);
-  EXPECT_EQ(s.explored + s.pruned, 11u);
-  for (int jobs : {2, 8}) {
-    const auto p = session_for(cfg, jobs).explore(target);
-    EXPECT_EQ(p.explored, s.explored) << "jobs=" << jobs;
-    EXPECT_EQ(p.pruned, s.pruned) << "jobs=" << jobs;
   }
 }
 
@@ -101,7 +83,6 @@ TEST(ParallelEngine, TruncationCapsTheExploredCount) {
   ExploreConfig cfg;
   cfg.preemption_bound = 2;
   cfg.horizon = 10;
-  cfg.prune_delay = false;
   cfg.max_schedules = 7;
   for (int jobs : {1, 2, 8}) {
     const auto p = session_for(cfg, jobs).explore(target);

@@ -228,7 +228,6 @@ std::vector<uint8_t> run(Scheduler& s, std::vector<uint64_t>* final_clocks) {
       for (int b = 0; b < 8; ++b) {
         trace.push_back(static_cast<uint8_t>(s.now(core) >> (8 * b)));
       }
-      if (i % 3 == core % 3) s.note_effect(core);
       s.advance(core, static_cast<uint64_t>((core * 5 + i * 7) % 9 + 1));
     }
   });
@@ -280,22 +279,6 @@ TEST(Scheduler, PolicySeesSortedCandidatesAndSequentialSteps) {
   // All three cores runnable at the start; candidates shrink as cores end.
   EXPECT_EQ(policy.cand_counts.front(), 3u);
   EXPECT_EQ(policy.cand_counts.back(), 1u);
-}
-
-TEST(Scheduler, ObservabilityTracksNoteEffect) {
-  Scheduler s(1);
-  RecordingPolicy policy;
-  s.set_policy(&policy);
-  s.run([&](int core) {
-    s.advance(core, 1);        // decision 1: nothing observable
-    s.note_effect(core);
-    s.advance(core, 1);        // decision 2: effect since last yield
-    s.advance(core, 1);        // decision 3: flag consumed, pure again
-  });
-  ASSERT_GE(policy.points.size(), 4u);
-  EXPECT_FALSE(policy.points[1].observable);
-  EXPECT_TRUE(policy.points[2].observable);
-  EXPECT_FALSE(policy.points[3].observable);
 }
 
 TEST(Scheduler, OverrideChangesOrderDeterministically) {
